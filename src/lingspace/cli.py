@@ -14,7 +14,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .corpus import load_corpus, save_corpus
+from .corpus import load_corpus, read_utf8_text, save_corpus
 from .errors import DataError, LingspaceError, UsageError
 from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
@@ -272,7 +272,7 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
     if args.text is not None:
         text = args.text
     else:
-        text = args.file.read_text(encoding="utf-8")
+        text = read_utf8_text(args.file)
         # A trailing newline is a file-format artifact, not message content.
         if text.endswith("\n"):
             text = text[:-1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,7 +175,7 @@ def build_parallel_corpus(
         if policy.min_length_chars > 0:
             ref_text = texts.get(policy.reference_lang)
             ref_len = (
-                count_units(ref_text, SpaceMeasure.CHARACTERS).value if ref_text else 0
+                count_units(ref_text, SpaceMeasure.CHARACTERS) if ref_text else 0
             )
             if ref_len < policy.min_length_chars:
                 too_short += 1
@@ -205,7 +206,7 @@ def load_udhr_directory(
         path = directory / f"{lang}.txt"
         if not path.is_file():
             raise DataError(f"missing translation file: {path}")
-        content = _read_text(path)
+        content = read_utf8_text(path)
         paragraphs = parse_udhr_language_file(content, lang)
         counts[lang] = len(paragraphs)
         per_lang[lang] = [(str(index), text) for index, text in paragraphs]
@@ -244,12 +245,15 @@ def load_subtitle_directory(
         raise DataError(f"no talk directories under {directory}")
     per_lang: dict[LanguageTag, list[tuple[str, str]]] = {lang: [] for lang in langs}
     for talk in talk_dirs:
+        with os.scandir(talk) as entries:
+            files = {entry.name for entry in entries if entry.is_file()}
         for lang in langs:
             for suffix, fmt in _SUFFIX_FORMATS.items():
-                path = talk / f"{lang}{suffix}"
-                if not path.is_file():
+                name = f"{lang}{suffix}"
+                if name not in files:
                     continue
-                content = _read_text(path)
+                path = talk / name
+                content = read_utf8_text(path)
                 try:
                     transcript = parse_subtitle(content, fmt)
                 except SubtitleParseError as exc:
@@ -264,7 +268,8 @@ def load_subtitle_directory(
     )
 
 
-def _read_text(path: Path) -> str:
+def read_utf8_text(path: Path) -> str:
+    """A file's UTF-8 contents; undecodable bytes raise a DataError naming it."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

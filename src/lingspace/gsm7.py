@@ -23,16 +23,17 @@ GSM7_EXTENSION = "\f^{}\\[~]|€"
 
 BASIC_SET = frozenset(GSM7_BASIC)
 EXTENSION_SET = frozenset(GSM7_EXTENSION)
+GSM_SET = BASIC_SET | EXTENSION_SET
 
 
 def is_gsm_char(char: str) -> bool:
     """True if the single character is representable in GSM-7."""
-    return char in BASIC_SET or char in EXTENSION_SET
+    return char in GSM_SET
 
 
 def is_gsm_text(text: str) -> bool:
     """True if every character of the text is representable in GSM-7."""
-    return all(is_gsm_char(ch) for ch in text)
+    return GSM_SET.issuperset(text)
 
 
 def septet_length(text: str) -> int:
@@ -41,12 +42,6 @@ def septet_length(text: str) -> int:
     Raises GsmNotRepresentableError on the first character outside both
     tables.
     """
-    total = 0
-    for ch in text:
-        if ch in BASIC_SET:
-            total += 1
-        elif ch in EXTENSION_SET:
-            total += 2
-        else:
-            raise GsmNotRepresentableError(ch)
-    return total
+    if not GSM_SET.issuperset(text):
+        raise GsmNotRepresentableError(next(ch for ch in text if ch not in GSM_SET))
+    return len(text) + sum(map(text.count, GSM7_EXTENSION))

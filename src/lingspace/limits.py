@@ -77,10 +77,10 @@ def check_fit(text: str, limit: LimitSpec) -> FitResult:
     """
     rule = limit.rule
     if isinstance(rule, CharLimit):
-        used = count_units(text, SpaceMeasure.CHARACTERS).value
+        used = count_units(text, SpaceMeasure.CHARACTERS)
         return FitResult(used <= rule.max_chars, used, rule.max_chars, "chars")
     if isinstance(rule, EncodedUnitLimit):
-        used = count_units(text, SpaceMeasure.GBK_UNITS, GbkFallback.COUNT_AS_2).value
+        used = count_units(text, SpaceMeasure.GBK_UNITS, GbkFallback.COUNT_AS_2)
         return FitResult(used <= rule.max_units, used, rule.max_units, "gbk_units")
     if isinstance(rule, SingleSms):
         normalized = nfc(text)

@@ -2,18 +2,17 @@
 
 "Characters" are Unicode scalar values of the NFC form; UTF-8 bytes are the
 byte length of that form. GBK units follow the common microblog accounting:
-1 per ASCII scalar, 2 per any other scalar the two-byte code page can encode.
-GSM-7 septets follow the SMS default alphabet. URL stripping and script-based
-language detection live here too because length statistics depend on both.
+1 per ASCII scalar, 2 per any other scalar; the two-byte code page is
+consulted only when unencodable scalars are to be rejected. GSM-7 septets
+follow the SMS default alphabet. URL stripping and script-based language
+detection live here too because length statistics depend on both.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from . import gsm7
 from .errors import GbkEncodingError, UsageError
@@ -41,61 +40,42 @@ class GbkFallback(Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class MeasuredLength:
-    measure: SpaceMeasure
-    value: int
-
-
 def nfc(text: str) -> str:
     """Canonically composed form; all counting happens on this."""
     return unicodedata.normalize("NFC", text)
 
 
-@lru_cache(maxsize=4096)
-def _gbk_encodable(char: str) -> bool:
-    try:
-        char.encode("gbk")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def gbk_unit_length(text: str, fallback: GbkFallback = GbkFallback.COUNT_AS_2) -> int:
     """Units under the 1-per-ASCII / 2-per-other accounting.
 
-    The code page is consulted only for encodability; unencodable scalars
-    cost 2 under COUNT_AS_2 and raise GbkEncodingError under REJECT.
+    Every non-ASCII scalar costs 2 whether or not the code page can encode
+    it. Under REJECT the code page is consulted first, and the first scalar
+    it cannot encode raises GbkEncodingError.
     """
-    units = 0
-    for ch in text:
-        if ord(ch) < 128:
-            units += 1
-        elif _gbk_encodable(ch) or fallback is GbkFallback.COUNT_AS_2:
-            units += 2
-        else:
-            raise GbkEncodingError(ch)
-    return units
+    if fallback is GbkFallback.REJECT:
+        try:
+            text.encode("gbk")
+        except UnicodeEncodeError as exc:
+            raise GbkEncodingError(text[exc.start]) from None
+    return 2 * len(text) - len(text.encode("ascii", "ignore"))
 
 
 def count_units(
     text: str,
     measure: SpaceMeasure,
     fallback: GbkFallback = GbkFallback.COUNT_AS_2,
-) -> MeasuredLength:
+) -> int:
     """Measure the space a text occupies; the text is NFC-normalized first."""
     normalized = nfc(text)
     if measure is SpaceMeasure.CHARACTERS:
-        value = len(normalized)
-    elif measure is SpaceMeasure.UTF8_BYTES:
-        value = len(normalized.encode("utf-8"))
-    elif measure is SpaceMeasure.GBK_UNITS:
-        value = gbk_unit_length(normalized, fallback)
-    elif measure is SpaceMeasure.GSM7_SEPTETS:
-        value = gsm7.septet_length(normalized)
-    else:
-        raise UsageError(f"unknown space measure {measure!r}")
-    return MeasuredLength(measure, value)
+        return len(normalized)
+    if measure is SpaceMeasure.UTF8_BYTES:
+        return len(normalized.encode("utf-8"))
+    if measure is SpaceMeasure.GBK_UNITS:
+        return gbk_unit_length(normalized, fallback)
+    if measure is SpaceMeasure.GSM7_SEPTETS:
+        return gsm7.septet_length(normalized)
+    raise UsageError(f"unknown space measure {measure!r}")
 
 
 URL_PATTERN = re.compile(r"https?://\S+", re.IGNORECASE)

@@ -85,20 +85,22 @@ def _parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _record_problem(record: Mapping[str, object]) -> str | None:
+def _validate_record(
+    record: Mapping[str, object],
+) -> tuple[datetime | None, str | None]:
+    """The record's parsed created_at, or None and the reason it is invalid."""
     for field in _REQUIRED_POST_FIELDS:
         value = record.get(field)
         if value is None:
-            return f"missing {field!r}"
+            return None, f"missing {field!r}"
         if field != "text" and not str(value).strip():
-            return f"empty {field!r}"
+            return None, f"empty {field!r}"
     if str(record["platform"]) not in PLATFORMS:
-        return f"unknown platform {record['platform']!r}"
+        return None, f"unknown platform {record['platform']!r}"
     try:
-        _parse_timestamp(str(record["created_at"]))
+        return _parse_timestamp(str(record["created_at"])), None
     except ValueError:
-        return f"unparseable created_at {record['created_at']!r}"
-    return None
+        return None, f"unparseable created_at {record['created_at']!r}"
 
 
 def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
@@ -123,7 +125,7 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
         if parse_error is not None:
             bad.append((lineno, parse_error))
             continue
-        problem = _record_problem(record)
+        created_at, problem = _validate_record(record)
         if problem is not None:
             bad.append((lineno, problem))
             continue
@@ -138,7 +140,7 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
                 account=str(record["account"]),
                 platform=str(record["platform"]),
                 text=str(record["text"]),
-                created_at=_parse_timestamp(str(record["created_at"])),
+                created_at=created_at,
             )
         )
     if bad:
@@ -236,11 +238,9 @@ def account_length_stats(
             )
     if len(posts) <= min_posts:
         return None
-    with_urls = [
-        count_units(post.text, SpaceMeasure.CHARACTERS).value for post in posts
-    ]
+    with_urls = [count_units(post.text, SpaceMeasure.CHARACTERS) for post in posts]
     without_urls = [
-        count_units(strip_urls(post.text), SpaceMeasure.CHARACTERS).value
+        count_units(strip_urls(post.text), SpaceMeasure.CHARACTERS)
         for post in posts
     ]
     histogram: dict[int, int] = {}

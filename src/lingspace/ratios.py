@@ -88,8 +88,8 @@ def unit_ratio(
     for lang in (lang_b, lang_a):
         if lang not in unit.texts:
             raise DataError(f"unit {unit.unit_id!r} has no {lang} text")
-    numerator = count_units(unit.texts[lang_b], measure, fallback).value
-    denominator = count_units(unit.texts[lang_a], measure, fallback).value
+    numerator = count_units(unit.texts[lang_b], measure, fallback)
+    denominator = count_units(unit.texts[lang_a], measure, fallback)
     if denominator == 0:
         raise DataError(
             f"unit {unit.unit_id!r}: {lang_a} text measures zero {measure.value}"
@@ -123,8 +123,8 @@ def aggregate_ratios(
                 "skipping unit %r: missing %s or %s text", unit.unit_id, lang_b, lang_a
             )
             continue
-        numerator = count_units(unit.texts[lang_b], measure, fallback).value
-        denominator = count_units(unit.texts[lang_a], measure, fallback).value
+        numerator = count_units(unit.texts[lang_b], measure, fallback)
+        denominator = count_units(unit.texts[lang_a], measure, fallback)
         if numerator == 0 or denominator == 0:
             skipped += 1
             log.warning(
@@ -176,8 +176,8 @@ def pooled_ratio(
     for unit in corpus.units:
         if lang_b not in unit.texts or lang_a not in unit.texts:
             continue
-        total_b += count_units(unit.texts[lang_b], measure, fallback).value
-        total_a += count_units(unit.texts[lang_a], measure, fallback).value
+        total_b += count_units(unit.texts[lang_b], measure, fallback)
+        total_a += count_units(unit.texts[lang_a], measure, fallback)
     if total_a == 0:
         raise UsageError(
             f"no measurable units for {lang_b} vs {lang_a} in corpus {corpus.name!r}"

@@ -15,7 +15,6 @@ _TIMING_RE = re.compile(
     r"(?:\d{1,3}:)?\d{1,2}:\d{2}[.,]\d{1,3}(?:\s+\S.*)?\s*$"
 )
 _TAG_RE = re.compile(r"<[^>]*>")
-_WS_RE = re.compile(r"\s+")
 
 
 def parse_subtitle(content: str, format: str) -> str:
@@ -42,8 +41,11 @@ def parse_subtitle(content: str, format: str) -> str:
 
 
 def _clean_cue_text(lines: list[str]) -> str:
-    text = _TAG_RE.sub("", " ".join(lines))
-    return _WS_RE.sub(" ", text).strip()
+    text = " ".join(lines)
+    if "<" in text:
+        text = _TAG_RE.sub("", text)
+    # str.split() splits on exactly the characters re's \s matches.
+    return " ".join(text.split())
 
 
 def _iter_blocks(content: str):

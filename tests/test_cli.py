@@ -375,6 +375,17 @@ class TestLimitCheck:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_a_data_error_naming_the_file(self, tmp_path, capsys):
+        message = tmp_path / "latin1.txt"
+        message.write_bytes("caf\xe9".encode("latin-1"))
+        code = main(
+            ["limit", "check", "--platform", "twitter", "--file", str(message), "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}: ")
+        assert "utf-8" in err
+
     def test_text_and_file_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(

@@ -5,12 +5,15 @@ code table (position -> character), so a typo in the packaged table cannot
 hide behind a copy of itself.
 """
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lingspace import gsm7
 from lingspace.errors import GsmNotRepresentableError
+from textgen import MIXED_TEXT
 
 # Default alphabet, positions 0x00-0x7F. 0x1B is the escape septet.
 _ORACLE_BASIC: dict[int, str] = {
@@ -96,3 +99,52 @@ def test_basic_only_text_costs_one_septet_per_char(text):
 )
 def test_one_extension_char_adds_two_septets(text, ext):
     assert gsm7.septet_length(text + ext) == len(text) + 2
+
+
+_REFERENCE_BASIC = set(_ORACLE_BASIC.values())
+_REFERENCE_EXTENSION = set(_ORACLE_EXTENSION.values())
+
+
+def _reference_septet_outcome(text):
+    """The per-character loop the set-based implementation must agree with."""
+    total = 0
+    for ch in text:
+        if ch in _REFERENCE_BASIC:
+            total += 1
+        elif ch in _REFERENCE_EXTENSION:
+            total += 2
+        else:
+            return ("not-gsm", ch)
+    return total
+
+
+def _septet_outcome(text):
+    try:
+        return gsm7.septet_length(text)
+    except GsmNotRepresentableError as exc:
+        return ("not-gsm", exc.char)
+
+
+@given(MIXED_TEXT)
+def test_set_operations_match_the_per_character_reference(text):
+    expected = _reference_septet_outcome(text)
+    assert _septet_outcome(text) == expected
+    assert gsm7.is_gsm_text(text) == isinstance(expected, int)
+
+
+_ORACLE_TEXT = st.text(
+    alphabet=sorted(_ORACLE_BASIC.values()) + sorted(_ORACLE_EXTENSION.values())
+)
+
+
+@given(_ORACLE_TEXT, MIXED_TEXT, _ORACLE_TEXT)
+def test_mixed_text_inside_gsm_text_matches_the_reference(left, middle, right):
+    text = left + middle + right
+    expected = _reference_septet_outcome(text)
+    assert _septet_outcome(text) == expected
+    assert gsm7.is_gsm_text(text) == isinstance(expected, int)
+
+
+def test_every_code_point_is_classified_as_the_oracle_does():
+    gsm = [chr(cp) for cp in range(sys.maxunicode + 1) if gsm7.is_gsm_text(chr(cp))]
+    assert sorted(gsm) == sorted(_REFERENCE_BASIC | _REFERENCE_EXTENSION)

@@ -17,13 +17,14 @@ from lingspace.measures import (
     nfc,
     strip_urls,
 )
+from textgen import MIXED_TEXT
 
 # Plain text (no URL-looking substrings) for the strip_urls properties.
 _plain = st.text().filter(lambda t: "http" not in t.lower())
 
 
 def measure(text, kind, fallback=GbkFallback.COUNT_AS_2):
-    return count_units(text, kind, fallback).value
+    return count_units(text, kind, fallback)
 
 
 class TestCounting:
@@ -52,11 +53,6 @@ class TestCounting:
         with pytest.raises(GsmNotRepresentableError):
             measure("あ", SpaceMeasure.GSM7_SEPTETS)
 
-    def test_measured_length_carries_its_measure(self):
-        result = count_units("abc", SpaceMeasure.UTF8_BYTES)
-        assert result.measure is SpaceMeasure.UTF8_BYTES
-        assert result.value == 3
-
 
 class TestGbkFallback:
     def test_emoji_counts_as_two_by_default(self):
@@ -70,6 +66,35 @@ class TestGbkFallback:
 
     def test_encodable_cjk_passes_under_reject(self):
         assert gbk_unit_length("中文", GbkFallback.REJECT) == 4
+
+    @given(MIXED_TEXT, st.sampled_from(list(GbkFallback)))
+    def test_matches_the_per_scalar_reference(self, text, fallback):
+        assert _gbk_outcome(gbk_unit_length, text, fallback) == _gbk_outcome(
+            _reference_gbk_unit_length, text, fallback
+        )
+
+
+def _reference_gbk_unit_length(text, fallback):
+    """The per-scalar loop the string-level implementation must agree with."""
+    units = 0
+    for ch in text:
+        if ord(ch) < 128:
+            units += 1
+            continue
+        try:
+            ch.encode("gbk")
+        except UnicodeEncodeError:
+            if fallback is GbkFallback.REJECT:
+                raise GbkEncodingError(ch) from None
+        units += 2
+    return units
+
+
+def _gbk_outcome(fn, text, fallback):
+    try:
+        return fn(text, fallback)
+    except GbkEncodingError as exc:
+        return ("rejected", exc.char)
 
 
 class TestUrls:

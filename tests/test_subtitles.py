@@ -1,11 +1,16 @@
 """Caption parsing across the three supported formats."""
 
 import json
+import re
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lingspace.errors import SubtitleParseError, UsageError
 from lingspace.subtitles import SUBTITLE_FORMATS, parse_subtitle
+from textgen import MIXED_TEXT, WHITESPACE
 
 SRT_TWO_CUES = (
     "1\n"
@@ -152,3 +157,31 @@ def test_unknown_format_is_a_usage_error():
         parse_subtitle("x", "ass")
     for fmt in SUBTITLE_FORMATS:
         assert fmt in str(exc.value)
+
+
+_REFERENCE_TAG_RE = re.compile(r"<[^>]*>")
+_REFERENCE_WS_RE = re.compile(r"\s+")
+
+
+def _reference_clean(lines):
+    """The regex cleaning the string-level cue cleaning must agree with."""
+    text = _REFERENCE_TAG_RE.sub("", " ".join(lines))
+    return _REFERENCE_WS_RE.sub(" ", text).strip()
+
+
+def test_regex_whitespace_is_exactly_str_whitespace():
+    # Cue cleaning collapses whitespace with str.split(); this is why it
+    # matches a collapse on re's \s.
+    scalars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    regex_ws = "".join(filter(_REFERENCE_WS_RE.match, scalars))
+    assert regex_ws == "".join(filter(str.isspace, scalars)) == WHITESPACE
+
+
+@given(st.lists(MIXED_TEXT, max_size=5))
+def test_cue_cleaning_matches_the_regex_reference(texts):
+    content = json.dumps([{"text": text} for text in texts])
+    # Decoding joins escaped surrogate pairs, so clean what the parser sees.
+    decoded = [cue["text"] for cue in json.loads(content)]
+    cleaned = (_reference_clean(text.splitlines() or [""]) for text in decoded)
+    expected = " ".join(text for text in cleaned if text)
+    assert parse_subtitle(content, "json_captions") == expected
