@@ -46,7 +46,6 @@ from .limits import (
     FitResult,
     LimitSpec,
     SingleSms,
-    capacity_for_language,
     check_fit,
 )
 from .measures import (
@@ -77,7 +76,6 @@ from .ratios import (
     aggregate_ratios,
     describe,
     equivalent_length,
-    pooled_ratio,
     unit_ratio,
 )
 from .subtitles import parse_subtitle
@@ -124,7 +122,6 @@ __all__ = [
     "aggregate_ratios",
     "assign_posts",
     "build_parallel_corpus",
-    "capacity_for_language",
     "cell_key",
     "check_fit",
     "compute_ric",
@@ -144,7 +141,6 @@ __all__ = [
     "parse_language_tag",
     "parse_subtitle",
     "parse_udhr_language_file",
-    "pooled_ratio",
     "read_records",
     "register_language",
     "registered_languages",

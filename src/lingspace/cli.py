@@ -19,25 +19,20 @@ from .errors import DataError, LingspaceError, UsageError
 from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
 from .measures import MEASURES_BY_CLI_NAME
-from .microblog import (
-    RIC_TABLE_FIELDS,
-    STATS_TABLE_FIELDS,
-    account_length_stats,
-    assign_posts,
-    cell_key,
-    compute_ric,
-    load_accounts,
-    load_posts,
-    ric_table_row,
-    stats_from_row,
-    stats_table_row,
+from .microblog import DEFAULT_MIN_POSTS, stats_from_row
+from .pipeline import (
+    DEFAULT_RESCALE_LIMIT,
+    analyze_posts,
+    analyze_ric,
+    compute_ratios,
+    emit_stage_table,
+    ingest_corpus,
+    plot_ratios,
+    plot_ric,
+    run_pipeline,
 )
-from .pipeline import ingest_corpus, run_pipeline
-from .ratios import RATIO_TABLE_FIELDS, aggregate_ratios, describe, ratio_table_row
-from .svgplot import BoxplotSeries, render_boxplot
-from .tables import emit_table, read_records
-
-log = logging.getLogger(__name__)
+from .ratios import RatioStats
+from .tables import read_records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--min-posts",
         type=int,
-        default=50,
+        default=DEFAULT_MIN_POSTS,
         help="accounts need strictly more posts than this",
     )
     analyze.set_defaults(handler=_cmd_posts_analyze)
@@ -170,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     box.add_argument(
         "--rescale-limit",
         type=float,
-        default=140.0,
-        help="secondary-axis anchor value (default 140)",
+        default=DEFAULT_RESCALE_LIMIT,
+        help=f"secondary-axis anchor value (default {DEFAULT_RESCALE_LIMIT:g})",
     )
     box.add_argument("--ric", type=Path, help="RIC table (per-cell boxplots)")
     box.add_argument("--title", default=None, help="figure title")
@@ -184,68 +179,34 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[quiet], help="run ingest, ratios, posts, ric, and plots"
     )
     run.add_argument("--config", type=Path, required=True, help="INI config file")
-    run.set_defaults(handler=_cmd_pipeline_run)
+    run.set_defaults(handler=lambda args: run_pipeline(args.config))
 
     return parser
 
 
 def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
     langs = parse_language_list(args.langs)
-    corpus, report = ingest_corpus(
-        args.corpus_format, args.input, langs, args.min_chars
-    )
+    corpus = ingest_corpus(args.corpus_format, args.input, langs, args.min_chars)
     save_corpus(corpus, args.out)
-    log.info(
-        "kept %d of %d units (%d missing languages, %d too short)",
-        report.kept,
-        report.total_ids,
-        report.missing_language,
-        report.too_short,
-    )
     return 0
 
 
-def _cmd_ratios(args: argparse.Namespace) -> int:
+def _ratio_stats(args: argparse.Namespace) -> dict[str, RatioStats]:
     corpus = load_corpus(args.corpus)
     base = parse_language_tag(args.base)
-    others = parse_language_list(args.others)
-    measure = MEASURES_BY_CLI_NAME[args.measure]
-    rows = [
-        ratio_table_row(aggregate_ratios(corpus, lang, base, measure))
-        for lang in others
-    ]
-    emit_table(
-        rows, format=args.format, destination=args.out, fieldnames=RATIO_TABLE_FIELDS
-    )
+    return compute_ratios(corpus, base, parse_language_list(args.others), args.measure)
+
+
+def _cmd_ratios(args: argparse.Namespace) -> int:
+    emit_stage_table("ratios", _ratio_stats(args).values(), args.format, args.out)
     return 0
 
 
 def _cmd_posts_analyze(args: argparse.Namespace) -> int:
-    posts_format = args.posts_format
-    if posts_format is None:
-        posts_format = "csv" if args.posts.suffix.lower() == ".csv" else "jsonl"
-    posts = load_posts(args.posts, posts_format)
-    accounts = load_accounts(args.accounts)
-    assigned, dropped = assign_posts(posts, accounts)
-    if dropped:
-        log.info("dropped %d unattributable posts", dropped)
-    rows = []
-    for meta in accounts:
-        stats = account_length_stats(assigned[meta], meta, args.min_posts)
-        if stats is None:
-            log.info(
-                "excluding %s@%s (%s): %d posts (need more than %d)",
-                meta.screen_name,
-                meta.platform,
-                meta.language,
-                len(assigned[meta]),
-                args.min_posts,
-            )
-            continue
-        rows.append(stats_table_row(stats))
-    emit_table(
-        rows, format=args.format, destination=args.out, fieldnames=STATS_TABLE_FIELDS
+    stats_list = analyze_posts(
+        args.posts, args.posts_format, args.accounts, args.min_posts
     )
+    emit_stage_table("stats", stats_list, args.format, args.out)
     return 0
 
 
@@ -258,13 +219,9 @@ def _cmd_ric(args: argparse.Namespace) -> int:
             ratio_means[key] = float(str(row["mean"]))
         except (KeyError, ValueError) as exc:
             raise DataError(f"{args.ratios}: malformed ratios row: {exc}") from exc
-    rows = []
-    for record in read_records(args.stats):
-        stats = stats_from_row(record)
-        rows.append(ric_table_row(compute_ric(stats, ratio_means, base)))
-    emit_table(
-        rows, format=args.format, destination=args.out, fieldnames=RIC_TABLE_FIELDS
-    )
+    stats_rows = (stats_from_row(record) for record in read_records(args.stats))
+    results = analyze_ric(stats_rows, ratio_means, base)
+    emit_stage_table("ric", results, args.format, args.out)
     return 0
 
 
@@ -277,27 +234,19 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
         if text.endswith("\n"):
             text = text[:-1]
     result = check_fit(text, PRESETS[args.platform])
+    fields = {
+        "fits": result.fits,
+        "units_used": result.units_used,
+        "units_max": result.units_max,
+        "unit_kind": result.unit_kind,
+    }
+    if result.encoding_chosen is not None:
+        fields["encoding"] = result.encoding_chosen
     if args.format == "json":
-        payload = {
-            "platform": args.platform,
-            "fits": result.fits,
-            "units_used": result.units_used,
-            "units_max": result.units_max,
-            "unit_kind": result.unit_kind,
-        }
-        if result.encoding_chosen is not None:
-            payload["encoding"] = result.encoding_chosen
-        output = json.dumps(payload, indent=2) + "\n"
+        output = json.dumps({"platform": args.platform, **fields}, indent=2) + "\n"
     else:
-        lines = [
-            f"fits: {'yes' if result.fits else 'no'}",
-            f"units_used: {result.units_used}",
-            f"units_max: {result.units_max}",
-            f"unit_kind: {result.unit_kind}",
-        ]
-        if result.encoding_chosen is not None:
-            lines.append(f"encoding: {result.encoding_chosen}")
-        output = "\n".join(lines) + "\n"
+        fields["fits"] = "yes" if result.fits else "no"
+        output = "".join(f"{name}: {value}\n" for name, value in fields.items())
     if args.out is None:
         sys.stdout.write(output)
     else:
@@ -311,63 +260,36 @@ def _cmd_plot_box(args: argparse.Namespace) -> int:
     if args.corpus is not None:
         if not args.base or not args.others:
             raise UsageError("--corpus plots need --base and --others")
-        corpus = load_corpus(args.corpus)
-        base = parse_language_tag(args.base)
-        others = parse_language_list(args.others)
-        measure = MEASURES_BY_CLI_NAME[args.measure]
-        stats_by_lang = {
-            lang: aggregate_ratios(corpus, lang, base, measure) for lang in others
-        }
-        scale = None
+        ratio_stats = _ratio_stats(args)
+        rescale_lang = None
         if args.rescale_lang:
             rescale_lang = parse_language_tag(args.rescale_lang)
-            if rescale_lang not in stats_by_lang:
+            if rescale_lang not in ratio_stats:
                 raise UsageError(f"--rescale-lang {rescale_lang} is not in --others")
-            scale = args.rescale_limit / stats_by_lang[rescale_lang].stats.mean
-        series = [
-            BoxplotSeries(lang, stats_by_lang[lang].stats, scale) for lang in others
-        ]
-        title = args.title or f"Space ratio vs {base} ({args.measure})"
-        secondary_label = (
-            f"chars equivalent to {args.rescale_limit:g} {args.rescale_lang}"
-            if scale is not None
-            else ""
-        )
-        render_boxplot(
-            series,
-            title,
+        plot_ratios(
+            ratio_stats,
+            args.base,
+            args.measure,
             args.out,
-            y_label=f"ratio to {base}",
-            secondary_label=secondary_label,
+            rescale_lang,
+            args.rescale_limit,
+            args.title,
         )
         return 0
 
-    cells: dict[tuple[str, str, str], list[float]] = {}
+    cells = []
     base_langs: set[str] = set()
     for row in read_records(args.ric):
         try:
             key = (str(row["platform"]), str(row["language"]), str(row["org_type"]))
-            values = [float(v) for v in str(row["per_post_ric"]).split()]
+            cells.append((key, [float(v) for v in str(row["per_post_ric"]).split()]))
             base_langs.add(str(row["base_lang"]))
         except (KeyError, ValueError) as exc:
             raise DataError(f"{args.ric}: malformed RIC row: {exc}") from exc
-        cells.setdefault(key, []).extend(values)
     if not cells:
         raise UsageError(f"{args.ric}: no RIC rows to plot")
-    series = [
-        BoxplotSeries("/".join(key), describe(values))
-        for key, values in sorted(cells.items())
-    ]
-    base_note = "/".join(sorted(base_langs))
-    title = args.title or f"Relative information content (base {base_note})"
-    render_boxplot(
-        series, title, args.out, y_label=f"{base_note}-equivalent characters"
-    )
+    plot_ric(cells, "/".join(sorted(base_langs)), args.out, args.title)
     return 0
-
-
-def _cmd_pipeline_run(args: argparse.Namespace) -> int:
-    return run_pipeline(args.config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -18,6 +18,7 @@ from .errors import DataError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .subtitles import parse_subtitle
+from .tables import read_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +36,8 @@ class AlignedUnit:
         if not self.texts:
             raise DataError(f"unit {self.unit_id!r} has no texts")
         for lang, text in self.texts.items():
+            if not isinstance(text, str):
+                raise DataError(f"unit {self.unit_id!r} has a non-string {lang} text")
             if not text.strip():
                 raise DataError(f"unit {self.unit_id!r} has an empty {lang} text")
 
@@ -299,36 +302,35 @@ def save_corpus(corpus: ParallelCorpus, path: str | Path) -> None:
 def load_corpus(path: str | Path) -> ParallelCorpus:
     """Read a corpus written by save_corpus.
 
-    Languages in the file must already be registered.
+    Languages in the file must already be registered. Malformed content
+    raises a DataError naming the file and line.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            raise DataError(f"{path}: empty corpus file")
+    records = read_json_lines(path)
+    if not records or records[0][0] != 1:
+        raise DataError(f"{path}: empty corpus file")
+    _, header, problem = records[0]
+    if problem is not None:
+        raise DataError(f"{path}:1: invalid corpus header: {problem}")
+    for key, kind in (("name", str), ("languages", list), ("provenance", str)):
+        if key not in header:
+            raise DataError(f"{path}:1: corpus header lacks {key!r}")
+        if not isinstance(header[key], kind):
+            raise DataError(f"{path}:1: corpus header {key!r} is not a {kind.__name__}")
+    if not all(isinstance(lang, str) for lang in header["languages"]):
+        raise DataError(f"{path}:1: corpus header 'languages' holds a non-string")
+    languages = tuple(parse_language_tag(lang) for lang in header["languages"])
+    units: list[AlignedUnit] = []
+    for lineno, record, problem in records[1:]:
+        if problem is not None:
+            raise DataError(f"{path}:{lineno}: invalid unit record: {problem}")
+        if "unit_id" not in record:
+            raise DataError(f"{path}:{lineno}: unit record lacks 'unit_id'")
+        texts = {lang: record[lang] for lang in languages if lang in record}
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:1: invalid corpus header: {exc.msg}") from exc
-        for key in ("name", "languages", "provenance"):
-            if key not in header:
-                raise DataError(f"{path}:1: corpus header lacks {key!r}")
-        languages = tuple(parse_language_tag(lang) for lang in header["languages"])
-        units: list[AlignedUnit] = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid unit record: {exc.msg}") from exc
-            if "unit_id" not in record:
-                raise DataError(f"{path}:{lineno}: unit record lacks 'unit_id'")
-            texts = {lang: record[lang] for lang in languages if lang in record}
-            try:
-                units.append(AlignedUnit(str(record["unit_id"]), texts))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            units.append(AlignedUnit(str(record["unit_id"]), texts))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return ParallelCorpus(
         header["name"], languages, tuple(units), header["provenance"]
     )

@@ -26,11 +26,6 @@ EXTENSION_SET = frozenset(GSM7_EXTENSION)
 GSM_SET = BASIC_SET | EXTENSION_SET
 
 
-def is_gsm_char(char: str) -> bool:
-    """True if the single character is representable in GSM-7."""
-    return char in GSM_SET
-
-
 def is_gsm_text(text: str) -> bool:
     """True if every character of the text is representable in GSM-7."""
     return GSM_SET.issuperset(text)

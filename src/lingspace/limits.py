@@ -94,21 +94,3 @@ def check_fit(text: str, limit: LimitSpec) -> FitResult:
             used <= UCS2_CAPACITY, used, UCS2_CAPACITY, "ucs2_chars", "ucs2"
         )
     raise UsageError(f"unknown limit rule {rule!r}")
-
-
-def capacity_for_language(limit: LimitSpec, char_class: str) -> int:
-    """Most characters of a class that fit: char_class "ascii" covers
-    single-unit characters (basic GSM for SMS) and "cjk" double-unit,
-    non-GSM characters."""
-    if char_class not in ("ascii", "cjk"):
-        raise UsageError(
-            f"unknown char class {char_class!r} (expected 'ascii' or 'cjk')"
-        )
-    rule = limit.rule
-    if isinstance(rule, CharLimit):
-        return rule.max_chars
-    if isinstance(rule, EncodedUnitLimit):
-        return rule.max_units if char_class == "ascii" else rule.max_units // 2
-    if isinstance(rule, SingleSms):
-        return GSM7_CAPACITY if char_class == "ascii" else UCS2_CAPACITY
-    raise UsageError(f"unknown limit rule {rule!r}")

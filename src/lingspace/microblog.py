@@ -9,7 +9,6 @@ only with strictly more than min_posts posts.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import statistics
 from collections.abc import Iterable, Mapping, Sequence
@@ -20,6 +19,7 @@ from pathlib import Path
 from .errors import DataError, UsageError
 from .langtags import CMN_HANS, CMN_HANT, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units, count_urls, detect_language, strip_urls
+from .tables import read_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +112,7 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     """
     path = Path(path)
     if format == "jsonl":
-        records = _read_jsonl_records(path)
+        records = read_json_lines(path)
     elif format == "csv":
         records = _read_csv_records(path, _REQUIRED_POST_FIELDS)
     else:
@@ -150,24 +150,6 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     return posts
 
 
-def _read_jsonl_records(path: Path):
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                out.append((lineno, {}, f"invalid JSON ({exc.msg})"))
-                continue
-            if not isinstance(record, dict):
-                out.append((lineno, {}, "record is not an object"))
-                continue
-            out.append((lineno, record, None))
-    return out
-
-
 def _read_csv_records(path: Path, required: Sequence[str]):
     out = []
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -187,36 +169,28 @@ def load_accounts(path: str | Path) -> list[AccountMeta]:
     path = Path(path)
     accounts: list[AccountMeta] = []
     seen: set[tuple[str, str, str]] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return accounts
-        missing = [name for name in _ACCOUNT_FIELDS if name not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns: {', '.join(missing)}")
-        for row in reader:
-            lineno = reader.line_num
-            screen_name = (row["screen_name"] or "").strip()
-            platform = (row["platform"] or "").strip()
-            org_type = (row["org_type"] or "").strip()
-            if not screen_name:
-                raise DataError(f"{path}: line {lineno}: empty screen_name")
-            if platform not in PLATFORMS:
-                raise DataError(f"{path}: line {lineno}: unknown platform {platform!r}")
-            if org_type not in ORG_TYPES:
-                raise DataError(f"{path}: line {lineno}: unknown org_type {org_type!r}")
-            try:
-                language = parse_language_tag((row["language"] or "").strip())
-            except UsageError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            key = (screen_name, platform, language)
-            if key in seen:
-                raise DataError(
-                    f"{path}: line {lineno}: duplicate account {screen_name}@{platform} "
-                    f"for language {language}"
-                )
-            seen.add(key)
-            accounts.append(AccountMeta(screen_name, platform, language, org_type))
+    for lineno, row, _ in _read_csv_records(path, _ACCOUNT_FIELDS):
+        screen_name = (row["screen_name"] or "").strip()
+        platform = (row["platform"] or "").strip()
+        org_type = (row["org_type"] or "").strip()
+        if not screen_name:
+            raise DataError(f"{path}: line {lineno}: empty screen_name")
+        if platform not in PLATFORMS:
+            raise DataError(f"{path}: line {lineno}: unknown platform {platform!r}")
+        if org_type not in ORG_TYPES:
+            raise DataError(f"{path}: line {lineno}: unknown org_type {org_type!r}")
+        try:
+            language = parse_language_tag((row["language"] or "").strip())
+        except UsageError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        key = (screen_name, platform, language)
+        if key in seen:
+            raise DataError(
+                f"{path}: line {lineno}: duplicate account {screen_name}@{platform} "
+                f"for language {language}"
+            )
+        seen.add(key)
+        accounts.append(AccountMeta(screen_name, platform, language, org_type))
     return accounts
 
 
@@ -407,15 +381,21 @@ def stats_from_row(row: Mapping[str, object]) -> AccountStats:
             count, freq = pair.split(":")
             histogram[int(count)] = int(freq)
         lengths = tuple(int(v) for v in str(row["per_post_lengths"]).split())
+        n_posts = int(row["n_posts"])
+        if n_posts != len(lengths):
+            raise DataError(
+                f"malformed stats row: n_posts is {n_posts} but "
+                f"per_post_lengths holds {len(lengths)} values"
+            )
         return AccountStats(
             meta=meta,
-            n_posts=int(row["n_posts"]),
+            n_posts=n_posts,
             mean_chars_with_urls=float(str(row["mean_chars_with_urls"])),
             mean_chars_without_urls=float(str(row["mean_chars_without_urls"])),
             per_post_lengths=lengths,
             url_count_histogram=histogram,
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed stats row: {exc}") from exc
 
 

@@ -1,5 +1,9 @@
 """End-to-end pipeline: ingest, ratios, post statistics, RIC, figures.
 
+Each stage is a public function that takes inputs and returns results; the
+CLI subcommands call the same functions and only add argument parsing and
+file I/O around them.
+
 Configuration is one INI document; every output lands in a single directory
 and is byte-stable across reruns on unchanged inputs. Sections:
 
@@ -21,9 +25,12 @@ from __future__ import annotations
 import configparser
 import logging
 import sys
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
+# perfbench/spans.py times each layer by wrapping the names the stages call
+# through this module: the loaders, aggregate_ratios, describe, emit_table...
 from .corpus import (
     CorpusFilterPolicy,
     ParallelCorpus,
@@ -35,6 +42,7 @@ from .errors import LingspaceError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_list, parse_language_tag
 from .measures import MEASURES_BY_CLI_NAME
 from .microblog import (
+    DEFAULT_MIN_POSTS,
     RIC_TABLE_FIELDS,
     STATS_TABLE_FIELDS,
     AccountStats,
@@ -60,7 +68,9 @@ from .tables import emit_table
 
 log = logging.getLogger(__name__)
 
-STAGES = ("corpus ingest", "ratios", "posts analyze", "ric", "plot")
+# Characters of the rescale language that anchor the ratio plot's right axis:
+# the classic 140-character microblog limit.
+DEFAULT_RESCALE_LIMIT = 140.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,7 @@ class PipelineConfig:
     rescale_lang: LanguageTag | None
     rescale_limit: float
     posts_path: Path
-    posts_format: str
+    posts_format: str | None
     accounts_path: Path
     min_posts: int
     ric_base: LanguageTag
@@ -100,13 +110,20 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         candidate = Path(value)
         return candidate if candidate.is_absolute() else base_dir / candidate
 
+    def number(section: str, key: str, kind: Callable[[str], float], default):
+        raw = parser.get(section, key, fallback=None)
+        try:
+            return default if raw is None else kind(raw)
+        except ValueError as exc:
+            raise UsageError(
+                f"[{section}] {key} is not a valid {kind.__name__}: {raw!r}"
+            ) from exc
+
     corpus_format = need("corpus", "format").strip()
     if corpus_format not in ("udhr", "ted"):
         raise UsageError(f"[corpus] format must be udhr or ted, got {corpus_format!r}")
     langs = parse_language_list(need("corpus", "langs"))
-    min_chars = None
-    if parser.has_option("corpus", "min_chars"):
-        min_chars = parser.getint("corpus", "min_chars")
+    min_chars = number("corpus", "min_chars", int, None)
 
     ratio_base = parse_language_tag(need("ratios", "base").strip())
     ratio_others = parse_language_list(need("ratios", "others"))
@@ -126,16 +143,12 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             raise UsageError(
                 f"[ratios] rescale_lang {rescale_lang} is not among others"
             )
-    rescale_limit = parser.getfloat("ratios", "rescale_limit", fallback=140.0)
+    rescale_limit = number("ratios", "rescale_limit", float, DEFAULT_RESCALE_LIMIT)
 
     posts_path = resolve(need("posts", "posts"))
-    posts_format = parser.get(
-        "posts",
-        "posts_format",
-        fallback="csv" if posts_path.suffix.lower() == ".csv" else "jsonl",
-    ).strip()
+    posts_format = parser.get("posts", "posts_format", fallback=None)
     accounts_path = resolve(need("posts", "accounts"))
-    min_posts = parser.getint("posts", "min_posts", fallback=50)
+    min_posts = number("posts", "min_posts", int, DEFAULT_MIN_POSTS)
 
     ric_base = parse_language_tag(
         parser.get("ric", "base", fallback=ratio_base).strip()
@@ -179,51 +192,15 @@ def ingest_corpus(
     input_dir: str | Path,
     langs: tuple[LanguageTag, ...],
     min_chars: int | None,
-):
+) -> ParallelCorpus:
+    """Parse and align a udhr or ted directory; logs what the filter kept."""
     if min_chars is None:
         min_chars = default_min_chars(corpus_format)
     policy = CorpusFilterPolicy(min_length_chars=min_chars)
-    if corpus_format == "udhr":
-        return load_udhr_directory(input_dir, langs, policy)
-    return load_subtitle_directory(input_dir, langs, policy)
-
-
-def run_pipeline(config_path: str | Path) -> int:
-    """Run every stage; returns 0 on success, 1 naming the failed stage."""
-    stage = "config"
-    try:
-        cfg = load_pipeline_config(config_path)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        ext = cfg.table_format
-
-        stage = "corpus ingest"
-        corpus = _stage_ingest(cfg)
-
-        stage = "ratios"
-        ratio_stats = _stage_ratios(cfg, corpus, ext)
-
-        stage = "posts analyze"
-        stats_list = _stage_posts(cfg, ext)
-
-        stage = "ric"
-        ric_results = _stage_ric(cfg, ratio_stats, stats_list, ext)
-
-        stage = "plot"
-        _stage_plots(cfg, ratio_stats, ric_results)
-    except (LingspaceError, OSError, configparser.Error) as exc:
-        print(f"pipeline failed at stage '{stage}': {exc}", file=sys.stderr)
-        return 1
-    log.info("pipeline finished; outputs in %s", cfg.out_dir)
-    return 0
-
-
-def _stage_ingest(cfg: PipelineConfig) -> ParallelCorpus:
-    corpus, report = ingest_corpus(
-        cfg.corpus_format, cfg.corpus_input, cfg.langs, cfg.min_chars
-    )
-    save_corpus(corpus, cfg.out_dir / "corpus.jsonl")
+    load = load_udhr_directory if corpus_format == "udhr" else load_subtitle_directory
+    corpus, report = load(input_dir, langs, policy)
     log.info(
-        "corpus ingest: kept %d of %d units (%d missing languages, %d too short)",
+        "kept %d of %d units (%d missing languages, %d too short)",
         report.kept,
         report.total_ids,
         report.missing_language,
@@ -232,109 +209,177 @@ def _stage_ingest(cfg: PipelineConfig) -> ParallelCorpus:
     return corpus
 
 
-def _stage_ratios(
-    cfg: PipelineConfig, corpus: ParallelCorpus, ext: str
+def compute_ratios(
+    corpus: ParallelCorpus,
+    base: LanguageTag,
+    others: tuple[LanguageTag, ...],
+    measure_name: str,
 ) -> dict[LanguageTag, RatioStats]:
-    measure = MEASURES_BY_CLI_NAME[cfg.measure_name]
-    ratio_stats: dict[LanguageTag, RatioStats] = {}
-    rows = []
-    for lang in cfg.ratio_others:
-        stats = aggregate_ratios(corpus, lang, cfg.ratio_base, measure)
-        ratio_stats[lang] = stats
-        rows.append(ratio_table_row(stats))
-    emit_table(
-        rows,
-        format=cfg.table_format,
-        destination=cfg.out_dir / f"ratios.{ext}",
-        fieldnames=RATIO_TABLE_FIELDS,
-    )
-    return ratio_stats
+    """Ratio statistics of each language in others against base, in order."""
+    measure = MEASURES_BY_CLI_NAME[measure_name]
+    return {lang: aggregate_ratios(corpus, lang, base, measure) for lang in others}
 
 
-def _stage_posts(cfg: PipelineConfig, ext: str) -> list[AccountStats]:
-    posts = load_posts(cfg.posts_path, cfg.posts_format)
-    accounts = load_accounts(cfg.accounts_path)
+def analyze_posts(
+    posts_path: str | Path,
+    posts_format: str | None,
+    accounts_path: str | Path,
+    min_posts: int = DEFAULT_MIN_POSTS,
+) -> list[AccountStats]:
+    """Per-account statistics, in accounts-file order, of the accounts with
+    more than min_posts posts. A posts_format of None means csv for a .csv
+    file and jsonl otherwise."""
+    if posts_format is None:
+        posts_format = "csv" if Path(posts_path).suffix.lower() == ".csv" else "jsonl"
+    posts = load_posts(posts_path, posts_format)
+    accounts = load_accounts(accounts_path)
     assigned, dropped = assign_posts(posts, accounts)
     if dropped:
-        log.info("posts analyze: dropped %d unattributable posts", dropped)
+        log.info("dropped %d unattributable posts", dropped)
     stats_list = []
     for meta in accounts:
-        stats = account_length_stats(assigned[meta], meta, cfg.min_posts)
+        stats = account_length_stats(assigned[meta], meta, min_posts)
         if stats is None:
             log.info(
-                "posts analyze: excluding %s@%s (%s): %d posts (need more than %d)",
+                "excluding %s@%s (%s): %d posts (need more than %d)",
                 meta.screen_name,
                 meta.platform,
                 meta.language,
                 len(assigned[meta]),
-                cfg.min_posts,
+                min_posts,
             )
             continue
         stats_list.append(stats)
-    emit_table(
-        [stats_table_row(stats) for stats in stats_list],
-        format=cfg.table_format,
-        destination=cfg.out_dir / f"stats.{ext}",
-        fieldnames=STATS_TABLE_FIELDS,
-    )
     return stats_list
 
 
-def _stage_ric(
-    cfg: PipelineConfig,
-    ratio_stats: dict[LanguageTag, RatioStats],
-    stats_list: list[AccountStats],
-    ext: str,
+def analyze_ric(
+    stats_list: Iterable[AccountStats],
+    ratio_means: Mapping[tuple[LanguageTag, LanguageTag], float],
+    base: LanguageTag,
 ) -> list[RicResult]:
-    ratio_means = {
-        (stats.lang_b, stats.lang_a): stats.stats.mean
-        for stats in ratio_stats.values()
-    }
-    results = [compute_ric(stats, ratio_means, cfg.ric_base) for stats in stats_list]
-    emit_table(
-        [ric_table_row(result) for result in results],
-        format=cfg.table_format,
-        destination=cfg.out_dir / f"ric.{ext}",
-        fieldnames=RIC_TABLE_FIELDS,
-    )
-    return results
+    """RIC of each account, from mean ratios keyed (language, base)."""
+    return [compute_ric(stats, ratio_means, base) for stats in stats_list]
 
 
-def _stage_plots(
-    cfg: PipelineConfig,
-    ratio_stats: dict[LanguageTag, RatioStats],
-    ric_results: list[RicResult],
+def plot_ratios(
+    ratio_stats: Mapping[LanguageTag, RatioStats],
+    base: LanguageTag,
+    measure_name: str,
+    out: str | Path,
+    rescale_lang: LanguageTag | None = None,
+    rescale_limit: float = DEFAULT_RESCALE_LIMIT,
+    title: str | None = None,
 ) -> None:
-    scale = None
-    if cfg.rescale_lang is not None:
-        scale = cfg.rescale_limit / ratio_stats[cfg.rescale_lang].stats.mean
-    series = [
-        BoxplotSeries(lang, ratio_stats[lang].stats, scale)
-        for lang in cfg.ratio_others
-    ]
+    """One box per language; with rescale_lang, a right axis in characters
+    equivalent to rescale_limit characters of that language."""
+    scale, secondary_label = None, ""
+    if rescale_lang is not None:
+        scale = rescale_limit / ratio_stats[rescale_lang].stats.mean
+        secondary_label = f"chars equivalent to {rescale_limit:g} {rescale_lang}"
     render_boxplot(
-        series,
-        f"Space ratio vs {cfg.ratio_base} ({cfg.measure_name})",
-        cfg.out_dir / "ratios_box.svg",
-        y_label=f"ratio to {cfg.ratio_base}",
-        secondary_label=(
-            f"chars equivalent to {cfg.rescale_limit:g} {cfg.rescale_lang}"
-            if scale is not None
-            else ""
-        ),
+        [BoxplotSeries(lang, r.stats, scale) for lang, r in ratio_stats.items()],
+        title or f"Space ratio vs {base} ({measure_name})",
+        out,
+        y_label=f"ratio to {base}",
+        secondary_label=secondary_label,
     )
 
-    cells: dict[tuple[str, str, str], list[float]] = {}
-    for result in ric_results:
-        cells.setdefault(cell_key(result.meta), []).extend(result.per_post_ric)
-    if cells:
-        ric_series = [
+
+def plot_ric(
+    cells: Iterable[tuple[tuple[str, str, str], Iterable[float]]],
+    base_note: str,
+    out: str | Path,
+    title: str | None = None,
+) -> None:
+    """One box per (platform, language, org_type) cell, in sorted order,
+    over the per-post RIC values of every account in the cell."""
+    grouped: dict[tuple[str, str, str], list[float]] = {}
+    for key, values in cells:
+        grouped.setdefault(key, []).extend(values)
+    render_boxplot(
+        [
             BoxplotSeries("/".join(key), describe(values))
-            for key, values in sorted(cells.items())
-        ]
-        render_boxplot(
-            ric_series,
-            f"Relative information content (base {cfg.ric_base})",
-            cfg.out_dir / "ric_box.svg",
-            y_label=f"{cfg.ric_base}-equivalent characters",
+            for key, values in sorted(grouped.items())
+        ],
+        title or f"Relative information content (base {base_note})",
+        out,
+        y_label=f"{base_note}-equivalent characters",
+    )
+
+
+_TABLES = {
+    "ratios": (ratio_table_row, RATIO_TABLE_FIELDS),
+    "stats": (stats_table_row, STATS_TABLE_FIELDS),
+    "ric": (ric_table_row, RIC_TABLE_FIELDS),
+}
+
+
+def emit_stage_table(
+    name: str, results: Iterable, format: str, destination: str | Path | None
+) -> None:
+    """Write stage results as the ratios (RatioStats), stats (AccountStats)
+    or ric (RicResult) table; a destination of None means standard output."""
+    to_row, fields = _TABLES[name]
+    emit_table(
+        [to_row(result) for result in results],
+        format=format,
+        destination=destination,
+        fieldnames=fields,
+    )
+
+
+def run_pipeline(config_path: str | Path) -> int:
+    """Run every stage; returns 0 on success, 1 naming the failed stage."""
+    stage = "config"
+    try:
+        cfg = load_pipeline_config(config_path)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        out, ext = cfg.out_dir, cfg.table_format
+
+        stage = "corpus ingest"
+        corpus = ingest_corpus(
+            cfg.corpus_format, cfg.corpus_input, cfg.langs, cfg.min_chars
         )
+        save_corpus(corpus, out / "corpus.jsonl")
+
+        stage = "ratios"
+        ratio_stats = compute_ratios(
+            corpus, cfg.ratio_base, cfg.ratio_others, cfg.measure_name
+        )
+        emit_stage_table("ratios", ratio_stats.values(), ext, out / f"ratios.{ext}")
+
+        stage = "posts analyze"
+        stats_list = analyze_posts(
+            cfg.posts_path, cfg.posts_format, cfg.accounts_path, cfg.min_posts
+        )
+        emit_stage_table("stats", stats_list, ext, out / f"stats.{ext}")
+
+        stage = "ric"
+        ratio_means = {
+            (stats.lang_b, stats.lang_a): stats.stats.mean
+            for stats in ratio_stats.values()
+        }
+        ric_results = analyze_ric(stats_list, ratio_means, cfg.ric_base)
+        emit_stage_table("ric", ric_results, ext, out / f"ric.{ext}")
+
+        stage = "plot"
+        plot_ratios(
+            ratio_stats,
+            cfg.ratio_base,
+            cfg.measure_name,
+            out / "ratios_box.svg",
+            cfg.rescale_lang,
+            cfg.rescale_limit,
+        )
+        if ric_results:
+            plot_ric(
+                ((cell_key(r.meta), r.per_post_ric) for r in ric_results),
+                cfg.ric_base,
+                out / "ric_box.svg",
+            )
+    except (LingspaceError, OSError, configparser.Error) as exc:
+        print(f"pipeline failed at stage '{stage}': {exc}", file=sys.stderr)
+        return 1
+    log.info("pipeline finished; outputs in %s", cfg.out_dir)
+    return 0

@@ -2,8 +2,8 @@
 
 The per-unit ratio of language B against baseline A is the space the B text
 needs divided by the space the A text needs, so a value near 4 means B is
-four times as long. Aggregation averages per-unit ratios; the ratio of total
-lengths is a separate diagnostic and is never mixed into the statistics.
+four times as long. Aggregation averages per-unit ratios, so every unit
+weighs the same whatever its length.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .corpus import AlignedUnit, ParallelCorpus
 from .errors import DataError, UsageError
 from .langtags import LanguageTag
-from .measures import GbkFallback, SpaceMeasure, count_units
+from .measures import SpaceMeasure, count_units
 
 log = logging.getLogger(__name__)
 
@@ -82,14 +82,13 @@ def unit_ratio(
     lang_b: LanguageTag,
     lang_a: LanguageTag,
     measure: SpaceMeasure,
-    fallback: GbkFallback = GbkFallback.COUNT_AS_2,
 ) -> float:
     """Space the lang_b text occupies per unit of lang_a space."""
     for lang in (lang_b, lang_a):
         if lang not in unit.texts:
             raise DataError(f"unit {unit.unit_id!r} has no {lang} text")
-    numerator = count_units(unit.texts[lang_b], measure, fallback)
-    denominator = count_units(unit.texts[lang_a], measure, fallback)
+    numerator = count_units(unit.texts[lang_b], measure)
+    denominator = count_units(unit.texts[lang_a], measure)
     if denominator == 0:
         raise DataError(
             f"unit {unit.unit_id!r}: {lang_a} text measures zero {measure.value}"
@@ -102,7 +101,6 @@ def aggregate_ratios(
     lang_b: LanguageTag,
     lang_a: LanguageTag,
     measure: SpaceMeasure,
-    fallback: GbkFallback = GbkFallback.COUNT_AS_2,
 ) -> RatioStats:
     """Per-unit ratios in corpus order plus Tukey statistics.
 
@@ -123,8 +121,8 @@ def aggregate_ratios(
                 "skipping unit %r: missing %s or %s text", unit.unit_id, lang_b, lang_a
             )
             continue
-        numerator = count_units(unit.texts[lang_b], measure, fallback)
-        denominator = count_units(unit.texts[lang_a], measure, fallback)
+        numerator = count_units(unit.texts[lang_b], measure)
+        denominator = count_units(unit.texts[lang_a], measure)
         if numerator == 0 or denominator == 0:
             skipped += 1
             log.warning(
@@ -156,33 +154,6 @@ def equivalent_length(base_length: float, ratio: float) -> float:
     if ratio <= 0:
         raise UsageError(f"ratio must be positive, got {ratio}")
     return base_length / ratio
-
-
-def pooled_ratio(
-    corpus: ParallelCorpus,
-    lang_b: LanguageTag,
-    lang_a: LanguageTag,
-    measure: SpaceMeasure,
-    fallback: GbkFallback = GbkFallback.COUNT_AS_2,
-) -> float:
-    """Ratio of total lengths over the corpus.
-
-    Diagnostic only: it weights long units more than the per-unit mean does,
-    so it is reported separately and never mixed into RatioStats.
-    """
-    if not corpus.units:
-        raise UsageError(f"corpus {corpus.name!r} has no units")
-    total_b = total_a = 0
-    for unit in corpus.units:
-        if lang_b not in unit.texts or lang_a not in unit.texts:
-            continue
-        total_b += count_units(unit.texts[lang_b], measure, fallback)
-        total_a += count_units(unit.texts[lang_a], measure, fallback)
-    if total_a == 0:
-        raise UsageError(
-            f"no measurable units for {lang_b} vs {lang_a} in corpus {corpus.name!r}"
-        )
-    return total_b / total_a
 
 
 RATIO_TABLE_FIELDS = (

@@ -77,6 +77,32 @@ def emit_table(
         Path(destination).write_text(text, encoding="utf-8", newline="")
 
 
+def read_json_lines(
+    path: str | Path,
+) -> list[tuple[int, dict[str, object] | None, str | None]]:
+    """(line number, object, problem) for each non-blank line of a JSON Lines
+    file. A line that is not UTF-8, not JSON or not a JSON object comes with
+    None and the problem instead of raising, so callers can name its line."""
+    out: list[tuple[int, dict[str, object] | None, str | None]] = []
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            except UnicodeDecodeError as exc:
+                out.append((lineno, None, f"not UTF-8 ({exc.reason})"))
+            except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
+                out.append((lineno, None, f"invalid JSON ({getattr(exc, 'msg', exc)})"))
+            else:
+                if isinstance(record, dict):
+                    out.append((lineno, record, None))
+                else:
+                    out.append((lineno, None, "record is not an object"))
+    return out
+
+
 def read_records(path: str | Path) -> list[dict[str, object]]:
     """Read a table written by emit_table; format inferred from the suffix.
 

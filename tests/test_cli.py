@@ -522,6 +522,45 @@ class TestRic:
         assert code == 2
         assert "no ratio available for (jpn, cmn_hans)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            # n_posts says 5 but only two lengths follow
+            (
+                "stats.csv",
+                ",".join(STATS_TABLE_FIELDS)
+                + "\nusnews_tw,twitter,eng,news,5,81.0,81.0,0:2,81 81\n",
+            ),
+            (
+                "stats.json",
+                '[{"screen_name": "usnews_tw", "platform": "twitter", '
+                '"language": "eng", "org_type": "news", "n_posts": null, '
+                '"mean_chars_with_urls": 81.0, "mean_chars_without_urls": 81.0, '
+                '"url_count_histogram": "0:2", "per_post_lengths": "81 81"}]',
+            ),
+        ],
+        ids=["n_posts-mismatch", "n_posts-null"],
+    )
+    def test_malformed_stats_row_is_a_data_error(
+        self, ratios_for_ric, tmp_path, capsys, name, content
+    ):
+        stats = tmp_path / name
+        stats.write_text(content, encoding="utf-8")
+        code = main(
+            [
+                "ric",
+                "--stats",
+                str(stats),
+                "--ratios",
+                str(ratios_for_ric),
+                "--base",
+                "cmn_hans",
+                "--quiet",
+            ]
+        )
+        assert code == 1
+        assert "malformed stats row" in capsys.readouterr().err
+
     def test_malformed_ratios_table_is_a_data_error(self, stats_file, tmp_path, capsys):
         ratios = tmp_path / "ratios.csv"
         ratios.write_text("lang_b,lang_a\neng,cmn_hans\n", encoding="utf-8")

@@ -1,6 +1,10 @@
 """Corpus parsing, alignment, filtering, and persistence."""
 
+import json
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lingspace.corpus import (
     AlignedUnit,
@@ -13,9 +17,32 @@ from lingspace.corpus import (
     parse_udhr_language_file,
     save_corpus,
 )
-from lingspace.errors import DataError, UsageError
+from lingspace.errors import DataError, LingspaceError, UsageError
 
 from conftest import ALL_LANGS
+
+HEADER = b'{"name": "c", "languages": ["eng", "jpn"], "provenance": ""}\n'
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_LANG = st.sampled_from(["eng", "jpn", "qqz", ""]) | _JSON_VALUES
+# Lines shaped like a header or a unit record, with any value in any field,
+# next to arbitrary JSON.
+JSON_LINE = st.one_of(
+    st.fixed_dictionaries(
+        {"name": _JSON_VALUES, "provenance": _JSON_VALUES},
+        optional={"languages": st.lists(_LANG, max_size=3) | _JSON_VALUES},
+    ),
+    st.fixed_dictionaries(
+        {"unit_id": _JSON_VALUES},
+        optional={"eng": _JSON_VALUES | st.text(), "jpn": st.text()},
+    ),
+    _JSON_VALUES,
+).map(lambda value: json.dumps(value, ensure_ascii=False))
 
 
 class TestParagraphSplitting:
@@ -326,3 +353,81 @@ class TestPersistence:
         )
         with pytest.raises(UsageError, match="unknown language tag"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(
+                HEADER + b'{"unit_id": "1", "eng": 5}\n',
+                r":2: unit '1' has a non-string eng text",
+                id="text-not-a-string",
+            ),
+            pytest.param(
+                b"[]\n",
+                r":1: invalid corpus header: record is not an object",
+                id="header-array",
+            ),
+            pytest.param(
+                b"7\n",
+                r":1: invalid corpus header: record is not an object",
+                id="header-number",
+            ),
+            pytest.param(
+                b'{"name": "c", "languages": 5, "provenance": ""}\n',
+                r":1: corpus header 'languages' is not a list",
+                id="languages-number",
+            ),
+            pytest.param(
+                b'{"name": "c", "languages": [["eng"]], "provenance": ""}\n',
+                r":1: corpus header 'languages' holds a non-string",
+                id="language-not-a-string",
+            ),
+            pytest.param(
+                HEADER + b"3\n",
+                r":2: invalid unit record: record is not an object",
+                id="record-number",
+            ),
+            pytest.param(
+                HEADER + b'{"unit_id": "1", "eng": "caf\xe9"}\n',
+                r":2: invalid unit record: not UTF-8",
+                id="not-utf8",
+            ),
+            pytest.param(
+                HEADER + b"1" * 5000 + b"\n",
+                r":2: invalid unit record: invalid JSON",
+                id="integer-too-long",
+            ),
+            pytest.param(
+                b"[" * 100_000 + b"\n",
+                r":1: invalid corpus header: invalid JSON",
+                id="nesting-too-deep",
+            ),
+        ],
+    )
+    def test_malformed_content_is_a_data_error_naming_the_line(
+        self, tmp_path, content, message
+    ):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message):
+            load_corpus(path)
+
+    @given(
+        st.binary(max_size=300)
+        | st.lists(JSON_LINE, min_size=1, max_size=4).map(
+            lambda lines: "\n".join(lines).encode("utf-8")
+        )
+    )
+    @example(HEADER + b'{"unit_id": "1", "eng": ["x"]}\n')
+    @example(HEADER + b'{"unit_id": "1", "eng": "x"}\n{"unit_id": "1", "eng": "y"}\n')
+    @example(b'{"name": "c", "languages": ["eng", "eng"], "provenance": ""}\n')
+    def test_arbitrary_content_raises_only_lingspace_errors(
+        self, tmp_path_factory, content
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzz_corpus.jsonl"
+        path.write_bytes(content)
+        try:
+            load_corpus(path)
+        except LingspaceError:
+            pass
+

@@ -73,10 +73,10 @@ def test_basic_chars_cost_one_extension_chars_cost_two():
         assert gsm7.septet_length(ch) == 2, ch
 
 
-def test_is_gsm_char_and_text():
-    assert gsm7.is_gsm_char("a")
-    assert gsm7.is_gsm_char("€")
-    assert not gsm7.is_gsm_char("中")
+def test_is_gsm_text():
+    assert gsm7.is_gsm_text("a")
+    assert gsm7.is_gsm_text("€")
+    assert not gsm7.is_gsm_text("中")
     assert gsm7.is_gsm_text("Call me at 5pm, OK?")
     assert not gsm7.is_gsm_text("ok あ")
 

@@ -14,7 +14,6 @@ from lingspace.limits import (
     CharLimit,
     EncodedUnitLimit,
     LimitSpec,
-    capacity_for_language,
     check_fit,
 )
 
@@ -118,30 +117,24 @@ class TestFitResults:
                 assert result.fits == (result.units_used <= result.units_max)
 
 
+# Published capacities: the most single-unit (basic GSM for SMS) and
+# double-unit (non-GSM) characters a message can hold.
+CAPACITY = {
+    ("twitter", "ascii"): 140,
+    ("twitter", "cjk"): 140,
+    ("weibo", "ascii"): 280,
+    ("weibo", "cjk"): 140,
+    ("sms", "ascii"): 160,
+    ("sms", "cjk"): 70,
+}
+
+
 class TestCapacity:
-    @pytest.mark.parametrize(
-        "name, char_class, expected",
-        [
-            ("twitter", "ascii", 140),
-            ("twitter", "cjk", 140),
-            ("weibo", "ascii", 280),
-            ("weibo", "cjk", 140),
-            ("sms", "ascii", 160),
-            ("sms", "cjk", 70),
-        ],
-    )
-    def test_published_capacities(self, name, char_class, expected):
-        assert capacity_for_language(PRESETS[name], char_class) == expected
-
-    def test_unknown_char_class_rejected(self):
-        with pytest.raises(UsageError, match="unknown char class"):
-            capacity_for_language(TWITTER, "emoji")
-
     @pytest.mark.parametrize("name", sorted(PRESETS))
     @pytest.mark.parametrize("char_class, char", [("ascii", ASCII_CH), ("cjk", CJK_CH)])
     def test_capacity_is_the_exact_boundary(self, name, char_class, char):
         spec = PRESETS[name]
-        cap = capacity_for_language(spec, char_class)
+        cap = CAPACITY[name, char_class]
         assert check_fit(char * cap, spec).fits
         assert not check_fit(char * (cap + 1), spec).fits
 

@@ -87,6 +87,14 @@ class TestLoadPosts:
         with pytest.raises(DataError, match="line 1: record is not an object"):
             load_posts(path)
 
+    def test_non_utf8_line_reported(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(
+            json.dumps(_record(0)).encode("utf-8") + b'\n{"text": "caf\xe9"}\n'
+        )
+        with pytest.raises(DataError, match="line 2: not UTF-8"):
+            load_posts(path)
+
     def test_duplicate_post_id_on_one_platform_rejected(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         _write_jsonl(path, [_record(0), _record(0)])

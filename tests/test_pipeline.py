@@ -155,12 +155,54 @@ class TestConfigHandling:
         assert cfg.table_format == "csv"
         assert cfg.out_dir == tmp_path / "out"
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("corpus", "min_chars"), ("posts", "min_posts"), ("ratios", "rescale_limit")],
+    )
+    def test_non_numeric_value_fails_in_config(
+        self, tmp_path, udhr_dir, post_dump, capsys, section, key
+    ):
+        sections = base_sections(udhr_dir, post_dump)
+        sections[section][key] = "abc"
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        err = capsys.readouterr().err
+        assert "pipeline failed at stage 'config':" in err
+        assert f"[{section}] {key} is not a valid" in err
+
     def test_rescale_defaults_off_without_eng(self, tmp_path, udhr_dir, post_dump):
         sections = base_sections(udhr_dir, post_dump)
         sections["ratios"]["others"] = "jpn,cmn_hant"
         config = tmp_path / "run.ini"
         write_config(config, sections)
         assert load_pipeline_config(config).rescale_lang is None
+
+
+def test_cli_commands_write_the_pipeline_outputs(
+    tmp_path, pipeline_run, udhr_dir, post_dump
+):
+    """The CLI chain and `pipeline run` share one implementation per stage,
+    so on the same inputs they write the same bytes. ric.csv is left out:
+    the CLI `ric` command reads the ratio means rounded to four decimals
+    from the ratios table, while the pipeline divides by the exact means."""
+    posts_path, accounts_path = post_dump
+    langs = ["--base", "cmn_hans", "--others", "eng,jpn,cmn_hant"]
+    corpus = str(tmp_path / "corpus.jsonl")
+    commands = [
+        ["corpus", "ingest", "--format", "udhr", "--input", str(udhr_dir),
+         "--langs", "eng,jpn,cmn_hans,cmn_hant", "--out", corpus],
+        ["ratios", "--corpus", corpus, *langs, "--out", str(tmp_path / "ratios.csv")],
+        ["posts", "analyze", "--posts", str(posts_path), "--accounts",
+         str(accounts_path), "--out", str(tmp_path / "stats.csv")],
+        ["plot", "box", "--corpus", corpus, *langs, "--rescale-lang", "eng",
+         "--out", str(tmp_path / "ratios_box.svg")],
+    ]
+    for argv in commands:
+        assert main([*argv, "--quiet"]) == 0, argv
+    for name in ("corpus.jsonl", "ratios.csv", "stats.csv", "ratios_box.svg"):
+        cli_bytes = (tmp_path / name).read_bytes()
+        assert cli_bytes == (pipeline_run / name).read_bytes(), name
 
 
 class TestFailureStages:

@@ -19,7 +19,6 @@ from lingspace.ratios import (
     aggregate_ratios,
     describe,
     equivalent_length,
-    pooled_ratio,
     ratio_table_row,
     unit_ratio,
 )
@@ -202,6 +201,19 @@ class TestAggregateRatios:
         assert stats.stats.mean == 3.0
         assert stats.stats.median == 3.0
 
+    def test_mean_weighs_every_unit_equally(self):
+        # per-unit ratios 2 and 8; the ratio of total lengths would be 90/15 = 6
+        corpus = _corpus(
+            [
+                {"eng": "x" * 10, "cmn_hans": "中" * 5},
+                {"eng": "x" * 80, "cmn_hans": "中" * 10},
+            ]
+        )
+        mean = aggregate_ratios(
+            corpus, "eng", "cmn_hans", SpaceMeasure.CHARACTERS
+        ).stats.mean
+        assert mean == 5.0
+
     def test_per_unit_follows_corpus_order(self, udhr_corpus):
         stats = aggregate_ratios(
             udhr_corpus, "eng", "cmn_hant", SpaceMeasure.CHARACTERS
@@ -277,27 +289,6 @@ class TestEquivalentLength:
         assert equivalent_length(2 * base, ratio) == pytest.approx(
             2 * longer, rel=1e-12
         )
-
-
-class TestPooledRatio:
-    def test_weighs_long_units_more_than_the_mean_does(self):
-        corpus = _corpus(
-            [
-                {"eng": "x" * 10, "cmn_hans": "中" * 5},
-                {"eng": "x" * 80, "cmn_hans": "中" * 10},
-            ]
-        )
-        pooled = pooled_ratio(corpus, "eng", "cmn_hans", SpaceMeasure.CHARACTERS)
-        assert pooled == (10 + 80) / (5 + 10)
-        mean = aggregate_ratios(
-            corpus, "eng", "cmn_hans", SpaceMeasure.CHARACTERS
-        ).stats.mean
-        assert pooled != mean
-
-    def test_empty_corpus_rejected(self):
-        corpus = ParallelCorpus("empty", ("eng", "cmn_hans"), ())
-        with pytest.raises(UsageError):
-            pooled_ratio(corpus, "eng", "cmn_hans", SpaceMeasure.CHARACTERS)
 
 
 def test_ratio_table_row_matches_schema(udhr_corpus):
