@@ -7,7 +7,6 @@ information content, and exact models of platform length limits.
 
 from .corpus import (
     AlignedUnit,
-    CorpusFilterPolicy,
     ExclusionReport,
     ParallelCorpus,
     build_parallel_corpus,
@@ -19,7 +18,6 @@ from .corpus import (
 )
 from .errors import (
     DataError,
-    GbkEncodingError,
     GsmNotRepresentableError,
     LingspaceError,
     SubtitleParseError,
@@ -34,7 +32,6 @@ from .langtags import (
     parse_language_list,
     parse_language_tag,
     register_language,
-    registered_languages,
 )
 from .limits import (
     PRESETS,
@@ -49,7 +46,6 @@ from .limits import (
     check_fit,
 )
 from .measures import (
-    GbkFallback,
     SpaceMeasure,
     count_units,
     count_urls,
@@ -75,7 +71,6 @@ from .ratios import (
     RatioStats,
     aggregate_ratios,
     describe,
-    equivalent_length,
     unit_ratio,
 )
 from .subtitles import parse_subtitle
@@ -92,15 +87,12 @@ __all__ = [
     "CMN_HANS",
     "CMN_HANT",
     "CharLimit",
-    "CorpusFilterPolicy",
     "DataError",
     "DescriptiveStats",
     "ENG",
     "EncodedUnitLimit",
     "ExclusionReport",
     "FitResult",
-    "GbkEncodingError",
-    "GbkFallback",
     "GsmNotRepresentableError",
     "JPN",
     "LanguageTag",
@@ -130,7 +122,6 @@ __all__ = [
     "describe",
     "detect_language",
     "emit_table",
-    "equivalent_length",
     "load_accounts",
     "load_corpus",
     "load_posts",
@@ -143,7 +134,6 @@ __all__ = [
     "parse_udhr_language_file",
     "read_records",
     "register_language",
-    "registered_languages",
     "render_boxplot",
     "run_pipeline",
     "save_corpus",

@@ -46,8 +46,8 @@ class AlignedUnit:
 class ParallelCorpus:
     """An ordered collection of aligned units, immutable once built.
 
-    Units built under the default policy carry every corpus language; a
-    corpus built without require_all_languages may hold partial units.
+    Units from build_parallel_corpus carry every corpus language; a corpus
+    read by load_corpus may hold partial units.
     """
 
     name: str
@@ -75,24 +75,6 @@ class ParallelCorpus:
 
     def __len__(self) -> int:
         return len(self.units)
-
-
-@dataclass(frozen=True)
-class CorpusFilterPolicy:
-    """Unit admission rules applied while building a corpus.
-
-    min_length_chars is measured on the reference language; it exists to
-    drop degenerate units such as music-only talks whose transcripts are a
-    few characters long.
-    """
-
-    require_all_languages: bool = True
-    min_length_chars: int = 1000
-    reference_lang: LanguageTag = ENG
-
-    def __post_init__(self) -> None:
-        if self.min_length_chars < 0:
-            raise UsageError("min_length_chars must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -127,17 +109,22 @@ def parse_udhr_language_file(content: str, lang: LanguageTag) -> list[tuple[int,
 
 def build_parallel_corpus(
     per_language_units: Mapping[LanguageTag, Iterable[tuple[str, str]]],
-    policy: CorpusFilterPolicy,
+    min_chars: int,
     *,
     name: str = "corpus",
     provenance: str = "",
 ) -> tuple[ParallelCorpus, ExclusionReport]:
     """Assemble aligned units from per-language (unit_id, text) lists.
 
-    Unit order follows first appearance across the supplied languages.
-    Whitespace-only texts count as absent. Returns the corpus plus a report
-    of how many unit ids were dropped and why.
+    Unit order follows first appearance across the supplied languages. A
+    unit is kept when every language has a text for it (whitespace-only
+    texts count as absent) and its eng text has at least min_chars
+    characters; the length filter drops degenerate units such as music-only
+    talks. Returns the corpus plus a report of how many unit ids were
+    dropped and why.
     """
+    if min_chars < 0:
+        raise UsageError("min_chars must be >= 0")
     if len(per_language_units) < 2:
         raise UsageError("need at least two languages to build a parallel corpus")
     by_lang: dict[LanguageTag, dict[str, str]] = {}
@@ -152,11 +139,10 @@ def build_parallel_corpus(
         by_lang[lang] = table
     languages = tuple(by_lang)
 
-    if policy.min_length_chars > 0 and policy.reference_lang not in by_lang:
+    if min_chars > 0 and ENG not in by_lang:
         raise UsageError(
-            f"reference language {policy.reference_lang} is not among the "
-            f"supplied languages; adjust reference_lang or set "
-            f"min_length_chars=0"
+            f"reference language {ENG} is not among the supplied languages; "
+            f"set min_chars=0"
         )
 
     all_ids: dict[str, None] = {}
@@ -172,17 +158,14 @@ def build_parallel_corpus(
             for lang in languages
             if unit_id in by_lang[lang] and by_lang[lang][unit_id].strip()
         }
-        if len(texts) < len(languages) and (policy.require_all_languages or not texts):
+        if len(texts) < len(languages):
             missing += 1
             continue
-        if policy.min_length_chars > 0:
-            ref_text = texts.get(policy.reference_lang)
-            ref_len = (
-                count_units(ref_text, SpaceMeasure.CHARACTERS) if ref_text else 0
-            )
-            if ref_len < policy.min_length_chars:
-                too_short += 1
-                continue
+        if min_chars > 0 and (
+            count_units(texts[ENG], SpaceMeasure.CHARACTERS) < min_chars
+        ):
+            too_short += 1
+            continue
         units.append(AlignedUnit(unit_id, texts))
 
     corpus = ParallelCorpus(name, languages, tuple(units), provenance)
@@ -193,16 +176,15 @@ def build_parallel_corpus(
 def load_udhr_directory(
     directory: str | Path,
     langs: Sequence[LanguageTag],
-    policy: CorpusFilterPolicy | None = None,
+    min_chars: int = 0,
 ) -> tuple[ParallelCorpus, ExclusionReport]:
     """Read `<dir>/<lang>.txt` files and align them paragraph by paragraph.
 
     The files must agree on paragraph count; a mismatch is a data error
     because positional alignment would silently pair unrelated paragraphs.
+    No paragraph is dropped for length unless min_chars is given.
     """
     directory = Path(directory)
-    if policy is None:
-        policy = CorpusFilterPolicy(min_length_chars=0)
     per_lang: dict[LanguageTag, list[tuple[str, str]]] = {}
     counts: dict[LanguageTag, int] = {}
     for lang in langs:
@@ -221,7 +203,7 @@ def load_udhr_directory(
         )
     return build_parallel_corpus(
         per_lang,
-        policy,
+        min_chars,
         name=directory.name,
         provenance=f"declaration-style directory {directory.name}",
     )
@@ -233,16 +215,15 @@ _SUFFIX_FORMATS = {".srt": "srt", ".vtt": "webvtt", ".json": "json_captions"}
 def load_subtitle_directory(
     directory: str | Path,
     langs: Sequence[LanguageTag],
-    policy: CorpusFilterPolicy | None = None,
+    min_chars: int = 1000,
 ) -> tuple[ParallelCorpus, ExclusionReport]:
     """Read `<dir>/<talk_id>/<lang>.(srt|vtt|json)` trees into talk units.
 
     Talks are visited in sorted directory order; within a talk the first
-    caption file found per language (srt, then vtt, then json) wins.
+    caption file found per language (srt, then vtt, then json) wins. Talks
+    whose eng transcript is shorter than min_chars characters are dropped.
     """
     directory = Path(directory)
-    if policy is None:
-        policy = CorpusFilterPolicy()
     talk_dirs = sorted(p for p in directory.iterdir() if p.is_dir())
     if not talk_dirs:
         raise DataError(f"no talk directories under {directory}")
@@ -265,7 +246,7 @@ def load_subtitle_directory(
                 break
     return build_parallel_corpus(
         per_lang,
-        policy,
+        min_chars,
         name=directory.name,
         provenance=f"subtitle directory {directory.name}",
     )

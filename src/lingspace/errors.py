@@ -26,16 +26,6 @@ class SubtitleParseError(DataError):
         self.line_number = line_number
 
 
-class GbkEncodingError(DataError):
-    """A scalar outside the two-byte CJK code page under the reject policy."""
-
-    def __init__(self, char: str):
-        super().__init__(
-            f"character {char!r} (U+{ord(char):04X}) is not GBK-encodable"
-        )
-        self.char = char
-
-
 class GsmNotRepresentableError(LingspaceError):
     """Text contains a character outside the GSM 03.38 tables.
 

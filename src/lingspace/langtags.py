@@ -23,11 +23,6 @@ _TAG_RE = re.compile(r"[a-z][a-z0-9_]*")
 _registry: set[str] = {ENG, JPN, CMN_HANS, CMN_HANT}
 
 
-def registered_languages() -> frozenset[LanguageTag]:
-    """Snapshot of the currently registered tags."""
-    return frozenset(_registry)
-
-
 def register_language(code: str) -> LanguageTag:
     """Add a tag to the registry and return it.
 

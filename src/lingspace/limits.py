@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import gsm7
 from .errors import UsageError
-from .measures import GbkFallback, SpaceMeasure, count_units, nfc
+from .measures import SpaceMeasure, count_units, nfc
 
 GSM7_CAPACITY = 160
 UCS2_CAPACITY = 70
@@ -28,12 +28,9 @@ class CharLimit:
 class EncodedUnitLimit:
     """Cap on encoded units: 1 per ASCII scalar, 2 per anything else."""
 
-    unit_scheme: str
     max_units: int
 
     def __post_init__(self) -> None:
-        if self.unit_scheme != "gbk_units":
-            raise UsageError(f"unsupported unit scheme {self.unit_scheme!r}")
         if self.max_units <= 0:
             raise UsageError("max_units must be positive")
 
@@ -54,7 +51,7 @@ class LimitSpec:
 
 
 TWITTER = LimitSpec("twitter", CharLimit(140))
-WEIBO = LimitSpec("weibo", EncodedUnitLimit("gbk_units", 280))
+WEIBO = LimitSpec("weibo", EncodedUnitLimit(280))
 SMS = LimitSpec("sms", SingleSms())
 
 PRESETS = {spec.name: spec for spec in (TWITTER, WEIBO, SMS)}
@@ -80,7 +77,7 @@ def check_fit(text: str, limit: LimitSpec) -> FitResult:
         used = count_units(text, SpaceMeasure.CHARACTERS)
         return FitResult(used <= rule.max_chars, used, rule.max_chars, "chars")
     if isinstance(rule, EncodedUnitLimit):
-        used = count_units(text, SpaceMeasure.GBK_UNITS, GbkFallback.COUNT_AS_2)
+        used = count_units(text, SpaceMeasure.GBK_UNITS)
         return FitResult(used <= rule.max_units, used, rule.max_units, "gbk_units")
     if isinstance(rule, SingleSms):
         normalized = nfc(text)

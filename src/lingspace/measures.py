@@ -2,10 +2,10 @@
 
 "Characters" are Unicode scalar values of the NFC form; UTF-8 bytes are the
 byte length of that form. GBK units follow the common microblog accounting:
-1 per ASCII scalar, 2 per any other scalar; the two-byte code page is
-consulted only when unencodable scalars are to be rejected. GSM-7 septets
-follow the SMS default alphabet. URL stripping and script-based language
-detection live here too because length statistics depend on both.
+1 per ASCII scalar, 2 per any other scalar, whether or not the two-byte code
+page can encode it. GSM-7 septets follow the SMS default alphabet. URL
+stripping and script-based language detection live here too because length
+statistics depend on both.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import unicodedata
 from enum import Enum
 
 from . import gsm7
-from .errors import GbkEncodingError, UsageError
+from .errors import UsageError
 from .langtags import CMN_HANS, ENG, JPN, LanguageTag
 
 
@@ -33,38 +33,17 @@ MEASURES_BY_CLI_NAME = {
 }
 
 
-class GbkFallback(Enum):
-    """What to do with scalars the two-byte code page cannot encode."""
-
-    COUNT_AS_2 = "count-as-2"
-    REJECT = "reject"
-
-
 def nfc(text: str) -> str:
     """Canonically composed form; all counting happens on this."""
     return unicodedata.normalize("NFC", text)
 
 
-def gbk_unit_length(text: str, fallback: GbkFallback = GbkFallback.COUNT_AS_2) -> int:
-    """Units under the 1-per-ASCII / 2-per-other accounting.
-
-    Every non-ASCII scalar costs 2 whether or not the code page can encode
-    it. Under REJECT the code page is consulted first, and the first scalar
-    it cannot encode raises GbkEncodingError.
-    """
-    if fallback is GbkFallback.REJECT:
-        try:
-            text.encode("gbk")
-        except UnicodeEncodeError as exc:
-            raise GbkEncodingError(text[exc.start]) from None
+def gbk_unit_length(text: str) -> int:
+    """Units under the 1-per-ASCII / 2-per-other accounting."""
     return 2 * len(text) - len(text.encode("ascii", "ignore"))
 
 
-def count_units(
-    text: str,
-    measure: SpaceMeasure,
-    fallback: GbkFallback = GbkFallback.COUNT_AS_2,
-) -> int:
+def count_units(text: str, measure: SpaceMeasure) -> int:
     """Measure the space a text occupies; the text is NFC-normalized first."""
     normalized = nfc(text)
     if measure is SpaceMeasure.CHARACTERS:
@@ -72,7 +51,7 @@ def count_units(
     if measure is SpaceMeasure.UTF8_BYTES:
         return len(normalized.encode("utf-8"))
     if measure is SpaceMeasure.GBK_UNITS:
-        return gbk_unit_length(normalized, fallback)
+        return gbk_unit_length(normalized)
     if measure is SpaceMeasure.GSM7_SEPTETS:
         return gsm7.septet_length(normalized)
     raise UsageError(f"unknown space measure {measure!r}")

@@ -8,7 +8,6 @@ only with strictly more than min_posts posts.
 
 from __future__ import annotations
 
-import csv
 import logging
 import statistics
 from collections.abc import Iterable, Mapping, Sequence
@@ -19,7 +18,7 @@ from pathlib import Path
 from .errors import DataError, UsageError
 from .langtags import CMN_HANS, CMN_HANT, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units, count_urls, detect_language, strip_urls
-from .tables import read_json_lines
+from .tables import read_csv_records, read_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +98,7 @@ def _validate_record(
         return None, f"unknown platform {record['platform']!r}"
     try:
         return _parse_timestamp(str(record["created_at"])), None
-    except ValueError:
+    except (ValueError, OverflowError):  # UTC shifts a date past year 1 or 9999
         return None, f"unparseable created_at {record['created_at']!r}"
 
 
@@ -114,7 +113,10 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     if format == "jsonl":
         records = read_json_lines(path)
     elif format == "csv":
-        records = _read_csv_records(path, _REQUIRED_POST_FIELDS)
+        records = [
+            (lineno, row, None)
+            for lineno, row in read_csv_records(path, _REQUIRED_POST_FIELDS)
+        ]
     else:
         raise UsageError(f"unknown posts format {format!r} (expected jsonl or csv)")
 
@@ -150,26 +152,12 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     return posts
 
 
-def _read_csv_records(path: Path, required: Sequence[str]):
-    out = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return out
-        missing = [name for name in required if name not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns: {', '.join(missing)}")
-        for row in reader:
-            out.append((reader.line_num, row, None))
-    return out
-
-
 def load_accounts(path: str | Path) -> list[AccountMeta]:
     """Read account metadata from CSV, in file order."""
     path = Path(path)
     accounts: list[AccountMeta] = []
     seen: set[tuple[str, str, str]] = set()
-    for lineno, row, _ in _read_csv_records(path, _ACCOUNT_FIELDS):
+    for lineno, row in read_csv_records(path, _ACCOUNT_FIELDS):
         screen_name = (row["screen_name"] or "").strip()
         platform = (row["platform"] or "").strip()
         org_type = (row["org_type"] or "").strip()

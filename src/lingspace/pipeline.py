@@ -32,7 +32,6 @@ from pathlib import Path
 # perfbench/spans.py times each layer by wrapping the names the stages call
 # through this module: the loaders, aggregate_ratios, describe, emit_table...
 from .corpus import (
-    CorpusFilterPolicy,
     ParallelCorpus,
     load_subtitle_directory,
     load_udhr_directory,
@@ -181,24 +180,19 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     )
 
 
-def default_min_chars(corpus_format: str) -> int:
-    """Ingest length filter default: declarations keep everything, talk
-    corpora drop degenerate transcripts."""
-    return 0 if corpus_format == "udhr" else 1000
-
-
 def ingest_corpus(
     corpus_format: str,
     input_dir: str | Path,
     langs: tuple[LanguageTag, ...],
     min_chars: int | None,
 ) -> ParallelCorpus:
-    """Parse and align a udhr or ted directory; logs what the filter kept."""
-    if min_chars is None:
-        min_chars = default_min_chars(corpus_format)
-    policy = CorpusFilterPolicy(min_length_chars=min_chars)
+    """Parse and align a udhr or ted directory; logs what the filter kept.
+    A min_chars of None keeps the loader's default."""
     load = load_udhr_directory if corpus_format == "udhr" else load_subtitle_directory
-    corpus, report = load(input_dir, langs, policy)
+    if min_chars is None:
+        corpus, report = load(input_dir, langs)
+    else:
+        corpus, report = load(input_dir, langs, min_chars)
     log.info(
         "kept %d of %d units (%d missing languages, %d too short)",
         report.kept,
@@ -229,6 +223,8 @@ def analyze_posts(
     """Per-account statistics, in accounts-file order, of the accounts with
     more than min_posts posts. A posts_format of None means csv for a .csv
     file and jsonl otherwise."""
+    if min_posts < 0:
+        raise UsageError("min_posts must be >= 0")
     if posts_format is None:
         posts_format = "csv" if Path(posts_path).suffix.lower() == ".csv" else "jsonl"
     posts = load_posts(posts_path, posts_format)

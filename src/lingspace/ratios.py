@@ -83,17 +83,15 @@ def unit_ratio(
     lang_a: LanguageTag,
     measure: SpaceMeasure,
 ) -> float:
-    """Space the lang_b text occupies per unit of lang_a space."""
+    """Space the lang_b text occupies per unit of lang_a space.
+
+    Unit texts are never blank, so no measure of them reads zero.
+    """
+    texts = unit.texts
     for lang in (lang_b, lang_a):
-        if lang not in unit.texts:
+        if lang not in texts:
             raise DataError(f"unit {unit.unit_id!r} has no {lang} text")
-    numerator = count_units(unit.texts[lang_b], measure)
-    denominator = count_units(unit.texts[lang_a], measure)
-    if denominator == 0:
-        raise DataError(
-            f"unit {unit.unit_id!r}: {lang_a} text measures zero {measure.value}"
-        )
-    return numerator / denominator
+    return count_units(texts[lang_b], measure) / count_units(texts[lang_a], measure)
 
 
 def aggregate_ratios(
@@ -104,38 +102,24 @@ def aggregate_ratios(
 ) -> RatioStats:
     """Per-unit ratios in corpus order plus Tukey statistics.
 
-    Units missing either language or measuring zero are skipped with a
-    logged warning instead of failing the whole aggregation.
+    Units missing either language are skipped, and one warning counts them,
+    instead of failing the whole aggregation.
     """
     if not corpus.units:
         raise UsageError(f"corpus {corpus.name!r} has no units")
     for lang in (lang_b, lang_a):
         if lang not in corpus.languages:
             raise UsageError(f"language {lang} is not in corpus {corpus.name!r}")
-    per_unit: list[tuple[str, float]] = []
-    skipped = 0
-    for unit in corpus.units:
-        if lang_b not in unit.texts or lang_a not in unit.texts:
-            skipped += 1
-            log.warning(
-                "skipping unit %r: missing %s or %s text", unit.unit_id, lang_b, lang_a
-            )
-            continue
-        numerator = count_units(unit.texts[lang_b], measure)
-        denominator = count_units(unit.texts[lang_a], measure)
-        if numerator == 0 or denominator == 0:
-            skipped += 1
-            log.warning(
-                "skipping unit %r: zero-length text under %s",
-                unit.unit_id,
-                measure.value,
-            )
-            continue
-        per_unit.append((unit.unit_id, numerator / denominator))
+    per_unit = tuple(
+        (unit.unit_id, unit_ratio(unit, lang_b, lang_a, measure))
+        for unit in corpus.units
+        if lang_b in unit.texts and lang_a in unit.texts
+    )
     if not per_unit:
         raise UsageError(
             f"no measurable units for {lang_b} vs {lang_a} in corpus {corpus.name!r}"
         )
+    skipped = len(corpus.units) - len(per_unit)
     if skipped:
         log.warning(
             "%d of %d units skipped for %s vs %s",
@@ -145,15 +129,7 @@ def aggregate_ratios(
             lang_a,
         )
     values = [ratio for _, ratio in per_unit]
-    return RatioStats(lang_b, lang_a, measure, tuple(per_unit), describe(values))
-
-
-def equivalent_length(base_length: float, ratio: float) -> float:
-    """Baseline-language length carrying the same content as base_length
-    units of the other language."""
-    if ratio <= 0:
-        raise UsageError(f"ratio must be positive, got {ratio}")
-    return base_length / ratio
+    return RatioStats(lang_b, lang_a, measure, per_unit, describe(values))
 
 
 RATIO_TABLE_FIELDS = (

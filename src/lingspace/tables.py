@@ -103,24 +103,59 @@ def read_json_lines(
     return out
 
 
+def _read_utf8(path: Path) -> str:
+    """The file's text with its line endings kept; undecodable bytes raise a
+    DataError naming the file and line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
+
+
+def read_csv_records(
+    path: str | Path, required: Sequence[str] = ()
+) -> list[tuple[int, dict[str, str]]]:
+    """(line number, row) for each record of a CSV file with a header row.
+
+    A file without a header yields no records. Undecodable bytes, malformed
+    CSV and missing required columns raise a DataError naming the file.
+    """
+    path = Path(path)
+    reader = csv.DictReader(io.StringIO(_read_utf8(path), newline=""))
+    # emit_table writes cells of any length (an account's per-post values
+    # share one cell), so the read lifts the csv module's 128 KiB cap.
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        if reader.fieldnames is None:
+            return []
+        missing = [name for name in required if name not in reader.fieldnames]
+        if missing:
+            raise DataError(f"{path}: missing columns: {', '.join(missing)}")
+        return [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
+    finally:
+        csv.field_size_limit(limit)
+
+
 def read_records(path: str | Path) -> list[dict[str, object]]:
     """Read a table written by emit_table; format inferred from the suffix.
 
     CSV values come back as strings; JSON values keep their types.
+    Malformed content raises a DataError naming the file.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON table: {exc.msg}") from exc
-        if not isinstance(payload, list) or not all(
-            isinstance(item, dict) for item in payload
-        ):
-            raise DataError(f"{path}: JSON table must be an array of objects")
-        return payload
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return []
-        return [dict(row) for row in reader]
+    if path.suffix.lower() != ".json":
+        return [row for _, row in read_csv_records(path)]
+    try:
+        payload = json.loads(_read_utf8(path))
+    except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
+        message = getattr(exc, "msg", exc)
+        raise DataError(f"{path}: invalid JSON table: {message}") from exc
+    if not isinstance(payload, list) or not all(
+        isinstance(item, dict) for item in payload
+    ):
+        raise DataError(f"{path}: JSON table must be an array of objects")
+    return payload

@@ -378,7 +378,7 @@ if __name__ == "__main__":
     import tempfile
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from lingspace import SpaceMeasure, aggregate_ratios, equivalent_length, load_subtitle_directory
+    from lingspace import SpaceMeasure, aggregate_ratios, load_subtitle_directory
 
     with tempfile.TemporaryDirectory() as tmp:
         fixture = build_subtitle_tree(Path(tmp))
@@ -388,7 +388,7 @@ if __name__ == "__main__":
         jpn = aggregate_ratios(corpus, JPN, CMN_HANS, SpaceMeasure.CHARACTERS)
         print(f"eng/hans mean={eng.stats.mean:.4f} median={eng.stats.median:.4f}")
         print(f"jpn/hans mean={jpn.stats.mean:.4f} median={jpn.stats.median:.4f}")
-        print("eq hans:", round(equivalent_length(140, eng.stats.mean), 2))
+        print("eq hans:", round(140 / eng.stats.mean, 2))
         print("eq jpn:", round(140 * jpn.stats.mean / eng.stats.mean, 2))
         per_sent = [(len(e) / len(h), len(j) / len(h)) for e, h, _, j in
                     ((r[0], r[1], r[2], r[3]) for r in BANK)]

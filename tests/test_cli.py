@@ -471,6 +471,44 @@ class TestPostsAnalyze:
         assert "invalid post records" in capsys.readouterr().err
 
 
+    def test_non_utf8_csv_is_a_data_error_naming_the_line(
+        self, post_dump, tmp_path, capsys
+    ):
+        _, accounts_path = post_dump
+        posts = tmp_path / "posts.csv"
+        posts.write_bytes(
+            b"id,account,platform,text,created_at\n"
+            b"1,usnews_tw,twitter,caf\xe9,2015-01-01T00:00:00Z\n"
+        )
+        posts_arg, accounts_arg = str(posts), str(accounts_path)
+        code = main(["posts", "analyze", "--posts", posts_arg, "--accounts", accounts_arg])
+        assert code == 1
+        assert "posts.csv:2: not UTF-8" in capsys.readouterr().err
+
+    def test_negative_min_posts_is_a_usage_error(self, post_dump, tmp_path, capsys):
+        posts_path, _ = post_dump
+        # an account with no posts at all: -1 would let it through to fmean([])
+        accounts = tmp_path / "accounts.csv"
+        accounts.write_text(
+            "screen_name,platform,language,org_type\nquiet,twitter,eng,news\n",
+            encoding="utf-8",
+        )
+        code = main(
+            [
+                "posts",
+                "analyze",
+                "--posts",
+                str(posts_path),
+                "--accounts",
+                str(accounts),
+                "--min-posts",
+                "-1",
+            ]
+        )
+        assert code == 2
+        assert "min_posts must be >= 0" in capsys.readouterr().err
+
+
 class TestRic:
     def test_divides_lengths_by_the_language_ratio(
         self, stats_file, ratios_for_ric, capsys
@@ -647,6 +685,41 @@ class TestPlotBox:
             "weibo/cmn_hans/embassy",
             "weibo/cmn_hans/news",
         ]
+
+    def test_tables_past_the_csv_field_limit_chain(self, ratios_for_ric, tmp_path):
+        """An account with 20,000 posts writes stats and RIC cells longer than
+        the csv module's default 128 KiB field limit; they must read back."""
+        posts = tmp_path / "posts.jsonl"
+        with posts.open("w", encoding="utf-8") as fh:
+            for i in range(20_000):
+                record = {
+                    "id": str(i),
+                    "account": "busy",
+                    "platform": "twitter",
+                    "text": "word " * (i % 30 + 1),
+                    "created_at": "2015-01-01T00:00:00Z",
+                }
+                fh.write(json.dumps(record) + "\n")
+        accounts = tmp_path / "accounts.csv"
+        accounts.write_text(
+            "screen_name,platform,language,org_type\nbusy,twitter,eng,news\n",
+            encoding="utf-8",
+        )
+        stats, ric, svg = (tmp_path / name for name in ("s.csv", "r.csv", "r.svg"))
+        commands = [
+            ["posts", "analyze", "--posts", str(posts), "--accounts", str(accounts),
+             "--out", str(stats)],
+            ["ric", "--stats", str(stats), "--ratios", str(ratios_for_ric),
+             "--base", "cmn_hans", "--out", str(ric)],
+            ["plot", "box", "--ric", str(ric), "--out", str(svg)],
+        ]
+        for command in commands:
+            assert main([*command, "--quiet"]) == 0, command
+        lines = ric.read_text(encoding="utf-8").splitlines()
+        assert max(map(len, lines)) > 131_072
+        root = ET.parse(svg).getroot()
+        labels = [e.text for e in root.iter(SVG + "text") if e.get("class") == "label"]
+        assert labels == ["twitter/eng/news"]
 
     def test_corpus_and_ric_together_is_a_usage_error(
         self, udhr_corpus_file, tmp_path, capsys

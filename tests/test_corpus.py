@@ -1,5 +1,8 @@
-"""Corpus parsing, alignment, filtering, and persistence."""
+"""Corpus parsing, alignment, filtering, and persistence, plus the fuzz
+tests that feed every file loader arbitrary content."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 
 from lingspace.corpus import (
     AlignedUnit,
-    CorpusFilterPolicy,
     ParallelCorpus,
     build_parallel_corpus,
     load_corpus,
@@ -18,6 +20,8 @@ from lingspace.corpus import (
     save_corpus,
 )
 from lingspace.errors import DataError, LingspaceError, UsageError
+from lingspace.microblog import load_accounts, load_posts
+from lingspace.tables import read_records
 
 from conftest import ALL_LANGS
 
@@ -106,9 +110,7 @@ def _units(pairs):
 class TestBuildParallelCorpus:
     def test_needs_two_languages(self):
         with pytest.raises(UsageError, match="at least two languages"):
-            build_parallel_corpus(
-                {"eng": _units([("1", "a")])}, CorpusFilterPolicy(min_length_chars=0)
-            )
+            build_parallel_corpus({"eng": _units([("1", "a")])}, min_chars=0)
 
     def test_duplicate_unit_id_within_language(self):
         data = {
@@ -116,16 +118,14 @@ class TestBuildParallelCorpus:
             "jpn": _units([("1", "x")]),
         }
         with pytest.raises(DataError, match="duplicate unit_id '1' in language eng"):
-            build_parallel_corpus(data, CorpusFilterPolicy(min_length_chars=0))
+            build_parallel_corpus(data, min_chars=0)
 
     def test_partial_units_dropped_and_counted(self):
         data = {
             "eng": _units([("1", "one"), ("2", "two")]),
             "jpn": _units([("1", "一")]),
         }
-        corpus, report = build_parallel_corpus(
-            data, CorpusFilterPolicy(min_length_chars=0)
-        )
+        corpus, report = build_parallel_corpus(data, min_chars=0)
         assert [u.unit_id for u in corpus.units] == ["1"]
         assert (
             report.total_ids,
@@ -139,30 +139,16 @@ class TestBuildParallelCorpus:
             "eng": _units([("1", "   ")]),
             "jpn": _units([("1", "一")]),
         }
-        corpus, report = build_parallel_corpus(
-            data, CorpusFilterPolicy(min_length_chars=0)
-        )
+        corpus, report = build_parallel_corpus(data, min_chars=0)
         assert report.missing_language == 1
         assert not corpus.units
-
-    def test_partial_units_kept_when_not_required(self):
-        data = {
-            "eng": _units([("1", "one"), ("2", "two")]),
-            "jpn": _units([("1", "一")]),
-        }
-        policy = CorpusFilterPolicy(require_all_languages=False, min_length_chars=0)
-        corpus, report = build_parallel_corpus(data, policy)
-        assert [u.unit_id for u in corpus.units] == ["1", "2"]
-        assert corpus.units[1].texts == {"eng": "two"}
-        assert report.kept == 2
 
     def test_min_length_filter_measures_reference_language(self):
         data = {
             "eng": _units([("long", "x" * 30), ("short", "x" * 29)]),
             "jpn": _units([("long", "一"), ("short", "一")]),
         }
-        policy = CorpusFilterPolicy(min_length_chars=30)
-        corpus, report = build_parallel_corpus(data, policy)
+        corpus, report = build_parallel_corpus(data, min_chars=30)
         assert [u.unit_id for u in corpus.units] == ["long"]
         assert report.too_short == 1
 
@@ -172,15 +158,14 @@ class TestBuildParallelCorpus:
             "cmn_hans": _units([("1", "二")]),
         }
         with pytest.raises(UsageError, match="reference language eng"):
-            build_parallel_corpus(data, CorpusFilterPolicy(min_length_chars=10))
+            build_parallel_corpus(data, min_chars=10)
 
     def test_unit_order_follows_first_appearance(self):
         data = {
-            "eng": _units([("b", "bee"), ("a", "ay")]),
-            "jpn": _units([("a", "あ"), ("b", "い"), ("c", "う")]),
+            "eng": _units([("b", "bee"), ("a", "ay"), ("c", "see")]),
+            "jpn": _units([("a", "あ"), ("c", "う"), ("b", "い")]),
         }
-        policy = CorpusFilterPolicy(require_all_languages=False, min_length_chars=0)
-        corpus, _ = build_parallel_corpus(data, policy)
+        corpus, _ = build_parallel_corpus(data, min_chars=0)
         assert [u.unit_id for u in corpus.units] == ["b", "a", "c"]
 
     def test_raising_min_length_never_keeps_more(self):
@@ -189,16 +174,15 @@ class TestBuildParallelCorpus:
             "jpn": _units([(str(i), "一" * i) for i in range(1, 8)]),
         }
         kept = [
-            build_parallel_corpus(
-                data, CorpusFilterPolicy(min_length_chars=threshold)
-            )[1].kept
+            build_parallel_corpus(data, min_chars=threshold)[1].kept
             for threshold in (0, 15, 35, 55, 75, 1000)
         ]
         assert kept == sorted(kept, reverse=True)
 
     def test_negative_min_length_rejected(self):
-        with pytest.raises(UsageError, match=">= 0"):
-            CorpusFilterPolicy(min_length_chars=-1)
+        data = {"eng": _units([("1", "one")]), "jpn": _units([("1", "一")])}
+        with pytest.raises(UsageError, match="min_chars must be >= 0"):
+            build_parallel_corpus(data, min_chars=-1)
 
 
 class TestUdhrDirectory:
@@ -268,8 +252,7 @@ class TestSubtitleDirectory:
             "1\n00:00:01,000 --> 00:00:02,000\n" + "あ" * 40 + "\n",
             encoding="utf-8",
         )
-        policy = CorpusFilterPolicy(min_length_chars=0)
-        corpus, _ = load_subtitle_directory(tmp_path, ("eng", "jpn"), policy)
+        corpus, _ = load_subtitle_directory(tmp_path, ("eng", "jpn"), min_chars=0)
         assert corpus.units[0].texts["eng"].startswith("from srt")
 
     def test_parse_failure_names_the_file(self, tmp_path):
@@ -277,9 +260,7 @@ class TestSubtitleDirectory:
         talk.mkdir()
         talk.joinpath("eng.srt").write_text("no timing here\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"eng\.srt.*line 1") as exc:
-            load_subtitle_directory(
-                tmp_path, ("eng",), CorpusFilterPolicy(min_length_chars=0)
-            )
+            load_subtitle_directory(tmp_path, ("eng",), min_chars=0)
         assert "-->" in str(exc.value)
 
 
@@ -431,3 +412,65 @@ class TestPersistence:
         except LingspaceError:
             pass
 
+
+_POST_FIELDS = ["id", "account", "platform", "text", "created_at"]
+_ACCOUNT_FIELDS = ["screen_name", "platform", "language", "org_type"]
+# Cells that pass some checks, including timestamps that leave the calendar
+# once shifted to UTC, next to arbitrary text.
+_CELL = st.sampled_from(
+    [
+        "",
+        "twitter",
+        "weibo",
+        "eng",
+        "news",
+        "2015-01-01T00:00:00Z",
+        "0001-01-01T00:00:00+01:00",
+        "9999-12-31T23:59:59-01:00",
+    ]
+) | st.text(max_size=8)
+
+
+def _csv_bytes(rows) -> bytes:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+CSV_CONTENT = st.tuples(
+    st.sampled_from([_POST_FIELDS, _ACCOUNT_FIELDS]),
+    st.lists(st.lists(_CELL, max_size=6), max_size=4),
+).map(lambda table: _csv_bytes([table[0], *table[1]]))
+POST_LINE = st.fixed_dictionaries(
+    {}, optional={name: _CELL | _JSON_VALUES for name in _POST_FIELDS}
+).map(lambda value: json.dumps(value, ensure_ascii=False))
+JSON_LINES = st.lists(POST_LINE | JSON_LINE, min_size=1, max_size=4).map(
+    lambda lines: "\n".join(lines).encode("utf-8")
+)
+JSON_TABLE = st.lists(_JSON_VALUES, max_size=3).map(
+    lambda value: json.dumps(value, ensure_ascii=False).encode("utf-8")
+)
+
+LOADERS = {
+    "posts.jsonl": lambda path: load_posts(path, "jsonl"),
+    "posts.csv": lambda path: load_posts(path, "csv"),
+    "accounts.csv": load_accounts,
+    "table.csv": read_records,
+    "table.json": read_records,
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+@given(content=st.binary(max_size=300) | CSV_CONTENT | JSON_LINES | JSON_TABLE)
+@example(content=b'{"id": 1, "account": "a", "platform": "twitter", "text": "",'
+         b' "created_at": "0001-01-01T00:00:00+01:00"}\n')
+@example(content=b"screen_name,platform,language,org_type\nx,twitter,caf\xe9,news\n")
+@example(content=b'a\n"' + b"x" * 200_000 + b'"\n')
+@example(content=b"[" * 100_000)
+def test_loaders_raise_only_lingspace_errors(tmp_path_factory, name, content):
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{name}"
+    path.write_bytes(content)
+    try:
+        LOADERS[name](path)
+    except LingspaceError:
+        pass

@@ -38,7 +38,7 @@ class TestPresets:
         assert TWITTER.rule == CharLimit(140)
 
     def test_weibo_is_an_encoded_unit_cap(self):
-        assert WEIBO.rule == EncodedUnitLimit("gbk_units", 280)
+        assert WEIBO.rule == EncodedUnitLimit(280)
 
 
 class TestBoundaries:
@@ -146,11 +146,7 @@ class TestRuleValidation:
 
     def test_unit_limit_must_be_positive(self):
         with pytest.raises(UsageError, match="positive"):
-            EncodedUnitLimit("gbk_units", -1)
-
-    def test_unknown_unit_scheme_rejected(self):
-        with pytest.raises(UsageError, match="unsupported unit scheme"):
-            EncodedUnitLimit("utf16_units", 280)
+            EncodedUnitLimit(-1)
 
     def test_custom_limits_work_through_check_fit(self):
         tight = LimitSpec("tight", CharLimit(3))

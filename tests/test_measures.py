@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lingspace.errors import GbkEncodingError, GsmNotRepresentableError
+from lingspace.errors import GsmNotRepresentableError
 from lingspace.measures import (
-    GbkFallback,
     SpaceMeasure,
     count_units,
     count_urls,
@@ -23,8 +22,8 @@ from textgen import MIXED_TEXT
 _plain = st.text().filter(lambda t: "http" not in t.lower())
 
 
-def measure(text, kind, fallback=GbkFallback.COUNT_AS_2):
-    return count_units(text, kind, fallback)
+def measure(text, kind):
+    return count_units(text, kind)
 
 
 class TestCounting:
@@ -55,46 +54,23 @@ class TestCounting:
 
 
 class TestGbkFallback:
+    """Scalars the GBK code page cannot encode still cost 2 units."""
+
     def test_emoji_counts_as_two_by_default(self):
         assert gbk_unit_length("\U0001f600") == 2
 
-    def test_reject_policy_raises_naming_the_scalar(self):
-        with pytest.raises(GbkEncodingError) as exc:
-            gbk_unit_length("ok\U0001f600", GbkFallback.REJECT)
-        assert exc.value.char == "\U0001f600"
-        assert "U+1F600" in str(exc.value)
-
-    def test_encodable_cjk_passes_under_reject(self):
-        assert gbk_unit_length("中文", GbkFallback.REJECT) == 4
-
-    @given(MIXED_TEXT, st.sampled_from(list(GbkFallback)))
-    def test_matches_the_per_scalar_reference(self, text, fallback):
-        assert _gbk_outcome(gbk_unit_length, text, fallback) == _gbk_outcome(
-            _reference_gbk_unit_length, text, fallback
-        )
+    @given(MIXED_TEXT)
+    def test_matches_the_per_scalar_reference(self, text):
+        assert gbk_unit_length(text) == _reference_gbk_unit_length(text)
 
 
-def _reference_gbk_unit_length(text, fallback):
-    """The per-scalar loop the string-level implementation must agree with."""
+def _reference_gbk_unit_length(text):
+    """The per-scalar loop the string-level implementation must agree with:
+    1 per ASCII scalar, 2 per any other, encodable in GBK or not."""
     units = 0
     for ch in text:
-        if ord(ch) < 128:
-            units += 1
-            continue
-        try:
-            ch.encode("gbk")
-        except UnicodeEncodeError:
-            if fallback is GbkFallback.REJECT:
-                raise GbkEncodingError(ch) from None
-        units += 2
+        units += 1 if ord(ch) < 128 else 2
     return units
-
-
-def _gbk_outcome(fn, text, fallback):
-    try:
-        return fn(text, fallback)
-    except GbkEncodingError as exc:
-        return ("rejected", exc.char)
 
 
 class TestUrls:

@@ -11,7 +11,7 @@ import pytest
 
 from lingspace.cli import main
 from lingspace.corpus import load_corpus
-from lingspace.pipeline import default_min_chars, load_pipeline_config, run_pipeline
+from lingspace.pipeline import ingest_corpus, load_pipeline_config, run_pipeline
 
 OUTPUT_NAMES = (
     "corpus.jsonl",
@@ -136,9 +136,24 @@ class TestConfigHandling:
             )
             assert isinstance(payload, list) and payload
 
-    def test_default_min_chars_by_corpus_format(self):
-        assert default_min_chars("udhr") == 0
-        assert default_min_chars("ted") == 1000
+    def test_default_min_chars_by_corpus_format(self, tmp_path):
+        # the same 999- and 1000-character eng texts as declaration paragraphs
+        # and as talks: only the talk filter (default 1000) drops the short one
+        texts = {"eng": ("e" * 999, "e" * 1000), "jpn": ("あ", "い")}
+        udhr, ted = tmp_path / "udhr", tmp_path / "ted"
+        udhr.mkdir()
+        for lang, (short, long) in texts.items():
+            (udhr / f"{lang}.txt").write_text(f"{short}\n\n{long}\n", "utf-8")
+            for talk, text in (("short", short), ("long", long)):
+                (ted / talk).mkdir(parents=True, exist_ok=True)
+                (ted / talk / f"{lang}.srt").write_text(
+                    f"1\n00:00:01,000 --> 00:00:02,000\n{text}\n", "utf-8"
+                )
+        langs = ("eng", "jpn")
+        assert len(ingest_corpus("udhr", udhr, langs, None)) == 2
+        assert [u.unit_id for u in ingest_corpus("ted", ted, langs, None).units] == [
+            "long"
+        ]
 
     def test_loaded_config_fills_documented_defaults(
         self, tmp_path, udhr_dir, post_dump
@@ -156,20 +171,33 @@ class TestConfigHandling:
         assert cfg.out_dir == tmp_path / "out"
 
     @pytest.mark.parametrize(
-        "section, key",
-        [("corpus", "min_chars"), ("posts", "min_posts"), ("ratios", "rescale_limit")],
+        "section, key, value, error",
+        [
+            ("corpus", "min_chars", "abc", "'config': [corpus] min_chars is not a"),
+            ("posts", "min_posts", "abc", "'config': [posts] min_posts is not a"),
+            ("ratios", "rescale_limit", "abc", "'config': [ratios] rescale_limit is"),
+            ("corpus", "min_chars", "-1", "'corpus ingest': min_chars must be >= 0"),
+            ("posts", "min_posts", "-1", "'posts analyze': min_posts must be >= 0"),
+        ],
+        ids=[
+            "corpus-min_chars",
+            "posts-min_posts",
+            "ratios-rescale_limit",
+            "corpus-min_chars-negative",
+            "posts-min_posts-negative",
+        ],
     )
     def test_non_numeric_value_fails_in_config(
-        self, tmp_path, udhr_dir, post_dump, capsys, section, key
+        self, tmp_path, udhr_dir, post_dump, capsys, section, key, value, error
     ):
+        """Non-numbers fail while the config is read; negative counts fail
+        in the stage that uses them."""
         sections = base_sections(udhr_dir, post_dump)
-        sections[section][key] = "abc"
+        sections[section][key] = value
         config = tmp_path / "run.ini"
         write_config(config, sections)
         assert run_pipeline(config) == 1
-        err = capsys.readouterr().err
-        assert "pipeline failed at stage 'config':" in err
-        assert f"[{section}] {key} is not a valid" in err
+        assert f"pipeline failed at stage {error}" in capsys.readouterr().err
 
     def test_rescale_defaults_off_without_eng(self, tmp_path, udhr_dir, post_dump):
         sections = base_sections(udhr_dir, post_dump)
@@ -242,6 +270,23 @@ class TestFailureStages:
         write_config(config, sections)
         assert run_pipeline(config) == 1
         assert "pipeline failed at stage 'posts analyze':" in capsys.readouterr().err
+
+    def test_non_utf8_csv_posts_fail_in_the_posts_stage(
+        self, tmp_path, udhr_dir, post_dump, capsys
+    ):
+        posts = tmp_path / "posts.csv"
+        posts.write_bytes(
+            b"id,account,platform,text,created_at\n"
+            b"1,usnews_tw,twitter,caf\xe9,2015-01-01T00:00:00Z\n"
+        )
+        sections = base_sections(udhr_dir, post_dump)
+        sections["posts"]["posts"] = str(posts)
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        err = capsys.readouterr().err
+        assert "pipeline failed at stage 'posts analyze':" in err
+        assert "posts.csv:2: not UTF-8" in err
 
     def test_overlong_min_chars_fails_in_the_ratios_stage(
         self, tmp_path, udhr_dir, post_dump, capsys

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lingspace.corpus import AlignedUnit, CorpusFilterPolicy, ParallelCorpus, build_parallel_corpus
+from lingspace.corpus import AlignedUnit, ParallelCorpus
 from lingspace.errors import DataError, UsageError
 from lingspace.measures import SpaceMeasure
 from lingspace.ratios import (
     RATIO_TABLE_FIELDS,
     aggregate_ratios,
     describe,
-    equivalent_length,
     ratio_table_row,
     unit_ratio,
 )
@@ -239,56 +238,23 @@ class TestAggregateRatios:
             aggregate_ratios(corpus, "jpn", "eng", SpaceMeasure.CHARACTERS)
 
     def test_units_missing_a_language_are_skipped_with_warning(self, caplog):
-        data = {
-            "eng": [("1", "x" * 10), ("2", "y" * 10)],
-            "cmn_hans": [("1", "中" * 5)],
-        }
-        policy = CorpusFilterPolicy(require_all_languages=False, min_length_chars=0)
-        corpus, _ = build_parallel_corpus(data, policy)
+        corpus = _corpus(
+            [{"eng": "x" * 10, "cmn_hans": "中" * 5}, {"eng": "y" * 10}]
+        )
         with caplog.at_level("WARNING", logger="lingspace.ratios"):
             stats = aggregate_ratios(
                 corpus, "eng", "cmn_hans", SpaceMeasure.CHARACTERS
             )
-        assert [unit_id for unit_id, _ in stats.per_unit] == ["1"]
+        assert [unit_id for unit_id, _ in stats.per_unit] == ["0"]
         assert stats.stats.n == 1
-        assert any("skipping unit '2'" in message for message in caplog.messages)
+        # one summary line, not one line per skipped unit
+        assert caplog.messages == ["1 of 2 units skipped for eng vs cmn_hans"]
 
     def test_no_measurable_units_is_a_usage_error(self):
-        data = {
-            "eng": [("1", "x")],
-            "jpn": [("2", "あ")],
-        }
-        policy = CorpusFilterPolicy(require_all_languages=False, min_length_chars=0)
-        corpus, _ = build_parallel_corpus(data, policy)
+        units = (AlignedUnit("1", {"eng": "x"}), AlignedUnit("2", {"jpn": "あ"}))
+        corpus = ParallelCorpus("c", ("eng", "jpn"), units)
         with pytest.raises(UsageError, match="no measurable units"):
             aggregate_ratios(corpus, "eng", "jpn", SpaceMeasure.CHARACTERS)
-
-
-class TestEquivalentLength:
-    def test_ratio_one_is_identity(self):
-        assert equivalent_length(140, 1.0) == 140
-
-    def test_typical_cross_language_scale(self):
-        assert equivalent_length(140, 3.95) == pytest.approx(35.44, abs=0.01)
-
-    def test_non_positive_ratio_rejected(self):
-        with pytest.raises(UsageError, match="positive"):
-            equivalent_length(140, 0.0)
-        with pytest.raises(UsageError, match="positive"):
-            equivalent_length(140, -2.0)
-
-    @given(
-        st.floats(min_value=0.01, max_value=1e6),
-        st.floats(min_value=0.01, max_value=100.0),
-        st.floats(min_value=1.01, max_value=4.0),
-    )
-    def test_decreasing_in_ratio_and_linear_in_length(self, base, ratio, bump):
-        longer = equivalent_length(base, ratio)
-        shorter = equivalent_length(base, ratio * bump)
-        assert shorter < longer
-        assert equivalent_length(2 * base, ratio) == pytest.approx(
-            2 * longer, rel=1e-12
-        )
 
 
 def test_ratio_table_row_matches_schema(udhr_corpus):

@@ -80,6 +80,12 @@ class TestJson:
         with pytest.raises(DataError, match="invalid JSON table"):
             read_records(bad)
 
+    def test_undecodable_json_table_rejected(self, tmp_path):
+        bad = tmp_path / "t.json"
+        bad.write_bytes(b'[{"name": "caf\xe9"}]')
+        with pytest.raises(DataError, match=r"t\.json:1: not UTF-8"):
+            read_records(bad)
+
     def test_non_array_json_table_rejected(self, tmp_path):
         bad = tmp_path / "t.json"
         bad.write_text('{"a": 1}', encoding="utf-8")
