@@ -107,6 +107,11 @@ def parse_udhr_language_file(content: str, lang: LanguageTag) -> list[tuple[int,
     return paragraphs
 
 
+def _check_min_chars(min_chars: int) -> None:
+    if min_chars < 0:
+        raise UsageError("min_chars must be >= 0")
+
+
 def build_parallel_corpus(
     per_language_units: Mapping[LanguageTag, Iterable[tuple[str, str]]],
     min_chars: int,
@@ -123,8 +128,7 @@ def build_parallel_corpus(
     talks. Returns the corpus plus a report of how many unit ids were
     dropped and why.
     """
-    if min_chars < 0:
-        raise UsageError("min_chars must be >= 0")
+    _check_min_chars(min_chars)
     if len(per_language_units) < 2:
         raise UsageError("need at least two languages to build a parallel corpus")
     by_lang: dict[LanguageTag, dict[str, str]] = {}
@@ -184,6 +188,7 @@ def load_udhr_directory(
     because positional alignment would silently pair unrelated paragraphs.
     No paragraph is dropped for length unless min_chars is given.
     """
+    _check_min_chars(min_chars)
     directory = Path(directory)
     per_lang: dict[LanguageTag, list[tuple[str, str]]] = {}
     counts: dict[LanguageTag, int] = {}
@@ -223,6 +228,7 @@ def load_subtitle_directory(
     caption file found per language (srt, then vtt, then json) wins. Talks
     whose eng transcript is shorter than min_chars characters are dropped.
     """
+    _check_min_chars(min_chars)
     directory = Path(directory)
     talk_dirs = sorted(p for p in directory.iterdir() if p.is_dir())
     if not talk_dirs:
@@ -288,9 +294,9 @@ def load_corpus(path: str | Path) -> ParallelCorpus:
     """
     path = Path(path)
     records = read_json_lines(path)
-    if not records or records[0][0] != 1:
+    lineno, header, problem = next(records, (None, None, None))
+    if lineno != 1:
         raise DataError(f"{path}: empty corpus file")
-    _, header, problem = records[0]
     if problem is not None:
         raise DataError(f"{path}:1: invalid corpus header: {problem}")
     for key, kind in (("name", str), ("languages", list), ("provenance", str)):
@@ -302,7 +308,7 @@ def load_corpus(path: str | Path) -> ParallelCorpus:
         raise DataError(f"{path}:1: corpus header 'languages' holds a non-string")
     languages = tuple(parse_language_tag(lang) for lang in header["languages"])
     units: list[AlignedUnit] = []
-    for lineno, record, problem in records[1:]:
+    for lineno, record, problem in records:
         if problem is not None:
             raise DataError(f"{path}:{lineno}: invalid unit record: {problem}")
         if "unit_id" not in record:

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, UsageError
 from .langtags import CMN_HANS, CMN_HANT, LanguageTag, parse_language_tag
@@ -38,8 +39,9 @@ class AccountMeta:
     org_type: str
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
+    """One post; a named tuple, since a dump holds tens of thousands."""
+
     post_id: str
     account: str
     platform: str
@@ -84,22 +86,25 @@ def _parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _validate_record(
-    record: Mapping[str, object],
-) -> tuple[datetime | None, str | None]:
-    """The record's parsed created_at, or None and the reason it is invalid."""
+def _validate_record(record: Mapping[str, object]) -> tuple[Post | None, str | None]:
+    """The record as a Post, or None and the reason it is invalid."""
+    values = []
     for field in _REQUIRED_POST_FIELDS:
         value = record.get(field)
         if value is None:
             return None, f"missing {field!r}"
-        if field != "text" and not str(value).strip():
+        converted = str(value)
+        if field != "text" and not converted.strip():
             return None, f"empty {field!r}"
-    if str(record["platform"]) not in PLATFORMS:
+        values.append(converted)
+    post_id, account, platform, text, created_at = values
+    if platform not in PLATFORMS:
         return None, f"unknown platform {record['platform']!r}"
     try:
-        return _parse_timestamp(str(record["created_at"])), None
+        timestamp = _parse_timestamp(created_at)
     except (ValueError, OverflowError):  # UTC shifts a date past year 1 or 9999
         return None, f"unparseable created_at {record['created_at']!r}"
+    return Post(post_id, account, platform, text, timestamp), None
 
 
 def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
@@ -113,38 +118,28 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     if format == "jsonl":
         records = read_json_lines(path)
     elif format == "csv":
-        records = [
+        records = (
             (lineno, row, None)
             for lineno, row in read_csv_records(path, _REQUIRED_POST_FIELDS)
-        ]
+        )
     else:
         raise UsageError(f"unknown posts format {format!r} (expected jsonl or csv)")
 
     posts: list[Post] = []
     bad: list[tuple[int, str]] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, record, parse_error in records:
-        if parse_error is not None:
-            bad.append((lineno, parse_error))
-            continue
-        created_at, problem = _validate_record(record)
+    for lineno, record, problem in records:
+        if problem is None:
+            post, problem = _validate_record(record)
         if problem is not None:
             bad.append((lineno, problem))
             continue
-        key = (str(record["platform"]), str(record["id"]))
+        key = (post.platform, post.post_id)
         if key in seen:
             bad.append((lineno, f"duplicate post id {record['id']!r}"))
             continue
         seen.add(key)
-        posts.append(
-            Post(
-                post_id=str(record["id"]),
-                account=str(record["account"]),
-                platform=str(record["platform"]),
-                text=str(record["text"]),
-                created_at=created_at,
-            )
-        )
+        posts.append(post)
     if bad:
         shown = "; ".join(f"line {lineno}: {reason}" for lineno, reason in bad[:20])
         more = f" (and {len(bad) - 20} more)" if len(bad) > 20 else ""
@@ -192,6 +187,8 @@ def account_length_stats(
     Inclusion requires strictly more than min_posts posts. Posts that are
     empty after URL stripping stay in with length 0.
     """
+    if min_posts < 0:
+        raise UsageError("min_posts must be >= 0")
     for post in posts:
         if post.account != meta.screen_name or post.platform != meta.platform:
             raise UsageError(
@@ -200,15 +197,19 @@ def account_length_stats(
             )
     if len(posts) <= min_posts:
         return None
-    with_urls = [count_units(post.text, SpaceMeasure.CHARACTERS) for post in posts]
-    without_urls = [
-        count_units(strip_urls(post.text), SpaceMeasure.CHARACTERS)
-        for post in posts
-    ]
+    with_urls: list[int] = []
+    without_urls: list[int] = []
     histogram: dict[int, int] = {}
     for post in posts:
-        urls = count_urls(post.text)
+        text = post.text
+        urls = count_urls(text)
         histogram[urls] = histogram.get(urls, 0) + 1
+        length = count_units(text, SpaceMeasure.CHARACTERS)
+        with_urls.append(length)
+        # Without a URL match, strip_urls would return the text unchanged.
+        if urls:
+            length = count_units(strip_urls(text), SpaceMeasure.CHARACTERS)
+        without_urls.append(length)
     return AccountStats(
         meta=meta,
         n_posts=len(posts),
@@ -262,39 +263,41 @@ def assign_posts(
 
     Accounts registered in several languages get each post routed by its
     detected script; posts matching no registered language, or no known
-    account, are dropped with a warning. Returns the grouping and the count
-    of dropped posts.
+    account, are dropped, with one warning per reason giving its count.
+    Returns the grouping and the count of dropped posts.
     """
     by_account: dict[tuple[str, str], list[AccountMeta]] = {}
     for meta in accounts:
         by_account.setdefault((meta.screen_name, meta.platform), []).append(meta)
     assigned: dict[AccountMeta, list[Post]] = {meta: [] for meta in accounts}
-    dropped = 0
+    # A single-language account's posts go straight to its list.
+    single = {
+        key: assigned[metas[0]] for key, metas in by_account.items() if len(metas) == 1
+    }
+    unknown = unattributable = 0
     for post in posts:
-        metas = by_account.get((post.account, post.platform))
-        if not metas:
-            dropped += 1
-            log.warning(
-                "dropping post %s: unknown account %s@%s",
-                post.post_id,
-                post.account,
-                post.platform,
-            )
+        key = (post.account, post.platform)
+        target = single.get(key)
+        if target is not None:
+            target.append(post)
             continue
-        if len(metas) == 1:
-            assigned[metas[0]].append(post)
+        metas = by_account.get(key)
+        if metas is None:
+            unknown += 1
             continue
         meta = _route_by_language(post, metas)
         if meta is None:
-            dropped += 1
-            log.warning(
-                "dropping post %s: cannot attribute it to one of languages %s",
-                post.post_id,
-                ", ".join(m.language for m in metas),
-            )
+            unattributable += 1
             continue
         assigned[meta].append(post)
-    return assigned, dropped
+    if unknown:
+        log.warning("dropped %d posts of unknown accounts", unknown)
+    if unattributable:
+        log.warning(
+            "dropped %d posts whose script matches none of their account's languages",
+            unattributable,
+        )
+    return assigned, unknown + unattributable
 
 
 def _route_by_language(post: Post, metas: Sequence[AccountMeta]) -> AccountMeta | None:

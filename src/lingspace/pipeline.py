@@ -229,9 +229,7 @@ def analyze_posts(
         posts_format = "csv" if Path(posts_path).suffix.lower() == ".csv" else "jsonl"
     posts = load_posts(posts_path, posts_format)
     accounts = load_accounts(accounts_path)
-    assigned, dropped = assign_posts(posts, accounts)
-    if dropped:
-        log.info("dropped %d unattributable posts", dropped)
+    assigned, _ = assign_posts(posts, accounts)
     stats_list = []
     for meta in accounts:
         stats = account_length_stats(assigned[meta], meta, min_posts)

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 
 from .errors import DataError, UsageError
@@ -79,11 +79,11 @@ def emit_table(
 
 def read_json_lines(
     path: str | Path,
-) -> list[tuple[int, dict[str, object] | None, str | None]]:
+) -> Iterator[tuple[int, dict[str, object] | None, str | None]]:
     """(line number, object, problem) for each non-blank line of a JSON Lines
-    file. A line that is not UTF-8, not JSON or not a JSON object comes with
-    None and the problem instead of raising, so callers can name its line."""
-    out: list[tuple[int, dict[str, object] | None, str | None]] = []
+    file, read one line at a time. A line that is not UTF-8, not JSON or not
+    a JSON object comes with None and the problem instead of raising, so
+    callers can name its line."""
     with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -92,15 +92,14 @@ def read_json_lines(
                     continue
                 record = json.loads(line)
             except UnicodeDecodeError as exc:
-                out.append((lineno, None, f"not UTF-8 ({exc.reason})"))
+                yield lineno, None, f"not UTF-8 ({exc.reason})"
             except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
-                out.append((lineno, None, f"invalid JSON ({getattr(exc, 'msg', exc)})"))
+                yield lineno, None, f"invalid JSON ({getattr(exc, 'msg', exc)})"
             else:
                 if isinstance(record, dict):
-                    out.append((lineno, record, None))
+                    yield lineno, record, None
                 else:
-                    out.append((lineno, None, "record is not an object"))
-    return out
+                    yield lineno, None, "record is not an object"
 
 
 def _read_utf8(path: Path) -> str:

@@ -219,6 +219,12 @@ class TestUdhrDirectory:
         with pytest.raises(DataError, match="eng.txt"):
             load_udhr_directory(tmp_path, ("eng", "jpn"))
 
+    def test_negative_min_chars_rejected_before_any_file_is_read(self, tmp_path):
+        (tmp_path / "eng.txt").write_bytes(b"ok\xff\xfe")
+        (tmp_path / "jpn.txt").write_text("あ\n", encoding="utf-8")
+        with pytest.raises(UsageError, match="min_chars must be >= 0"):
+            load_udhr_directory(tmp_path, ("eng", "jpn"), min_chars=-1)
+
 
 class TestSubtitleDirectory:
     def test_exclusion_funnel_matches_the_generated_tree(self, ted_fixture, ted_ingest):
@@ -262,6 +268,13 @@ class TestSubtitleDirectory:
         with pytest.raises(DataError, match=r"eng\.srt.*line 1") as exc:
             load_subtitle_directory(tmp_path, ("eng",), min_chars=0)
         assert "-->" in str(exc.value)
+
+    def test_negative_min_chars_rejected_before_any_caption_is_read(self, tmp_path):
+        talk = tmp_path / "talk_0001"
+        talk.mkdir()
+        talk.joinpath("eng.srt").write_text("no timing here\n", encoding="utf-8")
+        with pytest.raises(UsageError, match="min_chars must be >= 0"):
+            load_subtitle_directory(tmp_path, ("eng",), min_chars=-1)
 
 
 class TestPersistence:

@@ -1,13 +1,16 @@
 """Microblog ingestion, per-account statistics, and RIC computation."""
 
 import json
+import statistics
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingspace.errors import DataError, UsageError
+from lingspace.measures import URL_PATTERN, nfc, strip_urls
 from lingspace.microblog import (
     RIC_TABLE_FIELDS,
     STATS_TABLE_FIELDS,
@@ -23,6 +26,7 @@ from lingspace.microblog import (
     stats_from_row,
     stats_table_row,
 )
+from textgen import MIXED_TEXT
 
 UTC = timezone.utc
 
@@ -31,6 +35,18 @@ META = AccountMeta("acc", "twitter", "eng", "news")
 
 def _post(i, text, account="acc", platform="twitter"):
     return Post(str(i), account, platform, text, datetime(2015, 3, 1, tzinfo=UTC))
+
+
+# Post text: mixed scalars with URLs at any position, URLs next to each
+# other, and combining marks right after a URL.
+_URL = st.builds(
+    str.__add__,
+    st.sampled_from(["http://", "HTTPS://", "https://"]),
+    st.text(alphabet="abc/.?=%é中\u0301", max_size=8),
+)
+_POST_TEXT = st.lists(
+    st.one_of(MIXED_TEXT, _URL, st.just("\u0301")), max_size=6
+).map("".join)
 
 
 def _write_jsonl(path, records):
@@ -267,6 +283,25 @@ class TestAccountLengthStats:
         stats = account_length_stats(posts, META, min_posts=0)
         assert stats.mean_chars_without_urls <= stats.mean_chars_with_urls
 
+    def test_negative_min_posts_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="min_posts must be >= 0"):
+            account_length_stats([], AccountMeta("a", "twitter", "eng", "news"), -1)
+
+    @given(st.lists(_POST_TEXT, min_size=1, max_size=8))
+    @example(["http://a b", "x HTTPS://t.co/q", "plain"])
+    @example(["http://aHTTPS://b http://c https://d"])
+    @example(["e http://x\u0301 y", "e http://x \u0301", "http://x\u0301"])
+    def test_stats_match_a_per_post_reference(self, texts):
+        posts = [_post(i, text) for i, text in enumerate(texts)]
+        stats = account_length_stats(posts, META, min_posts=0)
+        with_urls = [len(nfc(text)) for text in texts]
+        without_urls = [len(nfc(strip_urls(text))) for text in texts]
+        urls = Counter(len(URL_PATTERN.findall(text)) for text in texts)
+        assert stats.per_post_lengths == tuple(without_urls)
+        assert stats.mean_chars_with_urls == statistics.fmean(with_urls)
+        assert stats.mean_chars_without_urls == statistics.fmean(without_urls)
+        assert stats.url_count_histogram == dict(sorted(urls.items()))
+
 
 class TestComputeRic:
     RATIOS = {("eng", "cmn_hans"): 3.21, ("jpn", "cmn_hans"): 1.30}
@@ -383,6 +418,25 @@ class TestAssignPosts:
         assigned, dropped = assign_posts(posts, [eng_meta, jpn_meta])
         assert dropped == 1
         assert assigned[eng_meta] == [] and assigned[jpn_meta] == []
+
+    def test_drops_are_logged_as_one_count_per_reason(self, caplog):
+        eng_meta = AccountMeta("dual", "twitter", "eng", "embassy")
+        jpn_meta = AccountMeta("dual", "twitter", "jpn", "embassy")
+        posts = [
+            _post(0, "a", account="ghost"),
+            _post(1, "b", account="ghost", platform="weibo"),
+            _post(2, "12345", account="dual"),
+            _post(3, "信息", account="dual"),
+            _post(4, "morning update", account="dual"),
+            _post(5, "c", account="nobody"),
+        ]
+        with caplog.at_level("WARNING", logger="lingspace.microblog"):
+            _, dropped = assign_posts(posts, [eng_meta, jpn_meta])
+        assert dropped == 5
+        assert caplog.messages == [
+            "dropped 3 posts of unknown accounts",
+            "dropped 2 posts whose script matches none of their account's languages",
+        ]
 
 
 class TestTables:
