@@ -7,6 +7,8 @@ be encoded as GSM-7 at all.
 
 from __future__ import annotations
 
+import re
+
 from .errors import GsmNotRepresentableError
 
 # Positions 0x00-0x7F of the default alphabet in code-point order, minus the
@@ -25,10 +27,15 @@ BASIC_SET = frozenset(GSM7_BASIC)
 EXTENSION_SET = frozenset(GSM7_EXTENSION)
 GSM_SET = BASIC_SET | EXTENSION_SET
 
+# The longest GSM-7 prefix of a text: the match ends at the first character
+# outside both tables, so a scan stops there.
+_GSM_PREFIX = re.compile("[%s]*" % "".join(map(re.escape, sorted(GSM_SET))))
+_EXTENSION_CHAR = re.compile("[%s]" % "".join(map(re.escape, GSM7_EXTENSION)))
+
 
 def is_gsm_text(text: str) -> bool:
     """True if every character of the text is representable in GSM-7."""
-    return GSM_SET.issuperset(text)
+    return _GSM_PREFIX.fullmatch(text) is not None
 
 
 def septet_length(text: str) -> int:
@@ -37,6 +44,7 @@ def septet_length(text: str) -> int:
     Raises GsmNotRepresentableError on the first character outside both
     tables.
     """
-    if not GSM_SET.issuperset(text):
-        raise GsmNotRepresentableError(next(ch for ch in text if ch not in GSM_SET))
-    return len(text) + sum(map(text.count, GSM7_EXTENSION))
+    end = _GSM_PREFIX.match(text).end()
+    if end < len(text):
+        raise GsmNotRepresentableError(text[end])
+    return end + len(_EXTENSION_CHAR.findall(text))

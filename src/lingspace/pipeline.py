@@ -23,6 +23,7 @@ Relative paths resolve against the config file's directory.
 from __future__ import annotations
 
 import configparser
+import io
 import logging
 import sys
 from collections.abc import Callable, Iterable, Mapping
@@ -63,7 +64,7 @@ from .ratios import (
     ratio_table_row,
 )
 from .svgplot import BoxplotSeries, render_boxplot
-from .tables import emit_table
+from .tables import emit_table, read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +98,9 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path, encoding="utf-8")
+    text = read_utf8(path, UsageError)
+    # newline=None reads CR and CRLF line ends as a text-mode open() would.
+    parser.read_file(io.StringIO(text, newline=None), path)
     base_dir = path.parent
 
     def need(section: str, key: str) -> str:

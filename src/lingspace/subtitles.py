@@ -102,6 +102,8 @@ def _parse_json_cues(content: str) -> list[str]:
         doc = json.loads(content)
     except json.JSONDecodeError as exc:
         raise SubtitleParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
+        raise SubtitleParseError(1, f"invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
         for key in ("captions", "cues"):
             if key in doc:

@@ -13,7 +13,7 @@ import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 
-from .errors import DataError, UsageError
+from .errors import DataError, LingspaceError, UsageError
 
 TABLE_FORMATS = ("csv", "json")
 
@@ -102,15 +102,15 @@ def read_json_lines(
                     yield lineno, None, "record is not an object"
 
 
-def _read_utf8(path: Path) -> str:
-    """The file's text with its line endings kept; undecodable bytes raise a
-    DataError naming the file and line."""
+def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
+    """The file's text with its line endings kept; undecodable bytes raise
+    `error` naming the file and line."""
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
+        raise error(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
 
 
 def read_csv_records(
@@ -122,7 +122,7 @@ def read_csv_records(
     CSV and missing required columns raise a DataError naming the file.
     """
     path = Path(path)
-    reader = csv.DictReader(io.StringIO(_read_utf8(path), newline=""))
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
     # emit_table writes cells of any length (an account's per-post values
     # share one cell), so the read lifts the csv module's 128 KiB cap.
     limit = csv.field_size_limit(2**31 - 1)
@@ -149,7 +149,7 @@ def read_records(path: str | Path) -> list[dict[str, object]]:
     if path.suffix.lower() != ".json":
         return [row for _, row in read_csv_records(path)]
     try:
-        payload = json.loads(_read_utf8(path))
+        payload = json.loads(read_utf8(path))
     except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
         message = getattr(exc, "msg", exc)
         raise DataError(f"{path}: invalid JSON table: {message}") from exc

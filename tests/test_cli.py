@@ -162,6 +162,35 @@ class TestCorpusIngest:
         assert code == 2
         assert "unknown language tag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        ["[" * 200_000, '[{"text": ' + "9" * 5000 + "}]"],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_json_caption_past_the_decoder_limits_is_a_data_error(
+        self, tmp_path, capsys, content
+    ):
+        caption = tmp_path / "talks" / "t1" / "eng.json"
+        caption.parent.mkdir(parents=True)
+        caption.write_text(content, encoding="utf-8")
+        code = main(
+            [
+                "corpus",
+                "ingest",
+                "--format",
+                "ted",
+                "--input",
+                str(tmp_path / "talks"),
+                "--langs",
+                "eng,jpn",
+                "--out",
+                str(tmp_path / "out.jsonl"),
+                "--quiet",
+            ]
+        )
+        assert code == 1
+        assert f"{caption}: line 1: invalid JSON" in capsys.readouterr().err
+
 
 class TestRatios:
     def test_csv_to_stdout(self, udhr_corpus_file, capsys):

@@ -106,7 +106,7 @@ _REFERENCE_EXTENSION = set(_ORACLE_EXTENSION.values())
 
 
 def _reference_septet_outcome(text):
-    """The per-character loop the set-based implementation must agree with."""
+    """The per-character loop the regex scan must agree with."""
     total = 0
     for ch in text:
         if ch in _REFERENCE_BASIC:

@@ -1,7 +1,9 @@
 """Platform length limits and SMS encoding selection."""
 
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingspace import gsm7
@@ -13,9 +15,13 @@ from lingspace.limits import (
     WEIBO,
     CharLimit,
     EncodedUnitLimit,
+    FitResult,
     LimitSpec,
+    SingleSms,
     check_fit,
 )
+from lingspace.measures import SpaceMeasure
+from textgen import MIXED_TEXT
 
 # A GSM-basic char, a CJK char, and a char that is non-ASCII yet GBK-encodable.
 ASCII_CH = "a"
@@ -175,3 +181,70 @@ class TestProperties:
             return
         for cut in range(len(text)):
             assert check_fit(text[:cut], spec).fits
+
+
+def _reference_count_units(text, measure):
+    """count_units as an if-chain over the enum members check_fit uses."""
+    normalized = unicodedata.normalize("NFC", text)
+    if measure is SpaceMeasure.CHARACTERS:
+        return len(normalized)
+    if measure is SpaceMeasure.GBK_UNITS:
+        return 2 * len(normalized) - len(normalized.encode("ascii", "ignore"))
+    if measure is SpaceMeasure.GSM7_SEPTETS:
+        return len(normalized) + sum(map(normalized.count, gsm7.GSM7_EXTENSION))
+    raise AssertionError(measure)
+
+
+def _reference_check_fit(text, limit):
+    """check_fit with whole-text set membership for GSM-7 and a plain tuple
+    (fits, units_used, units_max, unit_kind, encoding_chosen) as verdict."""
+    rule = limit.rule
+    if isinstance(rule, CharLimit):
+        used = _reference_count_units(text, SpaceMeasure.CHARACTERS)
+        return (used <= rule.max_chars, used, rule.max_chars, "chars", None)
+    if isinstance(rule, EncodedUnitLimit):
+        used = _reference_count_units(text, SpaceMeasure.GBK_UNITS)
+        return (used <= rule.max_units, used, rule.max_units, "gbk_units", None)
+    assert isinstance(rule, SingleSms)
+    normalized = unicodedata.normalize("NFC", text)
+    if gsm7.GSM_SET.issuperset(normalized):
+        used = _reference_count_units(normalized, SpaceMeasure.GSM7_SEPTETS)
+        return (used <= 160, used, 160, "gsm7_septets", "gsm7")
+    return (len(normalized) <= 70, len(normalized), 70, "ucs2_chars", "ucs2")
+
+
+# Texts that stay inside GSM-7 after NFC (decomposed e-acute and a-grave
+# compose into the basic table), so SMS checks take the septet branch.
+GSM_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(gsm7.GSM7_BASIC),
+        st.sampled_from(gsm7.GSM7_EXTENSION),
+        st.sampled_from(["e\u0301", "a\u0300"]),
+    ),
+    max_size=170,
+).map("".join)
+
+
+class TestReferenceEquivalence:
+    def test_fit_result_fields(self):
+        assert FitResult._fields == (
+            "fits", "units_used", "units_max", "unit_kind", "encoding_chosen",
+        )
+        assert FitResult(True, 1, 140, "chars").encoding_chosen is None
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @given(text=st.one_of(MIXED_TEXT, GSM_TEXT))
+    @example(text="Cafe\u0301 {5\u20ac} ^[~]|\f\\ a\u0300")
+    def test_check_fit_matches_the_reference(self, name, text):
+        spec = PRESETS[name]
+        expected = _reference_check_fit(text, spec)
+        assert tuple(check_fit(text, spec)) == expected
+        # An appended "a" costs one unit under every rule and encoding, so
+        # these texts sit exactly at the cap and one unit past it.
+        used, cap = expected[1], expected[2]
+        for pad in (cap - used, cap - used + 1):
+            if pad >= 0:
+                padded = text + "a" * pad
+                expected_padded = _reference_check_fit(padded, spec)
+                assert expected_padded[1] == used + pad
+                assert tuple(check_fit(padded, spec)) == expected_padded

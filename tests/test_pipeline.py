@@ -261,6 +261,34 @@ class TestFailureStages:
         assert run_pipeline(config) == 1
         assert "measure must be one of" in capsys.readouterr().err
 
+    def test_undecodable_config_fails_in_config(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_bytes(b"\xff\xfe[corpus]\n")
+        assert run_pipeline(config) == 1
+        err = capsys.readouterr().err
+        assert "pipeline failed at stage 'config':" in err
+        assert f"{config}:1: not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        ["[" * 200_000, '[{"text": ' + "9" * 5000 + "}]"],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_json_caption_past_the_decoder_limits_fails_in_ingest(
+        self, tmp_path, post_dump, capsys, content
+    ):
+        caption = tmp_path / "talks" / "t1" / "eng.json"
+        caption.parent.mkdir(parents=True)
+        caption.write_text(content, encoding="utf-8")
+        sections = base_sections(tmp_path / "talks", post_dump)
+        sections["corpus"]["format"] = "ted"
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        err = capsys.readouterr().err
+        assert "pipeline failed at stage 'corpus ingest':" in err
+        assert f"{caption}: line 1: invalid JSON" in err
+
     def test_missing_posts_file_fails_in_the_posts_stage(
         self, tmp_path, udhr_dir, post_dump, capsys
     ):

@@ -131,6 +131,16 @@ class TestJsonCaptions:
             parse_subtitle('{"captions": [\n  {"content": }\n]}', "json_captions")
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        ["[" * 200_000, '[{"text": ' + "9" * 5000 + "}]"],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_json_past_the_decoder_limits_is_a_parse_error(self, content):
+        with pytest.raises(SubtitleParseError, match="invalid JSON") as exc:
+            parse_subtitle(content, "json_captions")
+        assert exc.value.line_number == 1
+
     def test_missing_container_key(self):
         with pytest.raises(SubtitleParseError, match="'captions' or 'cues'"):
             parse_subtitle('{"other": []}', "json_captions")

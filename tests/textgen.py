@@ -2,9 +2,9 @@
 string-level counting and cleaning code treats specially.
 
 The pieces are ASCII, CJK (BMP and supplementary planes), lone surrogates,
-emoji, Thai, decomposed accents, the GSM-7 default and extension tables,
-markup tags and every Unicode whitespace character; the text is a random
-concatenation of them.
+emoji, Thai, decomposed accents and lone combining marks, Latin letters
+outside GSM-7, the GSM-7 default and extension tables, markup tags and every
+Unicode whitespace character; the text is a random concatenation of them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ WHITESPACE = (
 )
 GSM7_NON_ASCII = "£¥èéùìòÇØøÅåΔΦΓΛΩΠΨΣΘΞÆæßÉ¤¡ÄÖÑÜ§¿äöñüà"
 GSM7_EXTENSION = "\f^{}\\[~]|€"
+NON_GSM_LATIN = "âêîôûçčšžłőűÿœ"
 TAGS = ("<", ">", "<>", "<i>", "</i>", "<b>", "</b>", "<font color=red>", "<c.yy>")
 
 
@@ -34,6 +35,8 @@ _PIECE = st.one_of(
     _span(0x1F300, 0x1FAFF),  # emoji
     _span(0x0E00, 0x0E7F),  # Thai, outside GBK and GSM-7
     st.just("é"),
+    _span(0x0300, 0x036F),  # combining marks, which NFC may fold into a letter
+    st.sampled_from(NON_GSM_LATIN),
     st.sampled_from(GSM7_NON_ASCII),
     st.sampled_from(GSM7_EXTENSION),
     st.sampled_from(TAGS),
