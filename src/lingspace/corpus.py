@@ -18,7 +18,7 @@ from .errors import DataError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .subtitles import parse_subtitle
-from .tables import read_json_lines
+from .tables import read_json_lines, read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -230,11 +230,13 @@ def load_subtitle_directory(
     """
     _check_min_chars(min_chars)
     directory = Path(directory)
-    talk_dirs = sorted(p for p in directory.iterdir() if p.is_dir())
-    if not talk_dirs:
+    with os.scandir(directory) as entries:
+        talk_names = sorted(entry.name for entry in entries if entry.is_dir())
+    if not talk_names:
         raise DataError(f"no talk directories under {directory}")
     per_lang: dict[LanguageTag, list[tuple[str, str]]] = {lang: [] for lang in langs}
-    for talk in talk_dirs:
+    for talk_name in talk_names:
+        talk = directory / talk_name
         with os.scandir(talk) as entries:
             files = {entry.name for entry in entries if entry.is_file()}
         for lang in langs:
@@ -248,7 +250,7 @@ def load_subtitle_directory(
                     transcript = parse_subtitle(content, fmt)
                 except SubtitleParseError as exc:
                     raise DataError(f"{path}: {exc}") from exc
-                per_lang[lang].append((talk.name, transcript))
+                per_lang[lang].append((talk_name, transcript))
                 break
     return build_parallel_corpus(
         per_lang,
@@ -259,12 +261,13 @@ def load_subtitle_directory(
 
 
 def read_utf8_text(path: Path) -> str:
-    """A file's UTF-8 contents; undecodable bytes raise a DataError naming it."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        # The underlying message names the offending byte offset.
-        raise DataError(f"{path}: {exc}") from exc
+    """A file's UTF-8 text with CR and CRLF line ends read as LF, as a
+    text-mode open() reads them; undecodable bytes raise a DataError naming
+    the file and line."""
+    text = read_utf8(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def save_corpus(corpus: ParallelCorpus, path: str | Path) -> None:

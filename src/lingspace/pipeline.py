@@ -100,7 +100,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     parser = configparser.ConfigParser()
     text = read_utf8(path, UsageError)
     # newline=None reads CR and CRLF line ends as a text-mode open() would.
-    parser.read_file(io.StringIO(text, newline=None), path)
+    parser.read_file(io.StringIO(text, newline=None), str(path))
     base_dir = path.parent
 
     def need(section: str, key: str) -> str:

@@ -15,6 +15,8 @@ _TIMING_RE = re.compile(
     r"(?:\d{1,3}:)?\d{1,2}:\d{2}[.,]\d{1,3}(?:\s+\S.*)?\s*$"
 )
 _TAG_RE = re.compile(r"<[^>]*>")
+_CUE_TAG_RE = re.compile(r"<(?:[^>\n]|\n(?!\n))*>")
+_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 
 
 def parse_subtitle(content: str, format: str) -> str:
@@ -27,77 +29,91 @@ def parse_subtitle(content: str, format: str) -> str:
     "captions" or "cues" list; each cue needs a "content" or "text" field.
     """
     if format == "srt":
-        cues = _parse_block_cues(content, webvtt=False)
-    elif format == "webvtt":
-        cues = _parse_block_cues(content, webvtt=True)
-    elif format == "json_captions":
-        cues = _parse_json_cues(content)
-    else:
-        raise UsageError(
-            f"unknown subtitle format {format!r} "
-            f"(expected one of: {', '.join(SUBTITLE_FORMATS)})"
-        )
-    return " ".join(cues)
+        return _parse_block_cues(content, webvtt=False)
+    if format == "webvtt":
+        return _parse_block_cues(content, webvtt=True)
+    if format == "json_captions":
+        return _parse_json_cues(content)
+    raise UsageError(
+        f"unknown subtitle format {format!r} "
+        f"(expected one of: {', '.join(SUBTITLE_FORMATS)})"
+    )
 
 
-def _clean_cue_text(lines: list[str]) -> str:
-    text = " ".join(lines)
-    if "<" in text:
-        text = _TAG_RE.sub("", text)
+def _parse_block_cues(content: str, *, webvtt: bool) -> str:
+    """The transcript of an SRT or WebVTT file, built from whole-text string
+    operations. A block is a run of non-blank lines; a cue block is an
+    optional id line, a timing line containing '-->', then the payload."""
+    lines = content.splitlines()
+    if any(map(str.isspace, lines)):
+        lines = ["" if line.isspace() else line for line in lines]
+    text = "\n".join(lines)
+    while "\n\n\n" in text:
+        text = text.replace("\n\n\n", "\n\n")
+    text = text.strip("\n")
+    # Each block as [first line, second line, rest], as far as it has them.
+    heads = [block.split("\n", 2) for block in text.split("\n\n")] if text else []
+
+    cues = heads
+    if webvtt:
+        if heads and heads[0][0].lstrip().upper().startswith("WEBVTT"):
+            cues = heads[1:]
+        cues = [
+            h for h in cues
+            if not h[0].strip().upper().startswith(("NOTE", "STYLE", "REGION"))
+        ]
+
+    # The timing line is the block's first line or, when a cue number or
+    # identifier precedes it, the second. A line without '-->' stands in for
+    # a missing one; _TIMING_RE rejects it.
+    timings = [h[0] if "-->" in h[0] or len(h) == 1 else h[1] for h in cues]
+    # Digits only ever meet \d in _TIMING_RE, so mapping them to "0" keeps
+    # each line's verdict while most lines of a file share one shape.
+    shapes = set("\n".join(timings).translate(_DIGITS_TO_ZERO).split("\n"))
+    if timings and not all(map(_TIMING_RE.match, shapes)):
+        _raise_first_bad_timing(lines, heads, cues, timings)
+
+    payloads = [
+        "\n".join(h[1:]) if "-->" in h[0] else h[2] if len(h) == 3 else ""
+        for h in cues
+    ]
+    # Cues are joined by a blank line, which a tag cannot span.
+    body = "\n\n".join(payloads)
+    if "<" in body:
+        body = _CUE_TAG_RE.sub("", body)
     # str.split() splits on exactly the characters re's \s matches.
-    return " ".join(text.split())
+    return " ".join(body.split())
 
 
-def _iter_blocks(content: str):
-    """Yield (first_line_number, lines) per blank-line-separated block."""
-    block: list[str] = []
-    start = 0
-    for lineno, line in enumerate(content.splitlines(), start=1):
-        if line.strip():
-            if not block:
-                start = lineno
-            block.append(line)
-        elif block:
-            yield start, block
-            block = []
-    if block:
-        yield start, block
-
-
-def _parse_block_cues(content: str, *, webvtt: bool) -> list[str]:
-    cues: list[str] = []
-    first_block = True
-    for start, lines in _iter_blocks(content):
-        if webvtt and first_block and lines[0].lstrip().upper().startswith("WEBVTT"):
-            first_block = False
-            continue
-        first_block = False
-        if webvtt and lines[0].strip().upper().startswith(("NOTE", "STYLE", "REGION")):
-            continue
-        # The timing line is the block's first line or, when a cue number or
-        # identifier precedes it, the second.
-        timing_index = None
-        for i in (0, 1):
-            if i < len(lines) and "-->" in lines[i]:
-                timing_index = i
-                break
-        if timing_index is None:
+def _raise_first_bad_timing(
+    lines: list[str],
+    heads: list[list[str]],
+    cues: list[list[str]],
+    timings: list[str],
+) -> None:
+    """Raise the SubtitleParseError of the first cue whose timing line is
+    missing (naming the block's first line) or malformed (naming the timing
+    line)."""
+    starts = [
+        number
+        for number, line in enumerate(lines, start=1)
+        if line and (number == 1 or not lines[number - 2])
+    ]
+    start_of = {id(head): start for head, start in zip(heads, starts)}
+    for head, timing in zip(cues, timings):
+        start = start_of[id(head)]
+        if "-->" not in timing:
             raise SubtitleParseError(
                 start, "expected a cue timing line containing '-->'"
             )
-        timing_line = lines[timing_index]
-        if not _TIMING_RE.match(timing_line):
+        if not _TIMING_RE.match(timing):
             raise SubtitleParseError(
-                start + timing_index,
-                f"malformed cue timing line: {timing_line.strip()!r}",
+                start + head.index(timing),
+                f"malformed cue timing line: {timing.strip()!r}",
             )
-        text = _clean_cue_text(lines[timing_index + 1 :])
-        if text:
-            cues.append(text)
-    return cues
 
 
-def _parse_json_cues(content: str) -> list[str]:
+def _parse_json_cues(content: str) -> str:
     try:
         doc = json.loads(content)
     except json.JSONDecodeError as exc:
@@ -117,7 +133,7 @@ def _parse_json_cues(content: str) -> list[str]:
         items = doc
     if not isinstance(items, list):
         raise SubtitleParseError(1, "caption container is not a list")
-    cues: list[str] = []
+    raws: list[str] = []
     for index, item in enumerate(items):
         if not isinstance(item, dict):
             raise SubtitleParseError(1, f"cue #{index} is not an object")
@@ -131,7 +147,6 @@ def _parse_json_cues(content: str) -> list[str]:
             )
         if not isinstance(raw, str):
             raise SubtitleParseError(1, f"cue #{index} text is not a string")
-        text = _clean_cue_text(raw.splitlines() or [""])
-        if text:
-            cues.append(text)
-    return cues
+        raws.append(_TAG_RE.sub("", raw) if "<" in raw else raw)
+    # Every line break splitlines() knows is whitespace to str.split().
+    return " ".join(" ".join(raws).split())

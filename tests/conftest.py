@@ -10,12 +10,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import microgen
 import tedgen
 from lingspace.corpus import load_subtitle_directory, load_udhr_directory
 
 ALL_LANGS = ("eng", "jpn", "cmn_hans", "cmn_hant")
+
+# `pytest --hypothesis-profile=ci` runs each property on more examples.
+settings.register_profile("ci", max_examples=1000)
 
 _FIXTURES = Path(__file__).resolve().parent / "fixtures"
 

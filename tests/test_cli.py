@@ -191,6 +191,28 @@ class TestCorpusIngest:
         assert code == 1
         assert f"{caption}: line 1: invalid JSON" in capsys.readouterr().err
 
+    def test_undecodable_caption_file_names_its_line(self, tmp_path, capsys):
+        caption = tmp_path / "talks" / "t1" / "eng.srt"
+        caption.parent.mkdir(parents=True)
+        caption.write_bytes(b"1\n00:00:01,000 --> 00:00:02,000\nca\xe7a\n")
+        code = main(
+            [
+                "corpus",
+                "ingest",
+                "--format",
+                "ted",
+                "--input",
+                str(tmp_path / "talks"),
+                "--langs",
+                "eng,jpn",
+                "--out",
+                str(tmp_path / "out.jsonl"),
+                "--quiet",
+            ]
+        )
+        assert code == 1
+        assert f"{caption}:3: not UTF-8" in capsys.readouterr().err
+
 
 class TestRatios:
     def test_csv_to_stdout(self, udhr_corpus_file, capsys):
@@ -374,6 +396,24 @@ class TestLimitCheck:
         assert "fits: yes" in out
         assert "units_used: 140" in out
 
+    def test_undecodable_file_names_its_line(self, tmp_path, capsys):
+        message = tmp_path / "bad.txt"
+        message.write_bytes(b"ab\n\xffcd\n")
+        code = main(["limit", "check", "--platform", "sms", "--file", str(message)])
+        assert code == 1
+        assert f"{message}:2: not UTF-8 (invalid start byte)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_file_line_ends_read_as_lf(self, tmp_path, capsys, end):
+        counts = []
+        for name, line_end in (("lf.txt", "\n"), ("other.txt", end)):
+            message = tmp_path / name
+            message.write_bytes(f"one{line_end}two €{line_end}".encode("utf-8"))
+            argv = ["limit", "check", "--platform", "sms", "--file", str(message)]
+            assert main([*argv, "--format", "json", "--quiet"]) == 0
+            counts.append(json.loads(capsys.readouterr().out)["units_used"])
+        assert counts[0] == counts[1] == 10
+
     def test_overflow_reports_no(self, capsys):
         code = main(
             [
@@ -412,8 +452,7 @@ class TestLimitCheck:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}: ")
-        assert "utf-8" in err
+        assert err == f"error: {message}:1: not UTF-8 (unexpected end of data)\n"
 
     def test_text_and_file_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,8 @@
 """Corpus parsing, alignment, filtering, and persistence, plus the fuzz
-tests that feed every file loader arbitrary content."""
+tests that feed every file loader and the pipeline config loader arbitrary
+content."""
 
+import configparser
 import csv
 import io
 import json
@@ -21,6 +23,7 @@ from lingspace.corpus import (
 )
 from lingspace.errors import DataError, LingspaceError, UsageError
 from lingspace.microblog import load_accounts, load_posts
+from lingspace.pipeline import load_pipeline_config
 from lingspace.tables import read_records
 
 from conftest import ALL_LANGS
@@ -486,4 +489,48 @@ def test_loaders_raise_only_lingspace_errors(tmp_path_factory, name, content):
     try:
         LOADERS[name](path)
     except LingspaceError:
+        pass
+
+
+# Each config key with a value it accepts; a drawn config keeps most keys at
+# such a value, so the loader gets past its first check.
+_INI_KEYS = {
+    "corpus": {"format": "ted", "input": "talks", "langs": "eng,jpn", "min_chars": "0"},
+    "ratios": {"base": "eng", "others": "jpn", "measure": "gbk",
+               "rescale_lang": "jpn", "rescale_limit": "140"},
+    "posts": {"posts": "p.jsonl", "posts_format": "jsonl", "accounts": "a.csv",
+              "min_posts": "50"},
+    "ric": {"base": "jpn"},
+    "output": {"dir": "out", "format": "json"},
+}
+_INI_VALUE = st.sampled_from(
+    ["", "udhr", "qqz", "eng,eng", "cmn_hans", "-1", "1e400", "nan", "inf", "1_0",
+     "%(x)s", "%", "/abs", "\x00", "a\n b", " eng "]
+) | st.text(max_size=8)
+
+
+@st.composite
+def ini_text(draw):
+    lines = []
+    for section, keys in _INI_KEYS.items():
+        if draw(st.integers(0, 9)):
+            lines.append(f"[{section}]")
+        for key, good in keys.items():
+            if draw(st.integers(0, 9)):
+                value = good if draw(st.integers(0, 3)) else draw(_INI_VALUE)
+                lines.append(f"{key} = {value}")
+    for line in draw(st.lists(st.text(max_size=10), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+@given(st.binary(max_size=300) | ini_text().map(lambda text: text.encode("utf-8")))
+@example(b"[corpus]\nformat = ted\n[corpus]\n")
+@example(b"[ratios]\nbase = %(\n")
+def test_config_loader_raises_only_config_errors(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz_run.ini"
+    path.write_bytes(content)
+    try:
+        load_pipeline_config(path)
+    except (LingspaceError, configparser.Error):
         pass

@@ -269,6 +269,15 @@ class TestFailureStages:
         assert "pipeline failed at stage 'config':" in err
         assert f"{config}:1: not UTF-8" in err
 
+    def test_duplicate_section_error_names_the_config_file(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[corpus]\nformat = ted\n[corpus]\n", encoding="utf-8")
+        assert run_pipeline(config) == 1
+        err = capsys.readouterr().err
+        assert "pipeline failed at stage 'config':" in err
+        assert f"While reading from {str(config)!r} [line  3]" in err
+        assert "PosixPath" not in err and "WindowsPath" not in err
+
     @pytest.mark.parametrize(
         "content",
         ["[" * 200_000, '[{"text": ' + "9" * 5000 + "}]"],

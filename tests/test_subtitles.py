@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lingspace.errors import SubtitleParseError, UsageError
-from lingspace.subtitles import SUBTITLE_FORMATS, parse_subtitle
+from lingspace.subtitles import SUBTITLE_FORMATS, _TIMING_RE, parse_subtitle
 from textgen import MIXED_TEXT, WHITESPACE
 
 SRT_TWO_CUES = (
@@ -195,3 +195,175 @@ def test_cue_cleaning_matches_the_regex_reference(texts):
     cleaned = (_reference_clean(text.splitlines() or [""]) for text in decoded)
     expected = " ".join(text for text in cleaned if text)
     assert parse_subtitle(content, "json_captions") == expected
+
+
+# The block parser as it was when it walked the file line by line and
+# cleaned each cue on its own (with the regex cleaning above); the
+# whole-text parser must agree with it on every transcript and on every
+# error's line and text.
+def _reference_iter_blocks(content):
+    block = []
+    start = 0
+    for lineno, line in enumerate(content.splitlines(), start=1):
+        if line.strip():
+            if not block:
+                start = lineno
+            block.append(line)
+        elif block:
+            yield start, block
+            block = []
+    if block:
+        yield start, block
+
+
+def _reference_block_transcript(content, webvtt):
+    cues = []
+    first_block = True
+    for start, lines in _reference_iter_blocks(content):
+        if webvtt and first_block and lines[0].lstrip().upper().startswith("WEBVTT"):
+            first_block = False
+            continue
+        first_block = False
+        if webvtt and lines[0].strip().upper().startswith(("NOTE", "STYLE", "REGION")):
+            continue
+        timing_index = None
+        for i in (0, 1):
+            if i < len(lines) and "-->" in lines[i]:
+                timing_index = i
+                break
+        if timing_index is None:
+            raise SubtitleParseError(
+                start, "expected a cue timing line containing '-->'"
+            )
+        timing_line = lines[timing_index]
+        if not _TIMING_RE.match(timing_line):
+            raise SubtitleParseError(
+                start + timing_index,
+                f"malformed cue timing line: {timing_line.strip()!r}",
+            )
+        text = _reference_clean(lines[timing_index + 1 :])
+        if text:
+            cues.append(text)
+    return " ".join(cues)
+
+
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")
+# Lines that are blank to str.strip() without being empty.
+BLANK_LINES = ("", " ", "\t", "\x1f", "\u3000", " \u3000\x1f ")
+VALID_TIMINGS = (
+    "00:00:01,000 --> 00:00:02,500",
+    "00:01.000 --> 00:02.000",
+    "01:02:03.000 --> 01:02:04.000",
+    " 00:00:01,000-->00:00:02,000 ",
+    "00:00:01,000 --> 00:00:02,000 X1:0 X2:100",
+    "00:01.000 --> 00:02.000 align:start line:0%",
+    "00:01.000 --> 00:02.000 \x1f",
+    "٠٠:٠١.٥٠٠ --> ٠٠:٠٢.٠٠٠",  # Arabic-Indic digits are \d too
+    "00:0１.000 --> 00:02.000",  # and so are fullwidth ones
+)
+MALFORMED_TIMINGS = ("00:07 --> later", "1:2:3.4 --> 5:6.7", "-->", "12 --> 13")
+VTT_SKIP_WORDS = (
+    "NOTE", "note", "Note", "STYLE", "style", "REGION", "Region",
+    "ſtyle",  # long s: upper() is "STYLE"
+    "ﬆyle",  # st ligature: upper() is "STYLE"
+    "regıon",  # dotless i: upper() is "REGION"
+    "regİon",  # dotted capital I: upper() keeps it
+    "ßTYLE",  # sharp s: upper() is "SSTYLE"
+    "NOTES", " NOTE", "\tregion", "\u3000STYLE",
+)
+HEADERS = ("WEBVTT", "WEBVTT - talk", "webvtt", " WEBVTT", "WEBVTTX", "ﬆWEBVTT")
+TAG_PIECES = ("<i", "i>", "<v Anna", "Anna>", "</i>", "<", ">", "<b>x</b>", "a<b", "c>d")
+
+
+def _mostly(common, rare, times=4):
+    """`common` about `times` times as often as `rare`."""
+    return st.integers(0, times).flatmap(lambda n: rare if n == 0 else common)
+
+
+_TEXT = MIXED_TEXT | st.sampled_from(TAG_PIECES)
+# One display line: free of line breaks, so cues keep their shape.
+_LINE = _TEXT.map(lambda text: "".join(text.splitlines()))
+_PAYLOAD_LINE = _LINE.map(lambda line: line if line.strip() else line + "x")
+_ID_LINE = st.sampled_from(("1", "12", "intro-cue", "a --> b", "")) | _LINE
+_TIMING = _mostly(
+    st.sampled_from(VALID_TIMINGS), st.sampled_from(MALFORMED_TIMINGS) | _LINE
+)
+_CUE = st.tuples(
+    st.lists(_ID_LINE, max_size=1),
+    _TIMING,
+    st.lists(_mostly(_PAYLOAD_LINE, _TEXT), max_size=3),
+).map(lambda cue: [*cue[0], cue[1], *cue[2]])
+_SKIPPED = st.tuples(
+    st.sampled_from(VTT_SKIP_WORDS), _LINE, st.lists(_PAYLOAD_LINE, max_size=2)
+).map(lambda block: [block[0] + block[1], *block[2]])
+_HEADER = st.sampled_from(HEADERS).map(lambda header: [header])
+_FREE = st.lists(_LINE, min_size=1, max_size=3)
+_SEPARATOR = st.lists(st.sampled_from(BLANK_LINES), min_size=1, max_size=3)
+
+
+@st.composite
+def caption_text(draw, webvtt=True):
+    """Caption-shaped text: blocks of lines parted by blank lines, with every
+    kind of line end. Most blocks are cues; the other blocks (headers,
+    NOTE/STYLE/REGION blocks, free text) are rarer in SRT, where they are
+    errors."""
+    others = st.one_of(_SKIPPED, _HEADER, _FREE)
+    blocks = draw(st.lists(_mostly(_CUE, others, 3 if webvtt else 8), max_size=6))
+    if webvtt and draw(st.booleans()):
+        blocks.insert(0, draw(_HEADER))
+    lines = list(draw(_SEPARATOR)) if draw(st.booleans()) else []
+    for index, block in enumerate(blocks):
+        if index:
+            lines.extend(draw(_SEPARATOR))
+        lines.extend(block)
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=1, max_size=3))
+    content = "".join(
+        line + ends[index % len(ends)] for index, line in enumerate(lines)
+    )
+    return content if draw(st.booleans()) else content.rstrip("".join(LINE_ENDS))
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except SubtitleParseError as exc:
+        return exc.line_number, str(exc)
+
+
+@pytest.mark.parametrize("format", ["srt", "webvtt"])
+@given(data=st.data())
+def test_block_parser_matches_the_line_walk_reference(format, data):
+    content = data.draw(caption_text(format == "webvtt"), label="content")
+    expected = _outcome(_reference_block_transcript, content, format == "webvtt")
+    assert _outcome(parse_subtitle, content, format) == expected
+
+
+@pytest.mark.parametrize("format", ["srt", "webvtt"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        # An unclosed tag in one cue must not reach a '>' in the next.
+        "1\n00:00:01,000 --> 00:00:02,000\nx <i\n\n"
+        "2\n00:00:03,000 --> 00:00:04,000\ny> z\n",
+        "1\n00:00:01,000 --> 00:00:02,000\na <i\nb> c\n\n"
+        "2\n00:00:03,000 --> 00:00:04,000\n<d\n",
+        "00:01.000 --> 00:02.000\nok\n\nintro\n00:07 --> later\n",
+        "WEBVTT\n\nſTYLE\nx\n\nregıon\n\nNOTE --> \n\n"
+        "00:01.000 --> 00:02.000\n<x\n\n\nWEBVTT\n",
+        "1\r\n00:00:01,000 --> 00:00:02,000\r\nA\x0b\x1f\n　\r\n2 x ok --> \x85",
+        "WEBVTT\n\n\n\n00:01.000 --> 00:02.000\nA\n\n\n\n\nB\n",
+        "WEBVTT\n\n NOTE x\n\n00:01.000 --> 00:02.000\nok\n",
+    ],
+)
+def test_block_parser_matches_the_line_walk_reference_on_known_cases(format, content):
+    expected = _outcome(_reference_block_transcript, content, format == "webvtt")
+    assert _outcome(parse_subtitle, content, format) == expected
+
+
+@pytest.mark.parametrize("format", SUBTITLE_FORMATS)
+@given(content=st.text() | caption_text() | MIXED_TEXT)
+def test_parse_subtitle_raises_only_parse_errors(format, content):
+    try:
+        parse_subtitle(content, format)
+    except SubtitleParseError:
+        pass
