@@ -104,12 +104,15 @@ def read_json_lines(
 
 def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
     """The file's text with its line endings kept; undecodable bytes raise
-    `error` naming the file and line."""
+    `error` naming the file and line. LF, CRLF and CR each end a line, as
+    they do for the caption, CSV and config parsers."""
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        end = exc.start
+        line = (raw.count(b"\n", 0, end) + raw.count(b"\r", 0, end)
+                - raw.count(b"\r\n", 0, end) + 1)
         raise error(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
 
 

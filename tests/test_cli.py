@@ -213,6 +213,22 @@ class TestCorpusIngest:
         assert code == 1
         assert f"{caption}:3: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_undecodable_caption_line_counts_every_line_end(
+        self, tmp_path, capsys, eol
+    ):
+        caption = tmp_path / "talks" / "t1" / "eng.srt"
+        caption.parent.mkdir(parents=True)
+        cues = ["1", "00:00:01,000 --> 00:00:02,000", "hello", "",
+                "2", "00:00:03,000 --> 00:00:04,000", "ca\xe7a", ""]
+        caption.write_bytes(eol.join(cues).encode("latin-1"))
+        talks, out = str(tmp_path / "talks"), str(tmp_path / "out.jsonl")
+        code = main(["corpus", "ingest", "--format", "ted", "--input", talks,
+                     "--langs", "eng,jpn", "--out", out, "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{caption}:7: not UTF-8 (invalid continuation byte)" in err
+
 
 class TestRatios:
     def test_csv_to_stdout(self, udhr_corpus_file, capsys):
@@ -552,6 +568,22 @@ class TestPostsAnalyze:
         code = main(["posts", "analyze", "--posts", posts_arg, "--accounts", accounts_arg])
         assert code == 1
         assert "posts.csv:2: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
+    def test_non_utf8_csv_line_counts_every_line_end(
+        self, post_dump, tmp_path, capsys, eol
+    ):
+        _, accounts_path = post_dump
+        posts = tmp_path / "posts.csv"
+        posts.write_bytes(eol.join([
+            b"id,account,platform,text,created_at",
+            b"1,usnews_tw,twitter,caf\xe9,2015-01-01T00:00:00Z",
+            b"",
+        ]))
+        posts_arg, accounts_arg = str(posts), str(accounts_path)
+        code = main(["posts", "analyze", "--posts", posts_arg, "--accounts", accounts_arg])
+        assert code == 1
+        assert f"{posts}:2: not UTF-8" in capsys.readouterr().err
 
     def test_negative_min_posts_is_a_usage_error(self, post_dump, tmp_path, capsys):
         posts_path, _ = post_dump

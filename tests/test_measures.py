@@ -1,5 +1,6 @@
 """Space measures, URL handling, and script-based language detection."""
 
+import re
 import unicodedata
 
 import pytest
@@ -105,6 +106,32 @@ class TestUrls:
         assert len(strip_urls(text)) <= len(text)
 
 
+# Each end of each Han range, and the scalar just outside it.
+_HAN_EDGES = (
+    "\u33ff\u3400\u4dbf\u4dc0\u4dff\u4e00\u9fff\ua000"
+    "\uf8ff\uf900\ufaff\ufb00\U0001ffff\U00020000\U0002ebef\U0002ebf0"
+)
+
+# detect_language as it was with every class compiled at import, the Han
+# class written with escapes.
+_REF_KANA = re.compile("[\u3040-\u30ff\u31f0-\u31ff\uff66-\uff9f]")
+_REF_HAN = re.compile("[\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff\U00020000-\U0002ebef]")
+_REF_LATIN = re.compile("[A-Za-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u024f]")
+
+
+def _reference_detect_language(text):
+    normalized = unicodedata.normalize("NFC", text)
+    if _REF_KANA.search(normalized):
+        return "jpn"
+    if _REF_HAN.search(normalized):
+        return "cmn_hans"
+    scalars = [ch for ch in normalized if not ch.isspace()]
+    if not scalars:
+        return None
+    latin = sum(1 for ch in scalars if _REF_LATIN.match(ch))
+    return "eng" if latin * 2 >= len(scalars) else None
+
+
 class TestDetectLanguage:
     def test_kana_means_japanese(self):
         assert detect_language("これはペンです") == "jpn"
@@ -136,6 +163,22 @@ class TestDetectLanguage:
     @given(st.text(), st.sampled_from("あカヽｦ"))
     def test_any_kana_anywhere_means_japanese(self, text, kana):
         assert detect_language(text + kana) == "jpn"
+
+    @pytest.mark.parametrize(
+        "han", ["\u3400", "\u9fff", "\uf900", "\U00020000", "\U0002ebef"]
+    )
+    def test_han_class_edges_inside(self, han):
+        assert detect_language(han) == "cmn_hans"
+        assert detect_language("abc" + han) == "cmn_hans"
+
+    @pytest.mark.parametrize("scalar", ["\u33ff", "\U0002ebf0"])
+    def test_han_class_edges_outside(self, scalar):
+        assert detect_language(scalar) is None
+        assert detect_language("abc" + scalar) == "eng"
+
+    @given(st.one_of(MIXED_TEXT, st.text(), st.text(alphabet=_HAN_EDGES + "ab1 ")))
+    def test_matches_the_eagerly_compiled_reference(self, text):
+        assert detect_language(text) == _reference_detect_language(text)
 
 
 class TestMeasureProperties:

@@ -269,6 +269,15 @@ class TestFailureStages:
         assert "pipeline failed at stage 'config':" in err
         assert f"{config}:1: not UTF-8" in err
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
+    def test_undecodable_config_line_counts_every_line_end(self, tmp_path, capsys, eol):
+        config = tmp_path / "run.ini"
+        config.write_bytes(eol.join([b"[corpus]", b"format = ted", b"# caf\xe9", b""]))
+        assert run_pipeline(config) == 1
+        err = capsys.readouterr().err
+        assert "pipeline failed at stage 'config':" in err
+        assert f"{config}:3: not UTF-8" in err
+
     def test_duplicate_section_error_names_the_config_file(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text("[corpus]\nformat = ted\n[corpus]\n", encoding="utf-8")

@@ -9,13 +9,17 @@ on each of two values).
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lingspace import svgplot
 from lingspace.errors import UsageError
 from lingspace.ratios import DescriptiveStats
 from lingspace.svgplot import BoxplotSeries, render_boxplot
+from textgen import MIXED_TEXT
 
 NS = "{http://www.w3.org/2000/svg}"
 COORD = 0.011
@@ -242,6 +246,11 @@ class TestValidationAndText:
         assert "a&lt;b" in raw
         titles = _by_class(root, "text", "title")
         assert titles[0].text == 'chars <ratio> & "quotes"'
+
+    @given(st.lists(st.one_of(MIXED_TEXT, st.sampled_from("&<>\"'")), max_size=12))
+    def test_escape_matches_the_standard_library(self, pieces):
+        text = "".join(pieces)
+        assert svgplot._escape(text) == escape(text)
 
     def test_flat_series_still_renders_with_padding(self, tmp_path):
         flat = DescriptiveStats(
