@@ -14,7 +14,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .corpus import load_corpus, read_utf8_text, save_corpus
+from .corpus import load_corpus, save_corpus
 from .errors import DataError, LingspaceError, UsageError
 from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
@@ -32,7 +32,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .ratios import RatioStats
-from .tables import read_records
+from .tables import read_records, read_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +219,11 @@ def _cmd_ric(args: argparse.Namespace) -> int:
             ratio_means[key] = float(str(row["mean"]))
         except (KeyError, ValueError) as exc:
             raise DataError(f"{args.ratios}: malformed ratios row: {exc}") from exc
-    stats_rows = (stats_from_row(record) for record in read_records(args.stats))
+    records = read_records(args.stats)
+    try:
+        stats_rows = [stats_from_row(record) for record in records]
+    except DataError as exc:
+        raise DataError(f"{args.stats}: {exc}") from exc
     results = analyze_ric(stats_rows, ratio_means, base)
     emit_stage_table("ric", results, args.format, args.out)
     return 0
@@ -229,7 +233,7 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
     if args.text is not None:
         text = args.text
     else:
-        text = read_utf8_text(args.file)
+        text = read_text(args.file)
         # A trailing newline is a file-format artifact, not message content.
         if text.endswith("\n"):
             text = text[:-1]

@@ -8,7 +8,6 @@ positionally by paragraph; subtitle corpora align by talk directory.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -18,9 +17,7 @@ from .errors import DataError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .subtitles import parse_subtitle
-from .tables import read_json_lines, read_utf8
-
-log = logging.getLogger(__name__)
+from .tables import read_json_lines, read_text
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ def load_udhr_directory(
         path = directory / f"{lang}.txt"
         if not path.is_file():
             raise DataError(f"missing translation file: {path}")
-        content = read_utf8_text(path)
+        content = read_text(path)
         paragraphs = parse_udhr_language_file(content, lang)
         counts[lang] = len(paragraphs)
         per_lang[lang] = [(str(index), text) for index, text in paragraphs]
@@ -245,7 +242,7 @@ def load_subtitle_directory(
                 if name not in files:
                     continue
                 path = talk / name
-                content = read_utf8_text(path)
+                content = read_text(path)
                 try:
                     transcript = parse_subtitle(content, fmt)
                 except SubtitleParseError as exc:
@@ -258,16 +255,6 @@ def load_subtitle_directory(
         name=directory.name,
         provenance=f"subtitle directory {directory.name}",
     )
-
-
-def read_utf8_text(path: Path) -> str:
-    """A file's UTF-8 text with CR and CRLF line ends read as LF, as a
-    text-mode open() reads them; undecodable bytes raise a DataError naming
-    the file and line."""
-    text = read_utf8(path)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def save_corpus(corpus: ParallelCorpus, path: str | Path) -> None:

@@ -23,7 +23,6 @@ Relative paths resolve against the config file's directory.
 from __future__ import annotations
 
 import configparser
-import io
 import logging
 import sys
 from collections.abc import Callable, Iterable, Mapping
@@ -64,7 +63,7 @@ from .ratios import (
     ratio_table_row,
 )
 from .svgplot import BoxplotSeries, render_boxplot
-from .tables import emit_table, read_utf8
+from .tables import emit_table, read_text
 
 log = logging.getLogger(__name__)
 
@@ -98,9 +97,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    text = read_utf8(path, UsageError)
-    # newline=None reads CR and CRLF line ends as a text-mode open() would.
-    parser.read_file(io.StringIO(text, newline=None), str(path))
+    parser.read_string(read_text(path, UsageError), str(path))
     base_dir = path.parent
 
     def need(section: str, key: str) -> str:

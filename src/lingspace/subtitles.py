@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import re
 
 from .errors import SubtitleParseError, UsageError
+from .tables import parse_json
 
 SUBTITLE_FORMATS = ("srt", "webvtt", "json_captions")
 
@@ -114,12 +114,9 @@ def _raise_first_bad_timing(
 
 
 def _parse_json_cues(content: str) -> str:
-    try:
-        doc = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise SubtitleParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
-        raise SubtitleParseError(1, f"invalid JSON: {exc}") from exc
+    doc, problem, line = parse_json(content)
+    if problem is not None:
+        raise SubtitleParseError(line, f"invalid JSON: {problem}")
     if isinstance(doc, dict):
         for key in ("captions", "cues"):
             if key in doc:

@@ -1,4 +1,5 @@
-"""Tabular output with deterministic field order and number formatting.
+"""Tabular output with deterministic field order and number formatting, and
+the decoding of every input file: UTF-8, line ends and JSON.
 
 CSV cells render floats with exactly four decimal places; JSON output
 rounds floats to four decimals. Both are byte-stable for identical input.
@@ -32,22 +33,16 @@ def _json_value(value: object) -> object:
 
 def emit_table(
     rows: Iterable[Mapping[str, object]],
-    format: str = "csv",
-    destination: str | Path | None = None,
-    fieldnames: Sequence[str] | None = None,
+    format: str,
+    destination: str | Path | None,
+    fieldnames: Sequence[str],
 ) -> None:
-    """Write records as CSV or JSON with a stable field order.
+    """Write records as CSV or JSON with the field order of `fieldnames`.
 
-    Field order comes from `fieldnames`, falling back to the first row's key
-    order. All rows must share one schema. `destination` None writes to
-    standard output.
+    All rows must share that schema. `destination` None writes to standard
+    output.
     """
     rows = list(rows)
-    if fieldnames is None:
-        if not rows:
-            raise UsageError("fieldnames are required to emit an empty table")
-        fieldnames = list(rows[0].keys())
-    fieldnames = list(fieldnames)
     for row in rows:
         if set(row) != set(fieldnames):
             raise UsageError(
@@ -88,18 +83,30 @@ def read_json_lines(
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = json.loads(line)
             except UnicodeDecodeError as exc:
                 yield lineno, None, f"not UTF-8 ({exc.reason})"
-            except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
-                yield lineno, None, f"invalid JSON ({getattr(exc, 'msg', exc)})"
+                continue
+            if not line.strip():
+                continue
+            record, problem, _ = parse_json(line)
+            if problem is not None:
+                yield lineno, None, f"invalid JSON ({problem})"
+            elif isinstance(record, dict):
+                yield lineno, record, None
             else:
-                if isinstance(record, dict):
-                    yield lineno, record, None
-                else:
-                    yield lineno, None, "record is not an object"
+                yield lineno, None, "record is not an object"
+
+
+def parse_json(text: str) -> tuple[object, str | None, int]:
+    """(value, None, 0) for a JSON document, or (None, problem, line) when it
+    does not decode; past the decoder's limits (huge integers, deep nesting)
+    the line is 1."""
+    try:
+        return json.loads(text), None, 0
+    except json.JSONDecodeError as exc:
+        return None, exc.msg, exc.lineno
+    except (ValueError, RecursionError) as exc:
+        return None, str(exc), 1
 
 
 def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
@@ -114,6 +121,15 @@ def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
         line = (raw.count(b"\n", 0, end) + raw.count(b"\r", 0, end)
                 - raw.count(b"\r\n", 0, end) + 1)
         raise error(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
+
+
+def read_text(path: Path, error: type[LingspaceError] = DataError) -> str:
+    """`read_utf8` with CR and CRLF line ends read as LF, as a text-mode
+    open() reads them."""
+    text = read_utf8(path, error)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_csv_records(
@@ -151,11 +167,9 @@ def read_records(path: str | Path) -> list[dict[str, object]]:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return [row for _, row in read_csv_records(path)]
-    try:
-        payload = json.loads(read_utf8(path))
-    except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
-        message = getattr(exc, "msg", exc)
-        raise DataError(f"{path}: invalid JSON table: {message}") from exc
+    payload, problem, line = parse_json(read_text(path))
+    if problem is not None:
+        raise DataError(f"{path}:{line}: invalid JSON table: {problem}")
     if not isinstance(payload, list) or not all(
         isinstance(item, dict) for item in payload
     ):

@@ -676,8 +676,13 @@ class TestRic:
                 '"mean_chars_with_urls": 81.0, "mean_chars_without_urls": 81.0, '
                 '"url_count_histogram": "0:2", "per_post_lengths": "81 81"}]',
             ),
+            (
+                "stats.csv",
+                ",".join(STATS_TABLE_FIELDS)
+                + "\nusnews_tw,twitter,eng,news,x,81.0,81.0,0:2,81 81\n",
+            ),
         ],
-        ids=["n_posts-mismatch", "n_posts-null"],
+        ids=["n_posts-mismatch", "n_posts-null", "n_posts-not-a-number"],
     )
     def test_malformed_stats_row_is_a_data_error(
         self, ratios_for_ric, tmp_path, capsys, name, content
@@ -697,7 +702,7 @@ class TestRic:
             ]
         )
         assert code == 1
-        assert "malformed stats row" in capsys.readouterr().err
+        assert f"error: {stats}: malformed stats row" in capsys.readouterr().err
 
     def test_malformed_ratios_table_is_a_data_error(self, stats_file, tmp_path, capsys):
         ratios = tmp_path / "ratios.csv"

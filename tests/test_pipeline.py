@@ -170,6 +170,16 @@ class TestConfigHandling:
         assert cfg.table_format == "csv"
         assert cfg.out_dir == tmp_path / "out"
 
+    @pytest.mark.parametrize("eol", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_config_line_ends_do_not_change_the_loaded_config(
+        self, tmp_path, udhr_dir, post_dump, eol
+    ):
+        config = tmp_path / "run.ini"
+        write_config(config, base_sections(udhr_dir, post_dump))
+        expected = load_pipeline_config(config)
+        config.write_bytes(config.read_bytes().replace(b"\n", eol))
+        assert load_pipeline_config(config) == expected
+
     @pytest.mark.parametrize(
         "section, key, value, error",
         [
