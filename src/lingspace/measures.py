@@ -100,10 +100,11 @@ def detect_language(text: str) -> LanguageTag | None:
         return JPN
     if re.search(_HAN, normalized):
         return CMN_HANS
-    scalars = [ch for ch in normalized if not ch.isspace()]
+    # No Latin letter is whitespace, so the Latin letters of the whole text
+    # are those among its non-space scalars.
+    scalars = len(normalized) - sum(map(str.isspace, normalized))
     if not scalars:
         return None
-    latin = sum(1 for ch in scalars if _LATIN_RE.match(ch))
-    if latin * 2 >= len(scalars):
+    if len(_LATIN_RE.findall(normalized)) * 2 >= scalars:
         return ENG
     return None

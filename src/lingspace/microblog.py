@@ -18,12 +18,22 @@ from typing import NamedTuple
 
 from .errors import DataError, UsageError
 from .langtags import CMN_HANS, CMN_HANT, LanguageTag, parse_language_tag
-from .measures import SpaceMeasure, count_units, count_urls, detect_language, strip_urls
+# count_urls and strip_urls are no longer called here, but perfbench/spans.py
+# wraps both names at this module, so they stay imported.
+from .measures import (
+    URL_PATTERN,
+    SpaceMeasure,
+    count_units,
+    count_urls,
+    detect_language,
+    strip_urls,
+)
 from .tables import read_csv_records, read_json_lines
 
 log = logging.getLogger(__name__)
 
 PLATFORMS = ("twitter", "weibo")
+_PLATFORM_SET = frozenset(PLATFORMS)
 ORG_TYPES = ("embassy", "news")
 
 DEFAULT_MIN_POSTS = 50
@@ -88,6 +98,24 @@ def _parse_timestamp(value: str) -> datetime:
 
 def _validate_record(record: Mapping[str, object]) -> tuple[Post | None, str | None]:
     """The record as a Post, or None and the reason it is invalid."""
+    get = record.get
+    post_id, account, platform, text, created_at = (
+        get("id"), get("account"), get("platform"), get("text"), get("created_at"))
+    # The common record: five strings, a known platform, no blank field.
+    # Anything else takes the field-by-field walk that names the problem.
+    if (
+        str is type(post_id) is type(account) is type(platform) is type(text)
+        is type(created_at)
+        and platform in _PLATFORM_SET
+        and post_id.strip()
+        and account.strip()
+        and created_at.strip()
+    ):
+        try:
+            timestamp = _parse_timestamp(created_at)
+        except (ValueError, OverflowError):
+            return None, f"unparseable created_at {created_at!r}"
+        return Post(post_id, account, platform, text, timestamp), None
     values = []
     for field in _REQUIRED_POST_FIELDS:
         value = record.get(field)
@@ -200,15 +228,17 @@ def account_length_stats(
     with_urls: list[int] = []
     without_urls: list[int] = []
     histogram: dict[int, int] = {}
+    strip = URL_PATTERN.subn
+    characters = SpaceMeasure.CHARACTERS
     for post in posts:
         text = post.text
-        urls = count_urls(text)
+        # One scan gives both the text without URLs and their count.
+        stripped, urls = strip("", text)
         histogram[urls] = histogram.get(urls, 0) + 1
-        length = count_units(text, SpaceMeasure.CHARACTERS)
+        length = count_units(text, characters)
         with_urls.append(length)
-        # Without a URL match, strip_urls would return the text unchanged.
         if urls:
-            length = count_units(strip_urls(text), SpaceMeasure.CHARACTERS)
+            length = count_units(stripped, characters)
         without_urls.append(length)
     return AccountStats(
         meta=meta,

@@ -3,6 +3,10 @@ the decoding of every input file: UTF-8, line ends and JSON.
 
 CSV cells render floats with exactly four decimal places; JSON output
 rounds floats to four decimals. Both are byte-stable for identical input.
+
+Each reader here ends a line at LF, at CRLF and at a lone CR, and numbers
+lines by that rule: `read_text` reads all three as LF, `read_utf8` and the
+CSV reader keep them, and `read_json_lines` splits records on them.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import DataError, LingspaceError, UsageError
 
@@ -72,29 +77,56 @@ def emit_table(
         Path(destination).write_text(text, encoding="utf-8", newline="")
 
 
+# JSON Lines files are read a block at a time; a longer line grows the
+# next read to its own size, so a line costs time linear in its length.
+_BLOCK = 1 << 16
+
+
+def _split_lines(fh: BinaryIO, size: int = _BLOCK) -> Iterator[bytes]:
+    """The lines of a binary file without their line ends, read `size` bytes
+    at a time. LF, CRLF and a lone CR each end a line."""
+    pending = b""
+    after_cr = False
+    while block := fh.read(max(size, len(pending))):
+        if after_cr and block[:1] == b"\n":
+            block = block[1:]  # the LF of a CRLF split between two reads
+        after_cr = block[-1:] == b"\r"
+        data = pending + block
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lines = data.split(b"\n")
+        pending = lines.pop()
+        yield from lines
+    if pending:
+        yield pending
+
+
 def read_json_lines(
     path: str | Path,
 ) -> Iterator[tuple[int, dict[str, object] | None, str | None]]:
     """(line number, object, problem) for each non-blank line of a JSON Lines
-    file, read one line at a time. A line that is not UTF-8, not JSON or not
-    a JSON object comes with None and the problem instead of raising, so
-    callers can name its line."""
+    file, read a block at a time. LF, CRLF and a lone CR each end a line, so
+    a raw CR between the tokens of one record splits it in two. A line that
+    is not UTF-8, not JSON or not a JSON object comes with None and the
+    problem instead of raising, so callers can name its line."""
     with Path(path).open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_split_lines(fh), start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 yield lineno, None, f"not UTF-8 ({exc.reason})"
                 continue
-            if not line.strip():
-                continue
             record, problem, _ = parse_json(line)
-            if problem is not None:
-                yield lineno, None, f"invalid JSON ({problem})"
-            elif isinstance(record, dict):
+            if type(record) is dict:
                 yield lineno, record, None
-            else:
+            elif problem is None:
                 yield lineno, None, "record is not an object"
+            elif line.strip():  # a blank line is skipped, not reported
+                yield lineno, None, f"invalid JSON ({problem})"
+
+
+_DECODER = json.JSONDecoder()
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def parse_json(text: str) -> tuple[object, str | None, int]:
@@ -102,6 +134,16 @@ def parse_json(text: str) -> tuple[object, str | None, int]:
     does not decode; past the decoder's limits (huge integers, deep nesting)
     the line is 1."""
     try:
+        # A document that starts with its value (a JSON Lines line, a file
+        # without leading whitespace) skips json.loads's Python layers around
+        # the same decoder. Any other text goes to json.loads, whose errors
+        # this function reports.
+        try:
+            value, end = _DECODER.raw_decode(text)
+            if end == len(text) or not text[end:].strip(_JSON_WHITESPACE):
+                return value, None, 0
+        except json.JSONDecodeError:
+            pass
         return json.loads(text), None, 0
     except json.JSONDecodeError as exc:
         return None, exc.msg, exc.lineno

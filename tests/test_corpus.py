@@ -303,6 +303,12 @@ class TestPersistence:
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
 
+    def test_cr_only_file_loads_like_the_lf_file(self, tmp_path, udhr_corpus):
+        path = tmp_path / "c.jsonl"
+        save_corpus(udhr_corpus, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert load_corpus(path) == udhr_corpus
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")

@@ -4,7 +4,7 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingspace.errors import GsmNotRepresentableError
@@ -177,6 +177,25 @@ class TestDetectLanguage:
         assert detect_language("abc" + scalar) == "eng"
 
     @given(st.one_of(MIXED_TEXT, st.text(), st.text(alphabet=_HAN_EDGES + "ab1 ")))
+    @example("\u3000")
+    @example("\x85")
+    # Each end of each Latin range, and the scalar just outside it.
+    @example("À")
+    @example("Ö")
+    @example("×")
+    @example("Ø")
+    @example("ö")
+    @example("÷")
+    @example("ø")
+    @example("ɏ")
+    @example("ɐ")
+    @example("×a")
+    @example("÷ɐ")
+    # Exactly half Latin, with and without whitespace around.
+    @example("ab12")
+    @example("À1")
+    @example(" ɏ\u30009 ")
+    @example("a\x85b\u200012")
     def test_matches_the_eagerly_compiled_reference(self, text):
         assert detect_language(text) == _reference_detect_language(text)
 

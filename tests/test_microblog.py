@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lingspace.errors import DataError, UsageError
 from lingspace.measures import URL_PATTERN, nfc, strip_urls
 from lingspace.microblog import (
+    PLATFORMS,
     RIC_TABLE_FIELDS,
     STATS_TABLE_FIELDS,
     AccountMeta,
@@ -21,6 +22,7 @@ from lingspace.microblog import (
     cell_key,
     compute_ric,
     load_accounts,
+    _parse_timestamp,
     load_posts,
     ric_table_row,
     stats_from_row,
@@ -66,6 +68,121 @@ def _record(i, **overrides):
     }
     record.update(overrides)
     return record
+
+
+# load_posts as it was before its fast path for the common record and the
+# CR line-end rule: LF-only lines, and each record walked field by field.
+def _reference_validate_record(record):
+    values = []
+    for field in ("id", "account", "platform", "text", "created_at"):
+        value = record.get(field)
+        if value is None:
+            return None, f"missing {field!r}"
+        converted = str(value)
+        if field != "text" and not converted.strip():
+            return None, f"empty {field!r}"
+        values.append(converted)
+    post_id, account, platform, text, created_at = values
+    if platform not in PLATFORMS:
+        return None, f"unknown platform {record['platform']!r}"
+    try:
+        timestamp = _parse_timestamp(created_at)
+    except (ValueError, OverflowError):
+        return None, f"unparseable created_at {record['created_at']!r}"
+    return Post(post_id, account, platform, text, timestamp), None
+
+
+def _reference_load_posts(path):
+    posts, bad, seen = [], [], set()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad.append((lineno, f"not UTF-8 ({exc.reason})"))
+                continue
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                bad.append((lineno, f"invalid JSON ({exc.msg})"))
+                continue
+            if not isinstance(record, dict):
+                bad.append((lineno, "record is not an object"))
+                continue
+            post, problem = _reference_validate_record(record)
+            if problem is not None:
+                bad.append((lineno, problem))
+                continue
+            key = (post.platform, post.post_id)
+            if key in seen:
+                bad.append((lineno, f"duplicate post id {record['id']!r}"))
+                continue
+            seen.add(key)
+            posts.append(post)
+    if bad:
+        shown = "; ".join(f"line {lineno}: {reason}" for lineno, reason in bad[:20])
+        more = f" (and {len(bad) - 20} more)" if len(bad) > 20 else ""
+        raise DataError(f"{path}: invalid post records: {shown}{more}")
+    return posts
+
+
+# JSON Lines lines for the equivalence property: valid records, records with
+# one field missing, null, a number, a bool, a list, an object, a blank or
+# whitespace-only string, an unknown platform or a bad or year-overflowing
+# timestamp, records of arbitrary fields, ids that repeat (1 and "1" are the
+# same id), and blank, non-object, non-JSON and non-UTF-8 lines. No line
+# holds a raw CR, which the reference does not treat as a line end.
+_TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)
+_ODD_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    _TEXT,
+    st.sampled_from(["", " ", "\t", "\u3000", "\x85"]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=1),
+)
+_GOOD_FIELDS = {
+    "id": st.sampled_from(["p1", "p2", "1", " p1"]),
+    "account": st.sampled_from(["acc", "other"]),
+    "platform": st.sampled_from(PLATFORMS),
+    "text": _TEXT,
+    "created_at": st.sampled_from([
+        "2015-03-01T10:00:00Z",
+        "2015-03-01T10:00:00+08:00",
+        " 2015-03-01T10:00:00z ",
+        "2015-03-01T10:00:00",
+    ]),
+}
+_ODD_FIELDS = dict.fromkeys(_GOOD_FIELDS, _ODD_VALUE) | {
+    "platform": st.sampled_from(["myspace", " twitter", "Weibo"]) | _ODD_VALUE,
+    "created_at": st.sampled_from([
+        "0001-01-01T00:30:00+01:00",
+        "9999-12-31T23:30:00-01:00",
+        "2015-02-30T10:00:00Z",
+        "last Tuesday",
+    ]) | _ODD_VALUE,
+}
+_GOOD_RECORD = st.fixed_dictionaries(_GOOD_FIELDS)
+_POST_RECORD = st.one_of(
+    _GOOD_RECORD,
+    *(
+        st.builds(lambda r, f, v: r | {f: v}, _GOOD_RECORD, st.just(field), odd)
+        for field, odd in _ODD_FIELDS.items()
+    ),
+    st.fixed_dictionaries({}, optional=dict(_ODD_FIELDS)),
+)
+_JSONL_LINE = st.one_of(
+    _POST_RECORD.map(lambda r: json.dumps(r, ensure_ascii=False).encode("utf-8")),
+    st.sampled_from([
+        b"", b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", "\u3000".encode(), "\x85".encode(),
+        b"[1]", b"3", b"null", b'"s"', b"{oops", b'{"id": 1', "\ufeff{}".encode(),
+        b'{"id": "caf\xe9"}', b"\xff",
+    ]),
+)
 
 
 class TestLoadPosts:
@@ -174,6 +291,53 @@ class TestLoadPosts:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(UsageError, match="unknown posts format"):
             load_posts(tmp_path / "x.xml", format="xml")
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_cr_and_crlf_files_load_like_the_lf_file(self, tmp_path, end):
+        records = [_record(i, text=f"line {i} 中文") for i in range(4)]
+        _write_jsonl(tmp_path / "lf.jsonl", records)
+        path = tmp_path / "other.jsonl"
+        path.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + end for r in records),
+            encoding="utf-8",
+            newline="",
+        )
+        assert load_posts(path) == load_posts(tmp_path / "lf.jsonl")
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_cr_and_crlf_files_number_their_lines(self, tmp_path, end):
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(
+            end.join([json.dumps(_record(0)).encode(), b"", b'{"text": "caf\xe9"}',
+                      b"{broken"])
+        )
+        with pytest.raises(
+            DataError, match=r"line 3: not UTF-8 .*; line 4: invalid JSON"
+        ):
+            load_posts(path)
+
+    def test_raw_cr_inside_a_record_ends_its_line(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(b'{"id": "p0",\r"account": "acc"}\n')
+        with pytest.raises(DataError, match="line 1: invalid JSON.*; line 2: invalid"):
+            load_posts(path)
+
+    @given(st.lists(_JSONL_LINE, max_size=8), st.booleans())
+    @example([json.dumps(_record(0)).encode(), b" ", b"\x0c", "\x85".encode()], True)
+    @example([json.dumps(_record(0, id=1)).encode(), json.dumps(_record(1, id="1")).encode()],
+             False)
+    @example([json.dumps(_record(0, created_at="0001-01-01T00:30:00+01:00")).encode()], True)
+    def test_matches_the_field_by_field_reference(self, tmp_path_factory, lines, final_lf):
+        path = tmp_path_factory.getbasetemp() / "equivalence_posts.jsonl"
+        path.write_bytes(b"\n".join(lines) + (b"\n" if final_lf else b""))
+        try:
+            expected = _reference_load_posts(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                load_posts(path)
+            assert str(raised.value) == str(exc)
+        else:
+            assert load_posts(path) == expected
 
 
 class TestLoadAccounts:
@@ -291,6 +455,8 @@ class TestAccountLengthStats:
     @example(["http://a b", "x HTTPS://t.co/q", "plain"])
     @example(["http://aHTTPS://b http://c https://d"])
     @example(["e http://x\u0301 y", "e http://x \u0301", "http://x\u0301"])
+    @example(["no link", "one https://t.co/a", "two http://a b http://c", "http://a http://b http://c"])
+    @example(["https://t.co/e\u0301 caf\u0301e", "x http://y\u0301\u0301"])
     def test_stats_match_a_per_post_reference(self, texts):
         posts = [_post(i, text) for i, text in enumerate(texts)]
         stats = account_length_stats(posts, META, min_posts=0)

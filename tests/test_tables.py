@@ -1,11 +1,15 @@
 """Deterministic table emission and reading."""
 
+import io
 import json
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lingspace.errors import DataError, UsageError
-from lingspace.tables import emit_table, read_records
+from lingspace.tables import _split_lines, emit_table, parse_json, read_records
 
 ROWS = [
     {"name": "eng", "mean": 3.95123456, "n": 39},
@@ -136,3 +140,59 @@ def test_same_input_twice_is_byte_identical(tmp_path):
     emit_table(ROWS, format="json", destination=ja, fieldnames=FIELDS)
     emit_table(ROWS, format="json", destination=jb, fieldnames=FIELDS)
     assert ja.read_bytes() == jb.read_bytes()
+
+
+class TestSplitLines:
+    @given(
+        st.lists(st.sampled_from([b"a", b"bc", b"\r", b"\n", b"\r\n", b"\xe9"])).map(
+            b"".join
+        ),
+        st.integers(1, 9),
+    )
+    @example(b"ab\r\ncd", 3)  # a CRLF split between two reads
+    @example(b"\r\r\n\n\r", 1)
+    @example(b"x" * 40 + b"\r", 2)  # a line longer than many reads
+    def test_lf_crlf_and_cr_each_end_one_line(self, data, size):
+        lines = list(_split_lines(io.BytesIO(data), size))
+        expected = re.split(rb"\r\n|\r|\n", data)
+        if expected[-1] == b"":  # the text after the last line end
+            expected.pop()
+        assert lines == expected
+
+
+def _reference_parse_json(text):
+    try:
+        return json.loads(text), None, 0
+    except json.JSONDecodeError as exc:
+        return None, exc.msg, exc.lineno
+    except (ValueError, RecursionError) as exc:
+        return None, str(exc), 1
+
+
+_JSON_TEXT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+).map(json.dumps)
+_AROUND = st.text(st.sampled_from([" ", "\t", "\n", "\r", "\x0c", "\u3000", "\ufeff", "x", "}", "1"]),
+                  max_size=3)
+
+
+class TestParseJson:
+    @given(st.one_of(
+        st.tuples(_AROUND, _JSON_TEXT, _AROUND).map("".join),
+        st.text(alphabet='{}[]":,0123456789.e-truefalsn \n\\', max_size=20),
+    ))
+    @example('{"a": 1}')
+    @example(' {"a": 1}')
+    @example('{"a": 1}\n')
+    @example('{"a": 1}\r\n \t')
+    @example('{"a": 1}\x0c')
+    @example('{"a": 1} x')
+    @example('\ufeff{"a": 1}')
+    @example('[1]\n\n[2]')
+    @example("1" * 5000)
+    @example("[" * 100_000)
+    def test_matches_json_loads(self, text):
+        assert repr(parse_json(text)) == repr(_reference_parse_json(text))
