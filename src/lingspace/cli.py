@@ -32,7 +32,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .ratios import RatioStats
-from .tables import read_records, read_text
+from .tables import read_records, read_text, surrogate_problem
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,6 +232,10 @@ def _cmd_ric(args: argparse.Namespace) -> int:
 def _cmd_limit_check(args: argparse.Namespace) -> int:
     if args.text is not None:
         text = args.text
+        # Python decodes argv bytes that are not UTF-8 to lone surrogates.
+        problem = surrogate_problem(text)
+        if problem is not None:
+            raise UsageError(f"--text is not UTF-8: it {problem}")
     else:
         text = read_text(args.file)
         # A trailing newline is a file-format artifact, not message content.

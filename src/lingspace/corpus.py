@@ -17,7 +17,7 @@ from .errors import DataError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .subtitles import parse_subtitle
-from .tables import read_json_lines, read_text
+from .tables import read_json_lines, read_text, surrogate_problem
 
 
 @dataclass(frozen=True)
@@ -296,6 +296,11 @@ def load_corpus(path: str | Path) -> ParallelCorpus:
             raise DataError(f"{path}:1: corpus header {key!r} is not a {kind.__name__}")
     if not all(isinstance(lang, str) for lang in header["languages"]):
         raise DataError(f"{path}:1: corpus header 'languages' holds a non-string")
+    # A JSON \u escape can decode to a lone surrogate, which save_corpus and
+    # the UTF-8 measures cannot encode.
+    for key in ("name", "provenance"):
+        if problem := surrogate_problem(header[key]):
+            raise DataError(f"{path}:1: invalid corpus header: {key!r} {problem}")
     languages = tuple(parse_language_tag(lang) for lang in header["languages"])
     units: list[AlignedUnit] = []
     for lineno, record, problem in records:
@@ -305,9 +310,15 @@ def load_corpus(path: str | Path) -> ParallelCorpus:
             raise DataError(f"{path}:{lineno}: unit record lacks 'unit_id'")
         texts = {lang: record[lang] for lang in languages if lang in record}
         try:
-            units.append(AlignedUnit(str(record["unit_id"]), texts))
+            unit = AlignedUnit(str(record["unit_id"]), texts)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for key, text in (("unit_id", unit.unit_id), *texts.items()):
+            if problem := surrogate_problem(text):
+                raise DataError(
+                    f"{path}:{lineno}: invalid unit record: {key!r} {problem}"
+                )
+        units.append(unit)
     return ParallelCorpus(
         header["name"], languages, tuple(units), header["provenance"]
     )

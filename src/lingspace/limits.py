@@ -76,22 +76,27 @@ def check_fit(text: str, limit: LimitSpec) -> FitResult:
     SMS picks GSM-7 when every character is representable there and UCS-2
     otherwise; encoding_chosen is set only for SMS.
     """
+    # tuple.__new__: the C call that FitResult's generated __new__ wraps, without its frame.
     rule = limit.rule
     if isinstance(rule, CharLimit):
         used = count_units(text, _CHARACTERS)
-        return FitResult(used <= rule.max_chars, used, rule.max_chars, "chars")
+        return tuple.__new__(
+            FitResult, (used <= rule.max_chars, used, rule.max_chars, "chars", None)
+        )
     if isinstance(rule, EncodedUnitLimit):
         used = count_units(text, _GBK_UNITS)
-        return FitResult(used <= rule.max_units, used, rule.max_units, "gbk_units")
+        return tuple.__new__(
+            FitResult, (used <= rule.max_units, used, rule.max_units, "gbk_units", None)
+        )
     if isinstance(rule, SingleSms):
         normalized = nfc(text)
         if gsm7.is_gsm_text(normalized):
             used = gsm7.septet_length(normalized)
-            return FitResult(
-                used <= GSM7_CAPACITY, used, GSM7_CAPACITY, "gsm7_septets", "gsm7"
+            return tuple.__new__(
+                FitResult, (used <= GSM7_CAPACITY, used, GSM7_CAPACITY, "gsm7_septets", "gsm7")
             )
         used = len(normalized)
-        return FitResult(
-            used <= UCS2_CAPACITY, used, UCS2_CAPACITY, "ucs2_chars", "ucs2"
+        return tuple.__new__(
+            FitResult, (used <= UCS2_CAPACITY, used, UCS2_CAPACITY, "ucs2_chars", "ucs2")
         )
     raise UsageError(f"unknown limit rule {rule!r}")

@@ -52,9 +52,13 @@ _GBK_UNITS = SpaceMeasure.GBK_UNITS
 _GSM7_SEPTETS = SpaceMeasure.GSM7_SEPTETS
 
 
+# Bound once for count_units, which skips the nfc() frame on every call.
+_normalize = unicodedata.normalize
+
+
 def count_units(text: str, measure: SpaceMeasure) -> int:
     """Measure the space a text occupies; the text is NFC-normalized first."""
-    normalized = nfc(text)
+    normalized = _normalize("NFC", text)
     if measure is _CHARACTERS:
         return len(normalized)
     if measure is _GBK_UNITS:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .errors import SubtitleParseError, UsageError
-from .tables import parse_json
+from .tables import parse_json, surrogate_problem
 
 SUBTITLE_FORMATS = ("srt", "webvtt", "json_captions")
 
@@ -145,5 +145,11 @@ def _parse_json_cues(content: str) -> str:
         if not isinstance(raw, str):
             raise SubtitleParseError(1, f"cue #{index} text is not a string")
         raws.append(_TAG_RE.sub("", raw) if "<" in raw else raw)
+    # Only a \u escape decodes to a lone surrogate.
+    if "\\u" in content:
+        for index, raw in enumerate(raws):
+            problem = surrogate_problem(raw)
+            if problem is not None:
+                raise SubtitleParseError(1, f"cue #{index} text {problem}")
     # Every line break splitlines() knows is whitespace to str.split().
     return " ".join(" ".join(raws).split())

@@ -125,6 +125,17 @@ def read_json_lines(
                 yield lineno, None, f"invalid JSON ({problem})"
 
 
+def surrogate_problem(text: str) -> str | None:
+    """The problem with a text that holds a lone surrogate, the only code
+    point UTF-8 cannot encode, or None. A JSON \\u escape or argv bytes that
+    are not UTF-8 put one into a str; decoding UTF-8 never does."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"holds lone surrogate U+{ord(text[exc.start]):04X}"
+    return None
+
+
 _DECODER = json.JSONDecoder()
 _JSON_WHITESPACE = " \t\n\r"
 

@@ -191,6 +191,30 @@ class TestCorpusIngest:
         assert code == 1
         assert f"{caption}: line 1: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "jpn, error",
+        [("abc\\ud800", "line 1: cue #0 text holds lone surrogate U+D800"),
+         ("abc \\ud83d\\ude00", None)],
+        ids=["lone-surrogate", "surrogate-pair"],
+    )
+    def test_json_caption_surrogate_escapes(self, tmp_path, capsys, jpn, error):
+        talk = tmp_path / "talks" / "t1"
+        talk.mkdir(parents=True)
+        (talk / "eng.json").write_text('[{"content": "hello there"}]', encoding="utf-8")
+        (talk / "jpn.json").write_text(f'[{{"content": "{jpn}"}}]', encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        code = main(
+            ["corpus", "ingest", "--format", "ted", "--input", str(tmp_path / "talks"),
+             "--langs", "eng,jpn", "--min-chars", "0", "--out", str(out), "--quiet"]
+        )
+        if error is None:
+            assert code == 0
+            assert "\U0001f600" in out.read_text(encoding="utf-8")
+        else:
+            assert code == 1
+            assert f"{talk / 'jpn.json'}: {error}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_undecodable_caption_file_names_its_line(self, tmp_path, capsys):
         caption = tmp_path / "talks" / "t1" / "eng.srt"
         caption.parent.mkdir(parents=True)
@@ -231,6 +255,25 @@ class TestCorpusIngest:
 
 
 class TestRatios:
+    def test_escaped_lone_surrogate_in_the_corpus_is_a_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            '{"name": "c", "languages": ["eng", "jpn"], "provenance": ""}\n'
+            '{"unit_id": "1", "eng": "hello there", "jpn": "abc\\ud800def"}\n',
+            encoding="utf-8",
+        )
+        code = main(
+            ["ratios", "--corpus", str(corpus), "--base", "eng", "--others", "jpn",
+             "--measure", "utf8", "--quiet"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"{corpus}:2: invalid unit record: 'jpn' holds lone surrogate U+D800"
+            in captured.err
+        )
+
     def test_csv_to_stdout(self, udhr_corpus_file, capsys):
         code = main(
             [
@@ -411,6 +454,14 @@ class TestLimitCheck:
         out = capsys.readouterr().out
         assert "fits: yes" in out
         assert "units_used: 140" in out
+
+    def test_text_with_a_lone_surrogate_is_a_usage_error(self, capsys):
+        # The lone surrogate Python makes of the argv byte 0xFF.
+        code = main(["limit", "check", "--platform", "sms", "--text", "a\udcffb"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--text is not UTF-8: it holds lone surrogate U+DCFF" in captured.err
 
     def test_undecodable_file_names_its_line(self, tmp_path, capsys):
         message = tmp_path / "bad.txt"

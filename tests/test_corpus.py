@@ -309,6 +309,11 @@ class TestPersistence:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
         assert load_corpus(path) == udhr_corpus
 
+    def test_escaped_surrogate_pair_loads_as_one_scalar(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(HEADER + b'{"unit_id": "1", "eng": "hi \\ud83d\\ude00"}\n')
+        assert load_corpus(path).units[0].texts == {"eng": "hi \U0001f600"}
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")
@@ -384,6 +389,21 @@ class TestPersistence:
                 b'{"name": "c", "languages": [["eng"]], "provenance": ""}\n',
                 r":1: corpus header 'languages' holds a non-string",
                 id="language-not-a-string",
+            ),
+            pytest.param(
+                HEADER + b'{"unit_id": "1", "eng": "hi", "jpn": "abc\\ud800def"}\n',
+                r":2: invalid unit record: 'jpn' holds lone surrogate U\+D800",
+                id="lone-surrogate-escape",
+            ),
+            pytest.param(
+                HEADER + b'{"unit_id": "u\\udc80", "eng": "hi"}\n',
+                r":2: invalid unit record: 'unit_id' holds lone surrogate U\+DC80",
+                id="unit-id-lone-surrogate-escape",
+            ),
+            pytest.param(
+                b'{"name": "c\\udfff", "languages": ["eng"], "provenance": ""}\n',
+                r":1: invalid corpus header: 'name' holds lone surrogate U\+DFFF",
+                id="header-lone-surrogate-escape",
             ),
             pytest.param(
                 HEADER + b"3\n",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lingspace import gsm7
 from lingspace.errors import GsmNotRepresentableError
 from lingspace.measures import (
     SpaceMeasure,
@@ -63,6 +64,41 @@ class TestGbkFallback:
     @given(MIXED_TEXT)
     def test_matches_the_per_scalar_reference(self, text):
         assert gbk_unit_length(text) == _reference_gbk_unit_length(text)
+
+
+def _reference_count_units(text, measure):
+    """count_units written on unicodedata.normalize, one branch per measure."""
+    normalized = unicodedata.normalize("NFC", text)
+    if measure is SpaceMeasure.CHARACTERS:
+        return len(normalized)
+    if measure is SpaceMeasure.UTF8_BYTES:
+        return len(normalized.encode("utf-8"))
+    if measure is SpaceMeasure.GBK_UNITS:
+        return _reference_gbk_unit_length(normalized)
+    assert measure is SpaceMeasure.GSM7_SEPTETS
+    septets = 0
+    for ch in normalized:
+        if ch not in gsm7.GSM_SET:
+            raise GsmNotRepresentableError(ch)
+        septets += 2 if ch in gsm7.GSM7_EXTENSION else 1
+    return septets
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestCountUnitsReference:
+    @pytest.mark.parametrize("kind", list(SpaceMeasure))
+    @given(text=MIXED_TEXT)
+    @example(text="e\u0301\ud800")
+    def test_count_units_matches_the_reference(self, kind, text):
+        expected = _outcome(_reference_count_units, text, kind)
+        assert _outcome(count_units, text, kind) == expected
 
 
 def _reference_gbk_unit_length(text):

@@ -228,6 +228,13 @@ class TestLoadPosts:
         with pytest.raises(DataError, match="line 2: not UTF-8"):
             load_posts(path)
 
+    def test_escaped_lone_surrogate_in_a_text_loads(self, tmp_path):
+        # Posts are counted in characters, which any code point has; unlike
+        # corpus texts, they are never written back as UTF-8.
+        path = tmp_path / "posts.jsonl"
+        path.write_text(json.dumps(_record(0, text="ab\ud800")) + "\n", encoding="utf-8")
+        assert load_posts(path)[0].text == "ab\ud800"
+
     def test_duplicate_post_id_on_one_platform_rejected(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         _write_jsonl(path, [_record(0), _record(0)])

@@ -157,6 +157,17 @@ class TestJsonCaptions:
         with pytest.raises(SubtitleParseError, match="cue #0 lacks"):
             parse_subtitle('[{"start": 0}]', "json_captions")
 
+    def test_lone_surrogate_escape_is_a_parse_error(self):
+        content = '[{"content": "ok"},\n {"content": "abc\\ud800"}]'
+        message = r"cue #1 text holds lone surrogate U\+D800"
+        with pytest.raises(SubtitleParseError, match=message) as exc:
+            parse_subtitle(content, "json_captions")
+        assert exc.value.line_number == 1
+
+    def test_escaped_surrogate_pair_is_one_scalar(self):
+        content = '[{"content": "hi \\ud83d\\ude00"}]'
+        assert parse_subtitle(content, "json_captions") == "hi \U0001f600"
+
     def test_cue_text_not_a_string(self):
         with pytest.raises(SubtitleParseError, match="not a string"):
             parse_subtitle('[{"content": 5}]', "json_captions")
@@ -171,6 +182,7 @@ def test_unknown_format_is_a_usage_error():
 
 _REFERENCE_TAG_RE = re.compile(r"<[^>]*>")
 _REFERENCE_WS_RE = re.compile(r"\s+")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def _reference_clean(lines):
@@ -192,6 +204,18 @@ def test_cue_cleaning_matches_the_regex_reference(texts):
     content = json.dumps([{"text": text} for text in texts])
     # Decoding joins escaped surrogate pairs, so clean what the parser sees.
     decoded = [cue["text"] for cue in json.loads(content)]
+    # A surrogate left outside markup after decoding cannot be written as
+    # UTF-8, so its cue is a parse error.
+    lone = [
+        index for index, text in enumerate(decoded)
+        if _SURROGATE_RE.search(_REFERENCE_TAG_RE.sub("", text))
+    ]
+    if lone:
+        with pytest.raises(SubtitleParseError, match=rf"cue #{lone[0]} text holds lone"):
+            parse_subtitle(content, "json_captions")
+        # Still compare the cleaning, on the same cues without those surrogates.
+        decoded = [_SURROGATE_RE.sub("", text) for text in decoded]
+        content = json.dumps([{"text": text} for text in decoded])
     cleaned = (_reference_clean(text.splitlines() or [""]) for text in decoded)
     expected = " ".join(text for text in cleaned if text)
     assert parse_subtitle(content, "json_captions") == expected
