@@ -19,7 +19,7 @@ from .errors import DataError, LingspaceError, UsageError
 from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
 from .measures import MEASURES_BY_CLI_NAME
-from .microblog import DEFAULT_MIN_POSTS, stats_from_row
+from .microblog import DEFAULT_MIN_POSTS, POSTS_FORMATS, stats_from_row
 from .pipeline import (
     DEFAULT_RESCALE_LIMIT,
     analyze_posts,
@@ -32,7 +32,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .ratios import RatioStats
-from .tables import read_records, read_text, surrogate_problem
+from .tables import TABLE_FORMATS, read_records, read_text, surrogate_problem
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=None, help="output file (default: stdout)"
     )
     table.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="table format"
+        "--format", choices=TABLE_FORMATS, default="csv", help="table format"
     )
 
     parser = argparse.ArgumentParser(
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--posts", type=Path, required=True, help="posts file")
     analyze.add_argument(
         "--posts-format",
-        choices=("jsonl", "csv"),
+        choices=POSTS_FORMATS,
         default=None,
         help="posts file format (default: by suffix)",
     )

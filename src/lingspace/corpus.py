@@ -17,7 +17,7 @@ from .errors import DataError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .subtitles import parse_subtitle
-from .tables import read_json_lines, read_text, surrogate_problem
+from .tables import lf_text, read_json_lines, read_text, surrogate_problem
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,14 @@ def parse_udhr_language_file(content: str, lang: LanguageTag) -> list[tuple[int,
     """Split a declaration-style plain-text file into trimmed paragraphs.
 
     A paragraph is a maximal run of non-blank lines; indices are consecutive
-    from 0. Newlines inside a paragraph are preserved.
+    from 0. LF, CRLF and a lone CR end a line (`tables.lf_text`), and a
+    paragraph keeps its line breaks as LF. Any other line separator, such as
+    U+2028, is a character of its line and is kept as it is.
     """
     parse_language_tag(lang)
     paragraphs: list[tuple[int, str]] = []
     current: list[str] = []
-    for line in content.splitlines():
+    for line in lf_text(content).split("\n"):
         if line.strip():
             current.append(line)
         elif current:

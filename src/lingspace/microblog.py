@@ -35,6 +35,7 @@ log = logging.getLogger(__name__)
 PLATFORMS = ("twitter", "weibo")
 _PLATFORM_SET = frozenset(PLATFORMS)
 ORG_TYPES = ("embassy", "news")
+POSTS_FORMATS = ("jsonl", "csv")
 
 DEFAULT_MIN_POSTS = 50
 
@@ -151,7 +152,9 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
             for lineno, row in read_csv_records(path, _REQUIRED_POST_FIELDS)
         )
     else:
-        raise UsageError(f"unknown posts format {format!r} (expected jsonl or csv)")
+        raise UsageError(
+            f"unknown posts format {format!r} (expected {' or '.join(POSTS_FORMATS)})"
+        )
 
     posts: list[Post] = []
     bad: list[tuple[int, str]] = []

@@ -42,6 +42,7 @@ from .langtags import ENG, LanguageTag, parse_language_list, parse_language_tag
 from .measures import MEASURES_BY_CLI_NAME
 from .microblog import (
     DEFAULT_MIN_POSTS,
+    POSTS_FORMATS,
     RIC_TABLE_FIELDS,
     STATS_TABLE_FIELDS,
     AccountStats,
@@ -63,7 +64,7 @@ from .ratios import (
     ratio_table_row,
 )
 from .svgplot import BoxplotSeries, render_boxplot
-from .tables import emit_table, read_text
+from .tables import TABLE_FORMATS, emit_table, read_text
 
 log = logging.getLogger(__name__)
 
@@ -146,6 +147,11 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
     posts_path = resolve(need("posts", "posts"))
     posts_format = parser.get("posts", "posts_format", fallback=None)
+    if posts_format is not None and posts_format not in POSTS_FORMATS:
+        raise UsageError(
+            f"[posts] posts_format must be {' or '.join(POSTS_FORMATS)}, "
+            f"got {posts_format!r}"
+        )
     accounts_path = resolve(need("posts", "accounts"))
     min_posts = number("posts", "min_posts", int, DEFAULT_MIN_POSTS)
 
@@ -155,9 +161,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
     out_dir = resolve(need("output", "dir"))
     table_format = parser.get("output", "format", fallback="csv").strip()
-    if table_format not in ("csv", "json"):
+    if table_format not in TABLE_FORMATS:
         raise UsageError(
-            f"[output] format must be csv or json, got {table_format!r}"
+            f"[output] format must be {' or '.join(TABLE_FORMATS)}, "
+            f"got {table_format!r}"
         )
 
     return PipelineConfig(

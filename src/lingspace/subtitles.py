@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .errors import SubtitleParseError, UsageError
-from .tables import parse_json, surrogate_problem
+from .tables import lf_text, parse_json, surrogate_problem
 
 SUBTITLE_FORMATS = ("srt", "webvtt", "json_captions")
 
@@ -27,7 +27,11 @@ def parse_subtitle(content: str, format: str) -> str:
     inside a cue collapse to single spaces (they are display artifacts).
     JSON captions are either a list of cue objects or an object with a
     "captions" or "cues" list; each cue needs a "content" or "text" field.
+
+    LF, CRLF and a lone CR end a line (`tables.lf_text`). Any other line
+    separator, such as U+2028, is whitespace inside its line.
     """
+    content = lf_text(content)
     if format == "srt":
         return _parse_block_cues(content, webvtt=False)
     if format == "webvtt":
@@ -44,7 +48,7 @@ def _parse_block_cues(content: str, *, webvtt: bool) -> str:
     """The transcript of an SRT or WebVTT file, built from whole-text string
     operations. A block is a run of non-blank lines; a cue block is an
     optional id line, a timing line containing '-->', then the payload."""
-    lines = content.splitlines()
+    lines = content.split("\n")
     if any(map(str.isspace, lines)):
         lines = ["" if line.isspace() else line for line in lines]
     text = "\n".join(lines)
@@ -151,5 +155,5 @@ def _parse_json_cues(content: str) -> str:
             problem = surrogate_problem(raw)
             if problem is not None:
                 raise SubtitleParseError(1, f"cue #{index} text {problem}")
-    # Every line break splitlines() knows is whitespace to str.split().
+    # Line breaks and separators are whitespace to str.split().
     return " ".join(" ".join(raws).split())

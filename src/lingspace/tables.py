@@ -4,9 +4,12 @@ the decoding of every input file: UTF-8, line ends and JSON.
 CSV cells render floats with exactly four decimal places; JSON output
 rounds floats to four decimals. Both are byte-stable for identical input.
 
-Each reader here ends a line at LF, at CRLF and at a lone CR, and numbers
-lines by that rule: `read_text` reads all three as LF, `read_utf8` and the
-CSV reader keep them, and `read_json_lines` splits records on them.
+Every input file ends a line at LF, at CRLF and at a lone CR, and numbers
+lines by that rule, which `lf_text` holds: `read_text` reads all three as LF,
+`read_utf8` keeps them for the CSV reader, and `read_json_lines` splits
+records on them. Parsers that take `str` apply `lf_text` and split on LF, so
+other Unicode line separators (U+000B, U+000C, U+001C-U+001E, U+0085, U+2028,
+U+2029) are characters inside a line.
 """
 
 from __future__ import annotations
@@ -162,27 +165,29 @@ def parse_json(text: str) -> tuple[object, str | None, int]:
         return None, str(exc), 1
 
 
+def lf_text(text: str) -> str:
+    """`text` with each CRLF and lone CR read as LF, as a text-mode open()
+    reads them: the line-end rule of every reader."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
     """The file's text with its line endings kept; undecodable bytes raise
-    `error` naming the file and line. LF, CRLF and CR each end a line, as
-    they do for the caption, CSV and config parsers."""
+    `error` naming the file and its line by the `lf_text` rule."""
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        end = exc.start
-        line = (raw.count(b"\n", 0, end) + raw.count(b"\r", 0, end)
-                - raw.count(b"\r\n", 0, end) + 1)
+        # The bytes before the first bad one always decode.
+        line = lf_text(raw[: exc.start].decode("utf-8")).count("\n") + 1
         raise error(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
 
 
 def read_text(path: Path, error: type[LingspaceError] = DataError) -> str:
-    """`read_utf8` with CR and CRLF line ends read as LF, as a text-mode
-    open() reads them."""
-    text = read_utf8(path, error)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    """`read_utf8` with CR and CRLF line ends read as LF."""
+    return lf_text(read_utf8(path, error))
 
 
 def read_csv_records(
@@ -220,11 +225,18 @@ def read_records(path: str | Path) -> list[dict[str, object]]:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return [row for _, row in read_csv_records(path)]
-    payload, problem, line = parse_json(read_text(path))
+    text = read_text(path)
+    payload, problem, line = parse_json(text)
     if problem is not None:
         raise DataError(f"{path}:{line}: invalid JSON table: {problem}")
     if not isinstance(payload, list) or not all(
         isinstance(item, dict) for item in payload
     ):
         raise DataError(f"{path}: JSON table must be an array of objects")
+    # Only a \u escape decodes to a lone surrogate, which no writer encodes.
+    if "\\u" in text:
+        for index, row in enumerate(payload):
+            cells = [*row, *(cell for cell in row.values() if isinstance(cell, str))]
+            if problem := surrogate_problem("".join(cells)):
+                raise DataError(f"{path}: JSON table row #{index} {problem}")
     return payload

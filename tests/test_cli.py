@@ -18,6 +18,7 @@ from lingspace.cli import main
 from lingspace.corpus import load_corpus
 from lingspace.microblog import RIC_TABLE_FIELDS, STATS_TABLE_FIELDS
 from lingspace.ratios import RATIO_TABLE_FIELDS
+from lingspace.tables import read_records
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -773,6 +774,23 @@ class TestRic:
         assert code == 1
         assert "malformed ratios row" in capsys.readouterr().err
 
+    def test_lone_surrogate_in_a_json_stats_table_is_a_data_error(
+        self, stats_file, ratios_for_ric, tmp_path, capsys
+    ):
+        rows = read_records(stats_file)
+        rows[1]["screen_name"] = "ab\ud800"
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(rows), encoding="utf-8")  # escapes as \ud800
+        out = tmp_path / "ric.csv"
+        code = main(
+            ["ric", "--stats", str(stats), "--ratios", str(ratios_for_ric),
+             "--base", "cmn_hans", "--out", str(out), "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {stats}: JSON table row #1 holds lone surrogate U+D800\n"
+        assert not out.exists()
+
 
 class TestPlotBox:
     def test_corpus_boxplot_with_secondary_axis(self, udhr_corpus_file, tmp_path):
@@ -841,6 +859,25 @@ class TestPlotBox:
             "weibo/cmn_hans/embassy",
             "weibo/cmn_hans/news",
         ]
+
+    def test_lone_surrogate_in_a_json_ric_table_is_a_data_error(
+        self, stats_file, ratios_for_ric, tmp_path, capsys
+    ):
+        ric = tmp_path / "ric.json"
+        code = main(
+            ["ric", "--stats", str(stats_file), "--ratios", str(ratios_for_ric),
+             "--base", "cmn_hans", "--format", "json", "--out", str(ric), "--quiet"]
+        )
+        assert code == 0
+        rows = read_records(ric)
+        rows[0]["platform"] = "twit\ud800"
+        ric.write_text(json.dumps(rows), encoding="utf-8")
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ric}: JSON table row #0 holds lone surrogate U+D800\n"
+        assert not out.exists()
 
     def test_tables_past_the_csv_field_limit_chain(self, ratios_for_ric, tmp_path):
         """An account with 20,000 posts writes stats and RIC cells longer than

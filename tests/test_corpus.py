@@ -22,6 +22,7 @@ from lingspace.corpus import (
     save_corpus,
 )
 from lingspace.errors import DataError, LingspaceError, UsageError
+from lingspace.measures import SpaceMeasure, count_units
 from lingspace.microblog import load_accounts, load_posts
 from lingspace.pipeline import load_pipeline_config
 from lingspace.tables import read_records
@@ -72,6 +73,21 @@ class TestParagraphSplitting:
     def test_unknown_language_rejected(self):
         with pytest.raises(UsageError, match="unknown language tag"):
             parse_udhr_language_file("A", "nope")
+
+    def test_other_line_separators_are_counted_characters(self):
+        # Only LF, CRLF and CR end a line: U+2028, U+0085 and a vertical tab
+        # stay in the paragraph, and its measures count them.
+        content = "A\u2028B\x85C\vD"
+        assert parse_udhr_language_file(content, "eng") == [(0, content)]
+        assert count_units(content, SpaceMeasure.UTF8_BYTES) == 10
+        assert count_units(content, SpaceMeasure.GBK_UNITS) == 9
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_text_splits_like_lf(self, end):
+        content = "A\nB\n\n \nC\n"
+        expected = [(0, "A\nB"), (1, "C")]
+        assert parse_udhr_language_file(content, "eng") == expected
+        assert parse_udhr_language_file(content.replace("\n", end), "eng") == expected
 
 
 class TestUnitAndCorpusInvariants:

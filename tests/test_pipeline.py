@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+import microgen
+import tedgen
 from lingspace.cli import main
 from lingspace.corpus import load_corpus
 from lingspace.pipeline import ingest_corpus, load_pipeline_config, run_pipeline
@@ -271,6 +273,26 @@ class TestFailureStages:
         assert run_pipeline(config) == 1
         assert "measure must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, error",
+        [
+            ("posts", "posts_format", "[posts] posts_format must be jsonl or csv"),
+            ("output", "format", "[output] format must be csv or json"),
+        ],
+        ids=["posts", "output"],
+    )
+    def test_unknown_file_format_fails_in_config(
+        self, tmp_path, udhr_dir, post_dump, capsys, section, key, error
+    ):
+        sections = base_sections(udhr_dir, post_dump)
+        sections[section][key] = "xml"
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        err = capsys.readouterr().err
+        assert err == f"pipeline failed at stage 'config': {error}, got 'xml'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_config_fails_in_config(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_bytes(b"\xff\xfe[corpus]\n")
@@ -387,3 +409,57 @@ class TestSubtitleCorpusRun:
         rows = _read_csv(tmp_path / "out" / "ratios.csv")
         assert [r["lang_b"] for r in rows] == ["eng", "jpn"]
         assert {r["n"] for r in rows} == {str(len(ted_fixture.kept_ids))}
+
+
+def _tree(root):
+    """{relative path: bytes} for every file under root."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _run_with_line_ends(root, inputs, end):
+    """Write `inputs` under root with each LF replaced by `end`, run the
+    pipeline, and return the output directory as {relative path: bytes}."""
+    for name, data in inputs.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data.replace(b"\n", end))
+    assert run_pipeline(root / "run.ini") == 0
+    return _tree(root / "out")
+
+
+@pytest.fixture(scope="module")
+def lf_run(tmp_path_factory):
+    """A few generated talks, a post dump and a config that names them
+    relative to itself, all with LF line ends, as {relative path: bytes};
+    and the output directory of a run on them."""
+    root = tmp_path_factory.mktemp("line_end_inputs")
+    tedgen.build_subtitle_tree(root / "talks", n_kept=6, n_missing=1, n_short=1)
+    microgen.build_post_dump(root / "dump")
+    write_config(
+        root / "run.ini",
+        {
+            "corpus": {"format": "ted", "input": "talks", "langs": "eng,jpn,cmn_hans"},
+            "ratios": {"base": "cmn_hans", "others": "eng,jpn"},
+            "posts": {"posts": "dump/posts.jsonl", "accounts": "dump/accounts.csv"},
+            "output": {"dir": "out"},
+        },
+    )
+    inputs = _tree(root)
+    assert not any(b"\r" in data for data in inputs.values())
+    outputs = _run_with_line_ends(root, inputs, b"\n")
+    assert sorted(outputs) == sorted(OUTPUT_NAMES)
+    return inputs, outputs
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_input_line_ends_leave_the_outputs_byte_identical(
+    tmp_path_factory, lf_run, end
+):
+    """Every input file and the config rewritten with CRLF or CR line ends
+    give the output directory of the LF run: the same file names and bytes."""
+    inputs, lf_outputs = lf_run
+    root = tmp_path_factory.mktemp("line_end_run")
+    assert _run_with_line_ends(root, inputs, end) == lf_outputs

@@ -78,6 +78,46 @@ class TestSrt:
         assert str(exc.value).startswith("line 6:")
         assert "malformed cue timing" in str(exc.value)
 
+    # A form feed is a character of its line, as in every other reader: it
+    # shifts no line number and parts no block.
+    @pytest.mark.parametrize(
+        "timing, line, error",
+        [
+            ("no arrow here", 5, "expected a cue timing line containing '-->'"),
+            ("00:07 --> later", 6, "malformed cue timing line: '00:07 --> later'"),
+        ],
+        ids=["missing-arrow", "malformed"],
+    )
+    def test_form_feed_in_a_cue_keeps_later_line_numbers(self, timing, line, error):
+        content = (
+            "1\n00:00:01,000 --> 00:00:02,000\nHello\fthere\n\n"
+            f"2\n{timing}\nBye\n"
+        )
+        with pytest.raises(SubtitleParseError) as exc:
+            parse_subtitle(content, "srt")
+        assert exc.value.line_number == line
+        assert str(exc.value) == f"line {line}: {error}"
+
+    def test_form_feeds_inside_a_cue_are_whitespace(self):
+        content = (
+            "1\n00:00:01,000 --> 00:00:02,000\nHello\f\fworld\n\n"
+            "2\n00:00:02,000 --> 00:00:03,000\nBye\n"
+        )
+        assert parse_subtitle(content, "srt") == "Hello world Bye"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_text_parses_like_lf(self, end):
+        cases = [
+            (SRT_TWO_CUES, "srt"),
+            (SRT_TWO_CUES.replace("00:00:02,000 -->", "00:07 -->"), "srt"),
+            (VTT_ONE_CUE, "webvtt"),
+            ('[\n{"content": "a"},\n{"content": }]', "json_captions"),
+        ]
+        for content, fmt in cases:
+            expected = _outcome(parse_subtitle, content, fmt)
+            assert _outcome(parse_subtitle, content.replace("\n", end), fmt) == expected
+        assert expected == (3, "line 3: invalid JSON: Expecting value")
+
 
 class TestWebvtt:
     def test_single_cue(self):
@@ -224,11 +264,12 @@ def test_cue_cleaning_matches_the_regex_reference(texts):
 # The block parser as it was when it walked the file line by line and
 # cleaned each cue on its own (with the regex cleaning above); the
 # whole-text parser must agree with it on every transcript and on every
-# error's line and text.
+# error's line and text. Only LF, CRLF and a lone CR end a line: any other
+# separator in LINE_ENDS is a character inside its line.
 def _reference_iter_blocks(content):
     block = []
     start = 0
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", content), start=1):
         if line.strip():
             if not block:
                 start = lineno
