@@ -14,7 +14,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .corpus import load_corpus, save_corpus
+from .corpus import CORPUS_FORMATS, load_corpus, save_corpus
 from .errors import DataError, LingspaceError, UsageError
 from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--format",
         dest="corpus_format",
-        choices=("udhr", "ted"),
+        choices=CORPUS_FORMATS,
         required=True,
         help="input layout: <dir>/<lang>.txt or <dir>/<talk_id>/<lang>.*",
     )

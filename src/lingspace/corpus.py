@@ -19,6 +19,9 @@ from .measures import SpaceMeasure, count_units
 from .subtitles import parse_subtitle
 from .tables import lf_text, read_json_lines, read_text, surrogate_problem
 
+# Directory layouts: udhr is <dir>/<lang>.txt, ted is <dir>/<talk_id>/<lang>.*
+CORPUS_FORMATS = ("udhr", "ted")
+
 
 @dataclass(frozen=True)
 class AlignedUnit:
@@ -286,25 +289,31 @@ def load_corpus(path: str | Path) -> ParallelCorpus:
     """
     path = Path(path)
     records = read_json_lines(path)
-    lineno, header, problem = next(records, (None, None, None))
-    if lineno != 1:
+    head, header, problem = next(records, (None, None, None))
+    if head is None:
         raise DataError(f"{path}: empty corpus file")
+    where = f"{path}:{head}"
     if problem is not None:
-        raise DataError(f"{path}:1: invalid corpus header: {problem}")
+        raise DataError(f"{where}: invalid corpus header: {problem}")
     for key, kind in (("name", str), ("languages", list), ("provenance", str)):
         if key not in header:
-            raise DataError(f"{path}:1: corpus header lacks {key!r}")
+            raise DataError(f"{where}: corpus header lacks {key!r}")
         if not isinstance(header[key], kind):
-            raise DataError(f"{path}:1: corpus header {key!r} is not a {kind.__name__}")
+            raise DataError(f"{where}: corpus header {key!r} is not a {kind.__name__}")
     if not all(isinstance(lang, str) for lang in header["languages"]):
-        raise DataError(f"{path}:1: corpus header 'languages' holds a non-string")
+        raise DataError(f"{where}: corpus header 'languages' holds a non-string")
     # A JSON \u escape can decode to a lone surrogate, which save_corpus and
     # the UTF-8 measures cannot encode.
     for key in ("name", "provenance"):
         if problem := surrogate_problem(header[key]):
-            raise DataError(f"{path}:1: invalid corpus header: {key!r} {problem}")
+            raise DataError(f"{where}: invalid corpus header: {key!r} {problem}")
     languages = tuple(parse_language_tag(lang) for lang in header["languages"])
+    try:  # the corpus's own language checks, named at the header's line
+        ParallelCorpus(header["name"], languages, ())
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
     units: list[AlignedUnit] = []
+    seen: set[str] = set()
     for lineno, record, problem in records:
         if problem is not None:
             raise DataError(f"{path}:{lineno}: invalid unit record: {problem}")
@@ -320,6 +329,9 @@ def load_corpus(path: str | Path) -> ParallelCorpus:
                 raise DataError(
                     f"{path}:{lineno}: invalid unit record: {key!r} {problem}"
                 )
+        if unit.unit_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate unit_id {unit.unit_id!r}")
+        seen.add(unit.unit_id)
         units.append(unit)
     return ParallelCorpus(
         header["name"], languages, tuple(units), header["provenance"]

@@ -29,7 +29,9 @@ class SubtitleParseError(DataError):
 class GsmNotRepresentableError(LingspaceError):
     """Text contains a character outside the GSM 03.38 tables.
 
-    Message-fit checks catch this to fall back to the 16-bit encoding.
+    Raised by gsm7.septet_length and count_units(..., GSM7_SEPTETS).
+    check_fit never sees it: it tests gsm7.is_gsm_text first and counts
+    other texts in the 16-bit encoding.
     """
 
     def __init__(self, char: str):

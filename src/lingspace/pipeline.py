@@ -32,6 +32,7 @@ from pathlib import Path
 # perfbench/spans.py times each layer by wrapping the names the stages call
 # through this module: the loaders, aggregate_ratios, describe, emit_table...
 from .corpus import (
+    CORPUS_FORMATS,
     ParallelCorpus,
     load_subtitle_directory,
     load_udhr_directory,
@@ -120,8 +121,11 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             ) from exc
 
     corpus_format = need("corpus", "format").strip()
-    if corpus_format not in ("udhr", "ted"):
-        raise UsageError(f"[corpus] format must be udhr or ted, got {corpus_format!r}")
+    if corpus_format not in CORPUS_FORMATS:
+        raise UsageError(
+            f"[corpus] format must be {' or '.join(CORPUS_FORMATS)}, "
+            f"got {corpus_format!r}"
+        )
     langs = parse_language_list(need("corpus", "langs"))
     min_chars = number("corpus", "min_chars", int, None)
 
@@ -195,6 +199,11 @@ def ingest_corpus(
 ) -> ParallelCorpus:
     """Parse and align a udhr or ted directory; logs what the filter kept.
     A min_chars of None keeps the loader's default."""
+    if corpus_format not in CORPUS_FORMATS:
+        raise UsageError(
+            f"unknown corpus format {corpus_format!r} "
+            f"(expected {' or '.join(CORPUS_FORMATS)})"
+        )
     load = load_udhr_directory if corpus_format == "udhr" else load_subtitle_directory
     if min_chars is None:
         corpus, report = load(input_dir, langs)
@@ -274,16 +283,18 @@ def plot_ratios(
 ) -> None:
     """One box per language; with rescale_lang, a right axis in characters
     equivalent to rescale_limit characters of that language."""
-    scale, secondary_label = None, ""
+    secondary = None
     if rescale_lang is not None:
-        scale = rescale_limit / ratio_stats[rescale_lang].stats.mean
-        secondary_label = f"chars equivalent to {rescale_limit:g} {rescale_lang}"
+        secondary = (
+            rescale_limit / ratio_stats[rescale_lang].stats.mean,
+            f"chars equivalent to {rescale_limit:g} {rescale_lang}",
+        )
     render_boxplot(
-        [BoxplotSeries(lang, r.stats, scale) for lang, r in ratio_stats.items()],
+        [BoxplotSeries(lang, r.stats) for lang, r in ratio_stats.items()],
         title or f"Space ratio vs {base} ({measure_name})",
         out,
         y_label=f"ratio to {base}",
-        secondary_label=secondary_label,
+        secondary=secondary,
     )
 
 

@@ -37,12 +37,10 @@ _STYLE = """\
 
 @dataclass(frozen=True)
 class BoxplotSeries:
-    """One box: a label, its statistics, and an optional secondary-axis
-    scale (right-axis units per left-axis unit, shared across series)."""
+    """One box: a label and its statistics."""
 
     label: str
     stats: DescriptiveStats
-    secondary_axis_scale: float | None = None
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -57,7 +55,32 @@ def _escape(text: str) -> str:
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+    """A computed position or value with two decimals; an int, which only
+    the fixed layout gives, as it is."""
+    return str(value) if isinstance(value, int) else f"{value:.2f}"
+
+
+def _line(cls: str, x1: float, y1: float, x2: float, y2: float) -> str:
+    return (
+        f'  <line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+        f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
+    )
+
+
+def _text(
+    x: float, y: float, anchor: str, body: str, cls: str = "", rotate: int = 0
+) -> str:
+    """A text element; rotate turns it by that many degrees about (x, y)."""
+    head = f' class="{cls}"' if cls else ""
+    tail = f' transform="rotate({rotate} {_fmt(x)} {_fmt(y)})"' if rotate else ""
+    return (
+        f'  <text{head} x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}"{tail}>'
+        f"{_escape(body)}</text>"
+    )
+
+
+def _circle(cls: str, cx: float, cy: float, r: float) -> str:
+    return f'  <circle class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}"/>'
 
 
 def render_boxplot(
@@ -65,23 +88,22 @@ def render_boxplot(
     title: str,
     out: str | Path,
     y_label: str = "",
-    secondary_label: str = "",
+    secondary: tuple[float, str] | None = None,
 ) -> None:
     """Write a boxplot SVG: per series a q1-q3 box, median line, 1.5-IQR
     whiskers with caps, outlier dots, and a marked mean.
 
-    When the series carry a secondary axis scale, a right-hand axis shows
-    each tick value multiplied by that scale.
+    secondary=(scale, label) adds a right-hand axis, titled label, that
+    shows each tick value multiplied by scale.
     """
     if not series:
         raise UsageError("at least one series is required")
-    scales = {s.secondary_axis_scale for s in series if s.secondary_axis_scale is not None}
-    if len(scales) > 1:
-        raise UsageError("secondary axis scales differ between series")
-    secondary = scales.pop() if scales else None
 
     plot_w = CANVAS_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = CANVAS_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    right = CANVAS_WIDTH - MARGIN_RIGHT
+    bottom = MARGIN_TOP + plot_h
+    middle = MARGIN_TOP + plot_h // 2
     values: list[float] = []
     for s in series:
         values.extend((s.stats.whisker_low, s.stats.whisker_high, s.stats.mean))
@@ -102,46 +124,22 @@ def render_boxplot(
         "  <style>",
         _STYLE,
         "  </style>",
-        f'  <text class="title" x="{CANVAS_WIDTH / 2:.0f}" y="24" '
-        f'text-anchor="middle">{_escape(title)}</text>',
-        f'  <line class="axis" x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" '
-        f'x2="{MARGIN_LEFT}" y2="{MARGIN_TOP + plot_h}"/>',
+        _text(CANVAS_WIDTH // 2, 24, "middle", title, cls="title"),
+        _line("axis", MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom),
     ]
     if secondary is not None:
-        parts.append(
-            f'  <line class="axis" x1="{CANVAS_WIDTH - MARGIN_RIGHT}" '
-            f'y1="{MARGIN_TOP}" x2="{CANVAS_WIDTH - MARGIN_RIGHT}" '
-            f'y2="{MARGIN_TOP + plot_h}"/>'
-        )
+        parts.append(_line("axis", right, MARGIN_TOP, right, bottom))
     for i in range(N_TICKS):
         tick = lo + (hi - lo) * i / (N_TICKS - 1)
         ty = y(tick)
-        parts.append(
-            f'  <line class="tick" x1="{MARGIN_LEFT}" y1="{_fmt(ty)}" '
-            f'x2="{CANVAS_WIDTH - MARGIN_RIGHT}" y2="{_fmt(ty)}"/>'
-        )
-        parts.append(
-            f'  <text x="{MARGIN_LEFT - 8}" y="{_fmt(ty + 4)}" '
-            f'text-anchor="end">{tick:.2f}</text>'
-        )
+        parts.append(_line("tick", MARGIN_LEFT, ty, right, ty))
+        parts.append(_text(MARGIN_LEFT - 8, ty + 4, "end", _fmt(tick)))
         if secondary is not None:
-            parts.append(
-                f'  <text x="{CANVAS_WIDTH - MARGIN_RIGHT + 8}" y="{_fmt(ty + 4)}" '
-                f'text-anchor="start">{tick * secondary:.2f}</text>'
-            )
+            parts.append(_text(right + 8, ty + 4, "start", _fmt(tick * secondary[0])))
     if y_label:
-        parts.append(
-            f'  <text x="16" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.0f})">'
-            f"{_escape(y_label)}</text>"
-        )
-    if secondary is not None and secondary_label:
-        x = CANVAS_WIDTH - 14
-        parts.append(
-            f'  <text x="{x}" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(90 {x} {MARGIN_TOP + plot_h / 2:.0f})">'
-            f"{_escape(secondary_label)}</text>"
-        )
+        parts.append(_text(16, middle, "middle", y_label, rotate=-90))
+    if secondary is not None:
+        parts.append(_text(CANVAS_WIDTH - 14, middle, "middle", secondary[1], rotate=90))
 
     slot = plot_w / len(series)
     cap = BOX_WIDTH * 0.6
@@ -150,41 +148,19 @@ def render_boxplot(
         cx = MARGIN_LEFT + slot * (index + 0.5)
         left = cx - BOX_WIDTH / 2
         y_q1, y_q3 = y(stats.q1), y(stats.q3)
-        parts.append(
-            f'  <line class="whisker" x1="{_fmt(cx)}" y1="{_fmt(y_q1)}" '
-            f'x2="{_fmt(cx)}" y2="{_fmt(y(stats.whisker_low))}"/>'
-        )
-        parts.append(
-            f'  <line class="whisker" x1="{_fmt(cx)}" y1="{_fmt(y_q3)}" '
-            f'x2="{_fmt(cx)}" y2="{_fmt(y(stats.whisker_high))}"/>'
-        )
+        parts.append(_line("whisker", cx, y_q1, cx, y(stats.whisker_low)))
+        parts.append(_line("whisker", cx, y_q3, cx, y(stats.whisker_high)))
         for value in (stats.whisker_low, stats.whisker_high):
-            parts.append(
-                f'  <line class="whisker" x1="{_fmt(cx - cap / 2)}" '
-                f'y1="{_fmt(y(value))}" x2="{_fmt(cx + cap / 2)}" '
-                f'y2="{_fmt(y(value))}"/>'
-            )
+            parts.append(_line("whisker", cx - cap / 2, y(value), cx + cap / 2, y(value)))
         parts.append(
             f'  <rect class="box" x="{_fmt(left)}" y="{_fmt(y_q3)}" '
-            f'width="{_fmt(BOX_WIDTH)}" height="{_fmt(y_q1 - y_q3)}"/>'
+            f'width="{BOX_WIDTH:.2f}" height="{_fmt(y_q1 - y_q3)}"/>'
         )
-        parts.append(
-            f'  <line class="median" x1="{_fmt(left)}" y1="{_fmt(y(stats.median))}" '
-            f'x2="{_fmt(left + BOX_WIDTH)}" y2="{_fmt(y(stats.median))}"/>'
-        )
+        y_median = y(stats.median)
+        parts.append(_line("median", left, y_median, left + BOX_WIDTH, y_median))
         for value in stats.outliers:
-            parts.append(
-                f'  <circle class="outlier" cx="{_fmt(cx)}" cy="{_fmt(y(value))}" '
-                f'r="2.5"/>'
-            )
-        parts.append(
-            f'  <circle class="mean" cx="{_fmt(cx)}" cy="{_fmt(y(stats.mean))}" '
-            f'r="3.5"/>'
-        )
-        parts.append(
-            f'  <text class="label" x="{_fmt(cx)}" '
-            f'y="{MARGIN_TOP + plot_h + 20}" text-anchor="middle">'
-            f"{_escape(s.label)}</text>"
-        )
+            parts.append(_circle("outlier", cx, y(value), 2.5))
+        parts.append(_circle("mean", cx, y(stats.mean), 3.5))
+        parts.append(_text(cx, bottom + 20, "middle", s.label, cls="label"))
     parts.append("</svg>")
     Path(out).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")

@@ -538,6 +538,18 @@ class TestLimitCheck:
             )
         assert excinfo.value.code == 2
 
+    # any --format but json writes the text report
+    @pytest.mark.parametrize("fmt", [pytest.param("csv", id="text"), "json"])
+    def test_out_writes_the_report_instead_of_stdout(self, tmp_path, capsys, fmt):
+        command = ["limit", "check", "--platform", "sms", "--text", "中文短信",
+                   "--format", fmt, "--quiet"]
+        assert main(command) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "report.txt"
+        assert main([*command, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == expected
+
 
 class TestPostsAnalyze:
     def test_emits_one_row_per_qualifying_account(self, stats_file):
@@ -913,6 +925,32 @@ class TestPlotBox:
         root = ET.parse(svg).getroot()
         labels = [e.text for e in root.iter(SVG + "text") if e.get("class") == "label"]
         assert labels == ["twitter/eng/news"]
+
+    def test_malformed_ric_row_is_a_data_error(self, tmp_path, capsys):
+        ric = tmp_path / "ric.csv"
+        ric.write_text(
+            "platform,language,org_type,base_lang,per_post_ric\n"
+            "twitter,eng,news,cmn_hans,1.0 abc\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {ric}: malformed RIC row: could not convert string to float: 'abc'\n"
+        )
+        assert not out.exists()
+
+    def test_header_only_ric_table_is_a_usage_error(self, tmp_path, capsys):
+        ric = tmp_path / "ric.csv"
+        ric.write_text(
+            "platform,language,org_type,base_lang,per_post_ric\n", encoding="utf-8"
+        )
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {ric}: no RIC rows to plot\n"
+        assert not out.exists()
 
     def test_corpus_and_ric_together_is_a_usage_error(
         self, udhr_corpus_file, tmp_path, capsys

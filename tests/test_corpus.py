@@ -336,6 +336,26 @@ class TestPersistence:
         with pytest.raises(DataError, match="empty corpus file"):
             load_corpus(path)
 
+    def test_header_after_blank_lines_is_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n  \n" + HEADER + b'{"unit_id": "1", "eng": "hi"}\n')
+        corpus = load_corpus(path)
+        assert corpus.languages == ("eng", "jpn")
+        assert corpus.units == (AlignedUnit("1", {"eng": "hi"}),)
+
+    def test_header_error_names_the_header_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n\n{oops\n")
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"{path}:3: invalid corpus header: ")
+
+    def test_blank_lines_only_are_an_empty_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n \r\n\n")
+        with pytest.raises(DataError, match="empty corpus file"):
+            load_corpus(path)
+
     def test_bad_header_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("{oops\n", encoding="utf-8")
@@ -441,6 +461,21 @@ class TestPersistence:
                 r":1: invalid corpus header: invalid JSON",
                 id="nesting-too-deep",
             ),
+            pytest.param(
+                b'{"name": "c", "languages": [], "provenance": ""}\n',
+                r":1: corpus has no languages$",
+                id="no-languages",
+            ),
+            pytest.param(
+                b'{"name": "c", "languages": ["eng", "eng"], "provenance": ""}\n',
+                r":1: corpus languages contain duplicates$",
+                id="duplicate-languages",
+            ),
+            pytest.param(
+                HEADER + b'{"unit_id": "a", "eng": "x"}\n{"unit_id": "a", "eng": "y"}\n',
+                r":3: duplicate unit_id 'a'$",
+                id="duplicate-unit-id",
+            ),
         ],
     )
     def test_malformed_content_is_a_data_error_naming_the_line(
@@ -448,8 +483,9 @@ class TestPersistence:
     ):
         path = tmp_path / "c.jsonl"
         path.write_bytes(content)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=message) as info:
             load_corpus(path)
+        assert str(info.value).startswith(f"{path}:")
 
     @given(
         st.binary(max_size=300)

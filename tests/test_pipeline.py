@@ -13,6 +13,7 @@ import microgen
 import tedgen
 from lingspace.cli import main
 from lingspace.corpus import load_corpus
+from lingspace.errors import UsageError
 from lingspace.pipeline import ingest_corpus, load_pipeline_config, run_pipeline
 
 OUTPUT_NAMES = (
@@ -157,6 +158,12 @@ class TestConfigHandling:
             "long"
         ]
 
+    def test_unknown_corpus_format_is_a_usage_error(self, tmp_path):
+        with pytest.raises(
+            UsageError, match=r"unknown corpus format 'xml' \(expected udhr or ted\)"
+        ):
+            ingest_corpus("xml", tmp_path, ("eng", "jpn"), None)
+
     def test_loaded_config_fills_documented_defaults(
         self, tmp_path, udhr_dir, post_dump
     ):
@@ -276,10 +283,11 @@ class TestFailureStages:
     @pytest.mark.parametrize(
         "section, key, error",
         [
+            ("corpus", "format", "[corpus] format must be udhr or ted"),
             ("posts", "posts_format", "[posts] posts_format must be jsonl or csv"),
             ("output", "format", "[output] format must be csv or json"),
         ],
-        ids=["posts", "output"],
+        ids=["corpus", "posts", "output"],
     )
     def test_unknown_file_format_fails_in_config(
         self, tmp_path, udhr_dir, post_dump, capsys, section, key, error
@@ -291,6 +299,21 @@ class TestFailureStages:
         assert run_pipeline(config) == 1
         err = capsys.readouterr().err
         assert err == f"pipeline failed at stage 'config': {error}, got 'xml'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_rescale_lang_outside_others_fails_in_config(
+        self, tmp_path, udhr_dir, post_dump, capsys
+    ):
+        sections = base_sections(udhr_dir, post_dump)
+        sections["ratios"]["others"] = "jpn,cmn_hant"
+        sections["ratios"]["rescale_lang"] = "eng"
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        assert capsys.readouterr().err == (
+            "pipeline failed at stage 'config': "
+            "[ratios] rescale_lang eng is not among others\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_undecodable_config_fails_in_config(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ on each of two values).
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from lingspace import svgplot
 from lingspace.errors import UsageError
-from lingspace.ratios import DescriptiveStats
+from lingspace.measures import SpaceMeasure
+from lingspace.pipeline import plot_ratios
+from lingspace.ratios import DescriptiveStats, RatioStats
 from lingspace.svgplot import BoxplotSeries, render_boxplot
 from textgen import MIXED_TEXT
 
@@ -177,8 +180,8 @@ class TestSecondaryAxis:
         assert len(_by_class(root, "line", "axis")) == 1
 
     def test_scale_adds_a_right_axis_line(self, tmp_path):
-        series = [BoxplotSeries("eng", STATS, secondary_axis_scale=2.5)]
-        _, root = _render(tmp_path, series)
+        series = [BoxplotSeries("eng", STATS)]
+        _, root = _render(tmp_path, series, secondary=(2.5, "eng-equivalent length"))
         axes = _by_class(root, "line", "axis")
         assert len(axes) == 2
         xs = sorted(_f(a, "x1") for a in axes)
@@ -189,8 +192,8 @@ class TestSecondaryAxis:
 
     def test_right_ticks_are_left_ticks_times_the_scale(self, tmp_path):
         scale = 2.5
-        series = [BoxplotSeries("eng", STATS, secondary_axis_scale=scale)]
-        _, root = _render(tmp_path, series)
+        series = [BoxplotSeries("eng", STATS)]
+        _, root = _render(tmp_path, series, secondary=(scale, "eng-equivalent length"))
         left = [t for t in root.iter(NS + "text") if t.get("text-anchor") == "end"]
         right = [t for t in root.iter(NS + "text") if t.get("text-anchor") == "start"]
         assert len(left) == svgplot.N_TICKS
@@ -199,30 +202,15 @@ class TestSecondaryAxis:
             assert lt.get("y") == rt.get("y")
             assert float(rt.text) == pytest.approx(float(lt.text) * scale, abs=0.02)
 
-    def test_scale_shared_by_all_series_is_accepted(self, tmp_path):
-        series = [
-            BoxplotSeries("eng", STATS, secondary_axis_scale=2.5),
-            BoxplotSeries("jpn", PLAIN, secondary_axis_scale=2.5),
+    def test_secondary_label_titles_the_right_axis(self, tmp_path):
+        series = [BoxplotSeries("eng", STATS), BoxplotSeries("jpn", PLAIN)]
+        _, root = _render(tmp_path, series, secondary=(2.5, "chars < 140 & more"))
+        (label,) = [
+            t for t in root.iter(NS + "text")
+            if (t.get("transform") or "").startswith("rotate(90 ")
         ]
-        _, root = _render(tmp_path, series, secondary_label="eng-equivalent length")
-        assert len(_by_class(root, "line", "axis")) == 2
-
-    def test_differing_scales_are_rejected(self, tmp_path):
-        series = [
-            BoxplotSeries("eng", STATS, secondary_axis_scale=2.5),
-            BoxplotSeries("jpn", PLAIN, secondary_axis_scale=3.0),
-        ]
-        with pytest.raises(UsageError, match="secondary axis scales differ"):
-            render_boxplot(series, "ratios", tmp_path / "plot.svg")
-
-    def test_scale_on_one_series_applies_to_the_shared_axis(self, tmp_path):
-        # None on the other series means "no opinion", not a conflict
-        series = [
-            BoxplotSeries("eng", STATS, secondary_axis_scale=2.5),
-            BoxplotSeries("jpn", PLAIN),
-        ]
-        _, root = _render(tmp_path, series)
-        assert len(_by_class(root, "line", "axis")) == 2
+        assert label.text == "chars < 140 & more"
+        assert _f(label, "x") == svgplot.CANVAS_WIDTH - 14
 
 
 class TestValidationAndText:
@@ -271,3 +259,30 @@ class TestValidationAndText:
         render_boxplot(series, "ratios", first, y_label="ratio")
         render_boxplot(series, "ratios", second, y_label="ratio")
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestPinnedBytes:
+    """sha256 of two figures, recorded when each element kind was still
+    written inline: a change to the renderer must keep every byte."""
+
+    def test_ratio_figure_with_right_axis(self, tmp_path):
+        out = tmp_path / "ratios.svg"
+        ratio_stats = {
+            lang: RatioStats(lang, "cmn_hant", SpaceMeasure.CHARACTERS, (), stats)
+            for lang, stats in (("eng", STATS), ("jpn", PLAIN))
+        }
+        plot_ratios(
+            ratio_stats, "cmn_hant", "characters", out,
+            rescale_lang="eng", title='chars <ratio> & "quotes"',
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "12a219c354b080ce2f72bfe67ccc1dcde890ae9176b5475bb702646fb666ff1f"
+        )
+
+    def test_figure_without_axis_labels(self, tmp_path):
+        out = tmp_path / "plain.svg"
+        series = [BoxplotSeries("a<b & c", STATS), BoxplotSeries("jpn", PLAIN)]
+        render_boxplot(series, "plain", out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e19d5cdf28ba178f2dacba506aa59d54c9ce3371368cba128ef95cd194b70a30"
+        )
