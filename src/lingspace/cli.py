@@ -32,7 +32,13 @@ from .pipeline import (
     run_pipeline,
 )
 from .ratios import RatioStats
-from .tables import TABLE_FORMATS, read_records, read_text, surrogate_problem
+from .tables import (
+    TABLE_FORMATS,
+    read_records,
+    read_text,
+    surrogate_problem,
+    table_number,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,14 +222,15 @@ def _cmd_ric(args: argparse.Namespace) -> int:
     for row in read_records(args.ratios):
         try:
             key = (str(row["lang_b"]), str(row["lang_a"]))
-            ratio_means[key] = float(str(row["mean"]))
+            ratio_means[key] = table_number(row["mean"])
         except (KeyError, ValueError) as exc:
-            raise DataError(f"{args.ratios}: malformed ratios row: {exc}") from exc
+            raise DataError(f"malformed ratios row: {exc}", args.ratios) from exc
     records = read_records(args.stats)
     try:
         stats_rows = [stats_from_row(record) for record in records]
     except DataError as exc:
-        raise DataError(f"{args.stats}: {exc}") from exc
+        exc.path = args.stats
+        raise
     results = analyze_ric(stats_rows, ratio_means, base)
     emit_stage_table("ric", results, args.format, args.out)
     return 0
@@ -290,12 +297,13 @@ def _cmd_plot_box(args: argparse.Namespace) -> int:
     for row in read_records(args.ric):
         try:
             key = (str(row["platform"]), str(row["language"]), str(row["org_type"]))
-            cells.append((key, [float(v) for v in str(row["per_post_ric"]).split()]))
+            values = [table_number(v) for v in str(row["per_post_ric"]).split()]
+            cells.append((key, values))
             base_langs.add(str(row["base_lang"]))
         except (KeyError, ValueError) as exc:
-            raise DataError(f"{args.ric}: malformed RIC row: {exc}") from exc
+            raise DataError(f"malformed RIC row: {exc}", args.ric) from exc
     if not cells:
-        raise UsageError(f"{args.ric}: no RIC rows to plot")
+        raise UsageError("no RIC rows to plot", args.ric)
     plot_ric(cells, "/".join(sorted(base_langs)), args.out, args.title)
     return 0
 
@@ -311,12 +319,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (LingspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, SubtitleParseError, UsageError
+from .errors import DataError, LingspaceError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .subtitles import parse_subtitle
@@ -247,11 +247,11 @@ def load_subtitle_directory(
                 if name not in files:
                     continue
                 path = talk / name
-                content = read_text(path)
                 try:
-                    transcript = parse_subtitle(content, fmt)
+                    transcript = parse_subtitle(read_text(path), fmt)
                 except SubtitleParseError as exc:
-                    raise DataError(f"{path}: {exc}") from exc
+                    exc.path = path
+                    raise
                 per_lang[lang].append((talk_name, transcript))
                 break
     return build_parallel_corpus(
@@ -284,53 +284,51 @@ def save_corpus(corpus: ParallelCorpus, path: str | Path) -> None:
 def load_corpus(path: str | Path) -> ParallelCorpus:
     """Read a corpus written by save_corpus.
 
-    Languages in the file must already be registered. Malformed content
-    raises a DataError naming the file and line.
+    Malformed content, a language that is not registered included, raises
+    a DataError naming the file and line.
     """
     path = Path(path)
     records = read_json_lines(path)
     head, header, problem = next(records, (None, None, None))
     if head is None:
-        raise DataError(f"{path}: empty corpus file")
-    where = f"{path}:{head}"
+        raise DataError("empty corpus file", path)
     if problem is not None:
-        raise DataError(f"{where}: invalid corpus header: {problem}")
+        raise DataError(f"invalid corpus header: {problem}", path, head)
     for key, kind in (("name", str), ("languages", list), ("provenance", str)):
         if key not in header:
-            raise DataError(f"{where}: corpus header lacks {key!r}")
+            raise DataError(f"corpus header lacks {key!r}", path, head)
         if not isinstance(header[key], kind):
-            raise DataError(f"{where}: corpus header {key!r} is not a {kind.__name__}")
+            raise DataError(f"corpus header {key!r} is not a {kind.__name__}", path, head)
     if not all(isinstance(lang, str) for lang in header["languages"]):
-        raise DataError(f"{where}: corpus header 'languages' holds a non-string")
+        raise DataError("corpus header 'languages' holds a non-string", path, head)
     # A JSON \u escape can decode to a lone surrogate, which save_corpus and
     # the UTF-8 measures cannot encode.
     for key in ("name", "provenance"):
         if problem := surrogate_problem(header[key]):
-            raise DataError(f"{where}: invalid corpus header: {key!r} {problem}")
-    languages = tuple(parse_language_tag(lang) for lang in header["languages"])
-    try:  # the corpus's own language checks, named at the header's line
+            raise DataError(f"invalid corpus header: {key!r} {problem}", path, head)
+    try:  # the header's tags, and the corpus's own language checks
+        languages = tuple(parse_language_tag(lang) for lang in header["languages"])
         ParallelCorpus(header["name"], languages, ())
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from exc
+    except LingspaceError as exc:
+        raise DataError(exc.problem, path, head) from exc
     units: list[AlignedUnit] = []
     seen: set[str] = set()
     for lineno, record, problem in records:
         if problem is not None:
-            raise DataError(f"{path}:{lineno}: invalid unit record: {problem}")
+            raise DataError(f"invalid unit record: {problem}", path, lineno)
         if "unit_id" not in record:
-            raise DataError(f"{path}:{lineno}: unit record lacks 'unit_id'")
+            raise DataError("unit record lacks 'unit_id'", path, lineno)
         texts = {lang: record[lang] for lang in languages if lang in record}
         try:
             unit = AlignedUnit(str(record["unit_id"]), texts)
         except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            exc.path, exc.line = path, lineno
+            raise
         for key, text in (("unit_id", unit.unit_id), *texts.items()):
             if problem := surrogate_problem(text):
-                raise DataError(
-                    f"{path}:{lineno}: invalid unit record: {key!r} {problem}"
-                )
+                raise DataError(f"invalid unit record: {key!r} {problem}", path, lineno)
         if unit.unit_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate unit_id {unit.unit_id!r}")
+            raise DataError(f"duplicate unit_id {unit.unit_id!r}", path, lineno)
         seen.add(unit.unit_id)
         units.append(unit)
     return ParallelCorpus(

@@ -2,12 +2,24 @@
 
 UsageError means the caller asked for something unsupported; DataError means
 input data broke its declared schema. The CLI maps the two to distinct exit
-codes.
+codes. An error holds its problem and, as data, the input `path` and 1-based
+`line` it names, if known; a loader sets `path` on an error raised below it.
+Only `LingspaceError.__str__` renders them, as in `path:line: problem`.
 """
 
 
 class LingspaceError(Exception):
     """Base class for all package errors."""
+
+    def __init__(self, problem: str, path: object = None, line: int | None = None):
+        super().__init__(problem)
+        self.problem, self.path, self.line = problem, path, line
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return self.problem if self.path is None else f"{self.path}: {self.problem}"
+        where = f"line {self.line}" if self.path is None else f"{self.path}:{self.line}"
+        return f"{where}: {self.problem}"
 
 
 class UsageError(LingspaceError):
@@ -19,11 +31,7 @@ class DataError(LingspaceError):
 
 
 class SubtitleParseError(DataError):
-    """Malformed caption content; carries the 1-based source line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+    """Malformed caption content, at its source line when it has one."""
 
 
 class GsmNotRepresentableError(LingspaceError):

@@ -9,6 +9,7 @@ only with strictly more than min_posts posts.
 from __future__ import annotations
 
 import logging
+import math
 import statistics
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .measures import (
     detect_language,
     strip_urls,
 )
-from .tables import read_csv_records, read_json_lines
+from .tables import read_csv_records, read_json_lines, table_number
 
 log = logging.getLogger(__name__)
 
@@ -140,8 +141,8 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     """Read posts from a JSONL or CSV file, preserving file order.
 
     Every record needs id, account, platform, text, and an ISO-8601
-    created_at; violations are collected and raised together with their line
-    numbers.
+    created_at. Violations are collected: the DataError raised is the first
+    bad record's, and up to 19 more follow it, one a line.
     """
     path = Path(path)
     if format == "jsonl":
@@ -172,9 +173,10 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
         seen.add(key)
         posts.append(post)
     if bad:
-        shown = "; ".join(f"line {lineno}: {reason}" for lineno, reason in bad[:20])
-        more = f" (and {len(bad) - 20} more)" if len(bad) > 20 else ""
-        raise DataError(f"{path}: invalid post records: {shown}{more}")
+        (lineno, problem), *rest = bad
+        shown = [problem, *(str(DataError(p, path, n)) for n, p in rest[:19])]
+        shown += [f"(and {len(rest) - 19} more)"] if rest[19:] else []
+        raise DataError("\n".join(shown), path, lineno)
     return posts
 
 
@@ -188,21 +190,19 @@ def load_accounts(path: str | Path) -> list[AccountMeta]:
         platform = (row["platform"] or "").strip()
         org_type = (row["org_type"] or "").strip()
         if not screen_name:
-            raise DataError(f"{path}: line {lineno}: empty screen_name")
+            raise DataError("empty screen_name", path, lineno)
         if platform not in PLATFORMS:
-            raise DataError(f"{path}: line {lineno}: unknown platform {platform!r}")
+            raise DataError(f"unknown platform {platform!r}", path, lineno)
         if org_type not in ORG_TYPES:
-            raise DataError(f"{path}: line {lineno}: unknown org_type {org_type!r}")
+            raise DataError(f"unknown org_type {org_type!r}", path, lineno)
         try:
             language = parse_language_tag((row["language"] or "").strip())
         except UsageError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            raise DataError(exc.problem, path, lineno) from exc
         key = (screen_name, platform, language)
         if key in seen:
-            raise DataError(
-                f"{path}: line {lineno}: duplicate account {screen_name}@{platform} "
-                f"for language {language}"
-            )
+            problem = f"duplicate account {screen_name}@{platform}"
+            raise DataError(f"{problem} for language {language}", path, lineno)
         seen.add(key)
         accounts.append(AccountMeta(screen_name, platform, language, org_type))
     return accounts
@@ -270,9 +270,10 @@ def compute_ric(
                 f"supply ratio({language}, {base_lang})"
             )
         ratio_used = float(ratios[key])
-        if ratio_used <= 0:
+        if not 0 < ratio_used < math.inf:
             raise UsageError(
-                f"ratio({language}, {base_lang}) must be positive, got {ratio_used}"
+                f"ratio({language}, {base_lang}) must be positive and finite, "
+                f"got {ratio_used}"
             )
     per_post = tuple(length / ratio_used for length in stats.per_post_lengths)
     return RicResult(
@@ -392,7 +393,8 @@ def stats_table_row(stats: AccountStats) -> dict[str, object]:
 
 
 def stats_from_row(row: Mapping[str, object]) -> AccountStats:
-    """Rebuild AccountStats from a stats table row."""
+    """Rebuild AccountStats from a stats table row; a malformed row, or one
+    holding a number that is negative or not finite, is a DataError."""
     try:
         meta = AccountMeta(
             screen_name=str(row["screen_name"]),
@@ -403,8 +405,10 @@ def stats_from_row(row: Mapping[str, object]) -> AccountStats:
         histogram: dict[int, int] = {}
         for pair in str(row["url_count_histogram"]).split():
             count, freq = pair.split(":")
-            histogram[int(count)] = int(freq)
-        lengths = tuple(int(v) for v in str(row["per_post_lengths"]).split())
+            histogram[table_number(count, int)] = table_number(freq, int)
+        lengths = tuple(
+            table_number(v, int) for v in str(row["per_post_lengths"]).split()
+        )
         n_posts = int(row["n_posts"])
         if n_posts != len(lengths):
             raise DataError(
@@ -414,8 +418,8 @@ def stats_from_row(row: Mapping[str, object]) -> AccountStats:
         return AccountStats(
             meta=meta,
             n_posts=n_posts,
-            mean_chars_with_urls=float(str(row["mean_chars_with_urls"])),
-            mean_chars_without_urls=float(str(row["mean_chars_without_urls"])),
+            mean_chars_with_urls=table_number(row["mean_chars_with_urls"]),
+            mean_chars_without_urls=table_number(row["mean_chars_without_urls"]),
             per_post_lengths=lengths,
             url_count_histogram=histogram,
         )

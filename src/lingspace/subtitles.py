@@ -108,19 +108,19 @@ def _raise_first_bad_timing(
         start = start_of[id(head)]
         if "-->" not in timing:
             raise SubtitleParseError(
-                start, "expected a cue timing line containing '-->'"
+                "expected a cue timing line containing '-->'", line=start
             )
         if not _TIMING_RE.match(timing):
             raise SubtitleParseError(
-                start + head.index(timing),
                 f"malformed cue timing line: {timing.strip()!r}",
+                line=start + head.index(timing),
             )
 
 
 def _parse_json_cues(content: str) -> str:
     doc, problem, line = parse_json(content)
     if problem is not None:
-        raise SubtitleParseError(line, f"invalid JSON: {problem}")
+        raise SubtitleParseError(f"invalid JSON: {problem}", line=line)
     if isinstance(doc, dict):
         for key in ("captions", "cues"):
             if key in doc:
@@ -128,32 +128,31 @@ def _parse_json_cues(content: str) -> str:
                 break
         else:
             raise SubtitleParseError(
-                1, "JSON captions need a top-level 'captions' or 'cues' list"
+                "JSON captions need a top-level 'captions' or 'cues' list"
             )
     else:
         items = doc
     if not isinstance(items, list):
-        raise SubtitleParseError(1, "caption container is not a list")
+        raise SubtitleParseError("caption container is not a list")
+    # A decoded cue keeps no source line, so cue errors name its index.
     raws: list[str] = []
     for index, item in enumerate(items):
         if not isinstance(item, dict):
-            raise SubtitleParseError(1, f"cue #{index} is not an object")
+            raise SubtitleParseError(f"cue #{index} is not an object")
         for key in ("content", "text"):
             if key in item:
                 raw = item[key]
                 break
         else:
-            raise SubtitleParseError(
-                1, f"cue #{index} lacks a 'content' or 'text' field"
-            )
+            raise SubtitleParseError(f"cue #{index} lacks a 'content' or 'text' field")
         if not isinstance(raw, str):
-            raise SubtitleParseError(1, f"cue #{index} text is not a string")
+            raise SubtitleParseError(f"cue #{index} text is not a string")
         raws.append(_TAG_RE.sub("", raw) if "<" in raw else raw)
     # Only a \u escape decodes to a lone surrogate.
     if "\\u" in content:
         for index, raw in enumerate(raws):
             problem = surrogate_problem(raw)
             if problem is not None:
-                raise SubtitleParseError(1, f"cue #{index} text {problem}")
+                raise SubtitleParseError(f"cue #{index} text {problem}")
     # Line breaks and separators are whitespace to str.split().
     return " ".join(" ".join(raws).split())

@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import BinaryIO
 
@@ -182,7 +183,7 @@ def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
     except UnicodeDecodeError as exc:
         # The bytes before the first bad one always decode.
         line = lf_text(raw[: exc.start].decode("utf-8")).count("\n") + 1
-        raise error(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
+        raise error(f"not UTF-8 ({exc.reason})", path, line) from exc
 
 
 def read_text(path: Path, error: type[LingspaceError] = DataError) -> str:
@@ -208,12 +209,21 @@ def read_csv_records(
             return []
         missing = [name for name in required if name not in reader.fieldnames]
         if missing:
-            raise DataError(f"{path}: missing columns: {', '.join(missing)}")
+            raise DataError(f"missing columns: {', '.join(missing)}", path)
         return [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
+        raise DataError(f"malformed CSV ({exc})", path, reader.line_num) from exc
     finally:
         csv.field_size_limit(limit)
+
+
+def table_number(cell: object, kind: Callable[[str], float] = float) -> float:
+    """A table cell read as a finite number >= 0, as every count, length,
+    mean, ratio and RIC in the tables is; ValueError otherwise."""
+    value = kind(str(cell))
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{cell} is not a finite number >= 0")
+    return value
 
 
 def read_records(path: str | Path) -> list[dict[str, object]]:
@@ -228,15 +238,15 @@ def read_records(path: str | Path) -> list[dict[str, object]]:
     text = read_text(path)
     payload, problem, line = parse_json(text)
     if problem is not None:
-        raise DataError(f"{path}:{line}: invalid JSON table: {problem}")
+        raise DataError(f"invalid JSON table: {problem}", path, line)
     if not isinstance(payload, list) or not all(
         isinstance(item, dict) for item in payload
     ):
-        raise DataError(f"{path}: JSON table must be an array of objects")
+        raise DataError("JSON table must be an array of objects", path)
     # Only a \u escape decodes to a lone surrogate, which no writer encodes.
     if "\\u" in text:
         for index, row in enumerate(payload):
             cells = [*row, *(cell for cell in row.values() if isinstance(cell, str))]
             if problem := surrogate_problem("".join(cells)):
-                raise DataError(f"{path}: JSON table row #{index} {problem}")
+                raise DataError(f"JSON table row #{index} {problem}", path)
     return payload

@@ -190,11 +190,11 @@ class TestCorpusIngest:
             ]
         )
         assert code == 1
-        assert f"{caption}: line 1: invalid JSON" in capsys.readouterr().err
+        assert f"{caption}:1: invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "jpn, error",
-        [("abc\\ud800", "line 1: cue #0 text holds lone surrogate U+D800"),
+        [("abc\\ud800", "cue #0 text holds lone surrogate U+D800"),
          ("abc \\ud83d\\ude00", None)],
         ids=["lone-surrogate", "surrogate-pair"],
     )
@@ -215,6 +215,17 @@ class TestCorpusIngest:
             assert code == 1
             assert f"{talk / 'jpn.json'}: {error}" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_json_cue_error_names_the_file_and_the_cue(self, tmp_path, capsys):
+        caption = tmp_path / "talks" / "t1" / "eng.json"
+        caption.parent.mkdir(parents=True)
+        caption.write_text('[{"content": "ok"},\n {"content": 5}]', encoding="utf-8")
+        talks, out = str(tmp_path / "talks"), str(tmp_path / "out.jsonl")
+        code = main(["corpus", "ingest", "--format", "ted", "--input", talks,
+                     "--langs", "eng,jpn", "--out", out, "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {caption}: cue #1 text is not a string\n"
 
     def test_undecodable_caption_file_names_its_line(self, tmp_path, capsys):
         caption = tmp_path / "talks" / "t1" / "eng.srt"
@@ -273,6 +284,22 @@ class TestRatios:
         assert (
             f"{corpus}:2: invalid unit record: 'jpn' holds lone surrogate U+D800"
             in captured.err
+        )
+
+    def test_unregistered_language_in_the_header_is_a_data_error(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "q.jsonl"
+        corpus.write_text(
+            '\n{"name":"q","languages":["eng","qqz"],"provenance":"p"}\n',
+            encoding="utf-8",
+        )
+        code = main(["ratios", "--corpus", str(corpus), "--base", "eng",
+                     "--others", "eng", "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {corpus}:2: unknown language tag 'qqz' (registered: "
         )
 
     def test_csv_to_stdout(self, udhr_corpus_file, capsys):
@@ -616,7 +643,8 @@ class TestPostsAnalyze:
             ]
         )
         assert code == 1
-        assert "invalid post records" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:1: invalid JSON (Expecting value)\n"
 
 
     def test_non_utf8_csv_is_a_data_error_naming_the_line(
@@ -767,6 +795,51 @@ class TestRic:
         )
         assert code == 1
         assert f"error: {stats}: malformed stats row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, cells, problem",
+        [
+            ("per_post_lengths", ("2", "-9 9"), "-9 is not a finite number >= 0"),
+            ("mean_chars_without_urls", ("nan",), "nan is not a finite number >= 0"),
+        ],
+        ids=["negative-length", "nan-mean"],
+    )
+    def test_stats_number_out_of_range_is_a_data_error(
+        self, stats_file, ratios_for_ric, tmp_path, capsys, column, cells, problem
+    ):
+        rows = read_records(stats_file)
+        if column == "per_post_lengths":
+            rows[0]["n_posts"], rows[0][column] = cells
+        else:
+            rows[0][column] = cells[0]
+        stats = tmp_path / "stats.csv"
+        with stats.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=STATS_TABLE_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "ric.csv"
+        code = main(["ric", "--stats", str(stats), "--ratios", str(ratios_for_ric),
+                     "--base", "cmn_hans", "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {stats}: malformed stats row: {problem}\n"
+        assert not out.exists()
+
+    def test_non_finite_ratio_mean_is_a_data_error(self, stats_file, tmp_path, capsys):
+        ratios = tmp_path / "ratios.csv"
+        ratios.write_text(
+            "lang_b,lang_a,mean\neng,cmn_hans,nan\njpn,cmn_hans,1.30\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ric.csv"
+        code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
+                     "--base", "cmn_hans", "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {ratios}: malformed ratios row: nan is not a finite number >= 0\n"
+        )
+        assert not out.exists()
 
     def test_malformed_ratios_table_is_a_data_error(self, stats_file, tmp_path, capsys):
         ratios = tmp_path / "ratios.csv"
@@ -938,6 +1011,22 @@ class TestPlotBox:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {ric}: malformed RIC row: could not convert string to float: 'abc'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.5"])
+    def test_ric_value_out_of_range_is_a_data_error(self, tmp_path, capsys, value):
+        ric = tmp_path / "ric.csv"
+        ric.write_text(
+            "platform,language,org_type,base_lang,per_post_ric\n"
+            f"twitter,eng,news,cmn_hans,1.0 {value}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {ric}: malformed RIC row: {value} is not a finite number >= 0\n"
         )
         assert not out.exists()
 

@@ -25,11 +25,24 @@ from lingspace.errors import DataError, LingspaceError, UsageError
 from lingspace.measures import SpaceMeasure, count_units
 from lingspace.microblog import load_accounts, load_posts
 from lingspace.pipeline import load_pipeline_config
-from lingspace.tables import read_records
+from lingspace.tables import lf_text, read_records
 
 from conftest import ALL_LANGS
 
 HEADER = b'{"name": "c", "languages": ["eng", "jpn"], "provenance": ""}\n'
+
+
+def _assert_located(exc, path, content):
+    """File content is bad data, never a bad request: the error names the
+    file it was read from and, if it names a line, a line of that file as
+    `lf_text` counts them. The (empty) line after a final line end counts,
+    since a JSON error at the end of the file names it."""
+    assert isinstance(exc, DataError), repr(exc)
+    assert exc.path == path, str(exc)
+    if exc.line is not None:
+        lines = lf_text(content.decode("latin-1")).count("\n") + 1
+        assert 1 <= exc.line <= lines, str(exc)
+
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -284,7 +297,7 @@ class TestSubtitleDirectory:
         talk = tmp_path / "talk_0001"
         talk.mkdir()
         talk.joinpath("eng.srt").write_text("no timing here\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"eng\.srt.*line 1") as exc:
+        with pytest.raises(DataError, match=r"eng\.srt:1: expected a cue") as exc:
             load_subtitle_directory(tmp_path, ("eng",), min_chars=0)
         assert "-->" in str(exc.value)
 
@@ -395,7 +408,7 @@ class TestPersistence:
             '{"name": "c", "languages": ["qqz"], "provenance": ""}\n',
             encoding="utf-8",
         )
-        with pytest.raises(UsageError, match="unknown language tag"):
+        with pytest.raises(DataError, match=r":1: unknown language tag 'qqz'"):
             load_corpus(path)
 
     @pytest.mark.parametrize(
@@ -496,6 +509,7 @@ class TestPersistence:
     @example(HEADER + b'{"unit_id": "1", "eng": ["x"]}\n')
     @example(HEADER + b'{"unit_id": "1", "eng": "x"}\n{"unit_id": "1", "eng": "y"}\n')
     @example(b'{"name": "c", "languages": ["eng", "eng"], "provenance": ""}\n')
+    @example(b'\n{"name": "c", "languages": ["eng", "qqz"], "provenance": ""}\n')
     def test_arbitrary_content_raises_only_lingspace_errors(
         self, tmp_path_factory, content
     ):
@@ -503,8 +517,8 @@ class TestPersistence:
         path.write_bytes(content)
         try:
             load_corpus(path)
-        except LingspaceError:
-            pass
+        except LingspaceError as exc:
+            _assert_located(exc, path, content)
 
 
 _POST_FIELDS = ["id", "account", "platform", "text", "created_at"]
@@ -566,8 +580,8 @@ def test_loaders_raise_only_lingspace_errors(tmp_path_factory, name, content):
     path.write_bytes(content)
     try:
         LOADERS[name](path)
-    except LingspaceError:
-        pass
+    except LingspaceError as exc:
+        _assert_located(exc, path, content)
 
 
 # Each config key with a value it accepts; a drawn config keeps most keys at

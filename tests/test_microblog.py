@@ -1,6 +1,7 @@
 """Microblog ingestion, per-account statistics, and RIC computation."""
 
 import json
+import math
 import statistics
 from collections import Counter
 from datetime import datetime, timezone
@@ -122,9 +123,11 @@ def _reference_load_posts(path):
             seen.add(key)
             posts.append(post)
     if bad:
-        shown = "; ".join(f"line {lineno}: {reason}" for lineno, reason in bad[:20])
-        more = f" (and {len(bad) - 20} more)" if len(bad) > 20 else ""
-        raise DataError(f"{path}: invalid post records: {shown}{more}")
+        (lineno, reason), *rest = bad
+        shown = [reason, *(f"{path}:{n}: {problem}" for n, problem in rest[:19])]
+        if len(bad) > 20:
+            shown.append(f"(and {len(bad) - 20} more)")
+        raise DataError("\n".join(shown), path, lineno)
     return posts
 
 
@@ -203,7 +206,7 @@ class TestLoadPosts:
         records = [_record(0), _record(1)]
         del records[1]["text"]
         _write_jsonl(path, records)
-        with pytest.raises(DataError, match="line 2: missing 'text'"):
+        with pytest.raises(DataError, match=r"posts\.jsonl:2: missing 'text'$"):
             load_posts(path)
 
     def test_bad_json_line_reported(self, tmp_path):
@@ -211,13 +214,13 @@ class TestLoadPosts:
         path.write_text(
             json.dumps(_record(0)) + "\n{broken\n", encoding="utf-8"
         )
-        with pytest.raises(DataError, match="line 2: invalid JSON"):
+        with pytest.raises(DataError, match=r"posts\.jsonl:2: invalid JSON"):
             load_posts(path)
 
     def test_non_object_line_reported(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_text('["list"]\n', encoding="utf-8")
-        with pytest.raises(DataError, match="line 1: record is not an object"):
+        with pytest.raises(DataError, match=r"posts\.jsonl:1: record is not an object$"):
             load_posts(path)
 
     def test_non_utf8_line_reported(self, tmp_path):
@@ -225,7 +228,7 @@ class TestLoadPosts:
         path.write_bytes(
             json.dumps(_record(0)).encode("utf-8") + b'\n{"text": "caf\xe9"}\n'
         )
-        with pytest.raises(DataError, match="line 2: not UTF-8"):
+        with pytest.raises(DataError, match=r"posts\.jsonl:2: not UTF-8"):
             load_posts(path)
 
     def test_escaped_lone_surrogate_in_a_text_loads(self, tmp_path):
@@ -319,14 +322,14 @@ class TestLoadPosts:
                       b"{broken"])
         )
         with pytest.raises(
-            DataError, match=r"line 3: not UTF-8 .*; line 4: invalid JSON"
+            DataError, match=r"jsonl:3: not UTF-8 .*\n.*posts\.jsonl:4: invalid JSON"
         ):
             load_posts(path)
 
     def test_raw_cr_inside_a_record_ends_its_line(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_bytes(b'{"id": "p0",\r"account": "acc"}\n')
-        with pytest.raises(DataError, match="line 1: invalid JSON.*; line 2: invalid"):
+        with pytest.raises(DataError, match=r"jsonl:1: invalid JSON.*\n.*jsonl:2: invalid"):
             load_posts(path)
 
     @given(st.lists(_JSONL_LINE, max_size=8), st.booleans())
@@ -378,7 +381,7 @@ class TestLoadAccounts:
             "dual,twitter,eng,news\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataError, match="line 3: duplicate account"):
+        with pytest.raises(DataError, match=r"accounts\.csv:3: duplicate account"):
             load_accounts(path)
 
     @pytest.mark.parametrize(
@@ -397,7 +400,7 @@ class TestLoadAccounts:
         )
         with pytest.raises(DataError, match=message) as exc:
             load_accounts(path)
-        assert "line 2" in str(exc.value)
+        assert str(exc.value).startswith(f"{path}:2: {message}")
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "accounts.csv"
@@ -527,6 +530,12 @@ class TestComputeRic:
         stats = self._stats([10])
         with pytest.raises(UsageError, match="must be positive"):
             compute_ric(stats, {("eng", "cmn_hans"): 0.0}, "cmn_hans")
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_non_finite_ratio_rejected(self, ratio):
+        stats = self._stats([10])
+        with pytest.raises(UsageError, match="must be positive and finite"):
+            compute_ric(stats, {("eng", "cmn_hans"): ratio}, "cmn_hans")
 
     def test_ric_increases_with_mean_length(self):
         shorter = compute_ric(self._stats([40, 40]), self.RATIOS, "cmn_hans")

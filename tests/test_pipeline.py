@@ -360,7 +360,7 @@ class TestFailureStages:
         assert run_pipeline(config) == 1
         err = capsys.readouterr().err
         assert "pipeline failed at stage 'corpus ingest':" in err
-        assert f"{caption}: line 1: invalid JSON" in err
+        assert f"{caption}:1: invalid JSON" in err
 
     def test_missing_posts_file_fails_in_the_posts_stage(
         self, tmp_path, udhr_dir, post_dump, capsys

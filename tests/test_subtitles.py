@@ -59,7 +59,7 @@ class TestSrt:
         content = "Hello\n\n1\njust text\nmore\n"
         with pytest.raises(SubtitleParseError) as exc:
             parse_subtitle(content, "srt")
-        assert exc.value.line_number == 1
+        assert exc.value.line == 1
         assert "-->" in str(exc.value)
 
     def test_malformed_timing_reports_its_own_line(self):
@@ -74,7 +74,7 @@ class TestSrt:
         )
         with pytest.raises(SubtitleParseError) as exc:
             parse_subtitle(content, "srt")
-        assert exc.value.line_number == 6
+        assert exc.value.line == 6
         assert str(exc.value).startswith("line 6:")
         assert "malformed cue timing" in str(exc.value)
 
@@ -95,7 +95,7 @@ class TestSrt:
         )
         with pytest.raises(SubtitleParseError) as exc:
             parse_subtitle(content, "srt")
-        assert exc.value.line_number == line
+        assert exc.value.line == line
         assert str(exc.value) == f"line {line}: {error}"
 
     def test_form_feeds_inside_a_cue_are_whitespace(self):
@@ -169,7 +169,7 @@ class TestJsonCaptions:
     def test_invalid_json_reports_line(self):
         with pytest.raises(SubtitleParseError) as exc:
             parse_subtitle('{"captions": [\n  {"content": }\n]}', "json_captions")
-        assert exc.value.line_number == 2
+        assert exc.value.line == 2
 
     @pytest.mark.parametrize(
         "content",
@@ -179,7 +179,7 @@ class TestJsonCaptions:
     def test_json_past_the_decoder_limits_is_a_parse_error(self, content):
         with pytest.raises(SubtitleParseError, match="invalid JSON") as exc:
             parse_subtitle(content, "json_captions")
-        assert exc.value.line_number == 1
+        assert exc.value.line == 1
 
     def test_missing_container_key(self):
         with pytest.raises(SubtitleParseError, match="'captions' or 'cues'"):
@@ -199,10 +199,10 @@ class TestJsonCaptions:
 
     def test_lone_surrogate_escape_is_a_parse_error(self):
         content = '[{"content": "ok"},\n {"content": "abc\\ud800"}]'
-        message = r"cue #1 text holds lone surrogate U\+D800"
-        with pytest.raises(SubtitleParseError, match=message) as exc:
+        with pytest.raises(SubtitleParseError) as exc:
             parse_subtitle(content, "json_captions")
-        assert exc.value.line_number == 1
+        assert str(exc.value) == "cue #1 text holds lone surrogate U+D800"
+        assert exc.value.line is None
 
     def test_escaped_surrogate_pair_is_one_scalar(self):
         content = '[{"content": "hi \\ud83d\\ude00"}]'
@@ -211,6 +211,25 @@ class TestJsonCaptions:
     def test_cue_text_not_a_string(self):
         with pytest.raises(SubtitleParseError, match="not a string"):
             parse_subtitle('[{"content": 5}]', "json_captions")
+
+    # A decoded cue keeps no source line, so these errors name no line,
+    # wherever the cue or container stands.
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ('[{"content": "ok"},\n {"content": 5}]', "cue #1 text is not a string"),
+            ('[{"content": "ok"},\n\n "loose"]', "cue #1 is not an object"),
+            ('[\n{"content": "ok"},\n{"start": 0}]',
+             "cue #1 lacks a 'content' or 'text' field"),
+            ('\n\n{"captions": {"content": "x"}}', "caption container is not a list"),
+            ('\n{"other": []}', "JSON captions need a top-level 'captions' or 'cues' list"),
+        ],
+        ids=["not-a-string", "not-an-object", "no-text-field", "container", "no-key"],
+    )
+    def test_cue_errors_name_no_line(self, content, problem):
+        with pytest.raises(SubtitleParseError) as exc:
+            parse_subtitle(content, "json_captions")
+        assert (exc.value.line, str(exc.value)) == (None, problem)
 
 
 def test_unknown_format_is_a_usage_error():
@@ -298,13 +317,13 @@ def _reference_block_transcript(content, webvtt):
                 break
         if timing_index is None:
             raise SubtitleParseError(
-                start, "expected a cue timing line containing '-->'"
+                "expected a cue timing line containing '-->'", line=start
             )
         timing_line = lines[timing_index]
         if not _TIMING_RE.match(timing_line):
             raise SubtitleParseError(
-                start + timing_index,
                 f"malformed cue timing line: {timing_line.strip()!r}",
+                line=start + timing_index,
             )
         text = _reference_clean(lines[timing_index + 1 :])
         if text:
@@ -392,7 +411,7 @@ def _outcome(parse, *args):
     try:
         return parse(*args)
     except SubtitleParseError as exc:
-        return exc.line_number, str(exc)
+        return exc.line, str(exc)
 
 
 @pytest.mark.parametrize("format", ["srt", "webvtt"])
