@@ -13,25 +13,20 @@ import logging
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .corpus import CORPUS_FORMATS, load_corpus, save_corpus
+# Only what `limit check` runs is imported here; every other handler imports
+# its stages when it runs, so a check does not pay for loading them.
 from .errors import DataError, LingspaceError, UsageError
 from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
 from .measures import MEASURES_BY_CLI_NAME
-from .microblog import DEFAULT_MIN_POSTS, POSTS_FORMATS, stats_from_row
-from .pipeline import (
+from .options import (
+    CORPUS_FORMATS,
+    DEFAULT_MIN_POSTS,
     DEFAULT_RESCALE_LIMIT,
-    analyze_posts,
-    analyze_ric,
-    compute_ratios,
-    emit_stage_table,
-    ingest_corpus,
-    plot_ratios,
-    plot_ric,
-    run_pipeline,
+    POSTS_FORMATS,
 )
-from .ratios import RatioStats
 from .tables import (
     TABLE_FORMATS,
     read_records,
@@ -39,6 +34,9 @@ from .tables import (
     surrogate_problem,
     table_number,
 )
+
+if TYPE_CHECKING:
+    from .ratios import RatioStats
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,12 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[quiet], help="run ingest, ratios, posts, ric, and plots"
     )
     run.add_argument("--config", type=Path, required=True, help="INI config file")
-    run.set_defaults(handler=lambda args: run_pipeline(args.config))
+    run.set_defaults(handler=_cmd_pipeline_run)
 
     return parser
 
 
 def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
+    from .corpus import save_corpus
+    from .pipeline import ingest_corpus
+
     langs = parse_language_list(args.langs)
     corpus = ingest_corpus(args.corpus_format, args.input, langs, args.min_chars)
     save_corpus(corpus, args.out)
@@ -198,17 +199,24 @@ def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
 
 
 def _ratio_stats(args: argparse.Namespace) -> dict[str, RatioStats]:
+    from .corpus import load_corpus
+    from .pipeline import compute_ratios
+
     corpus = load_corpus(args.corpus)
     base = parse_language_tag(args.base)
     return compute_ratios(corpus, base, parse_language_list(args.others), args.measure)
 
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
+    from .pipeline import emit_stage_table
+
     emit_stage_table("ratios", _ratio_stats(args).values(), args.format, args.out)
     return 0
 
 
 def _cmd_posts_analyze(args: argparse.Namespace) -> int:
+    from .pipeline import analyze_posts, emit_stage_table
+
     stats_list = analyze_posts(
         args.posts, args.posts_format, args.accounts, args.min_posts
     )
@@ -217,12 +225,17 @@ def _cmd_posts_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_ric(args: argparse.Namespace) -> int:
+    from .microblog import stats_from_row
+    from .pipeline import analyze_ric, emit_stage_table
+
     base = parse_language_tag(args.base)
     ratio_means: dict[tuple[str, str], float] = {}
     for row in read_records(args.ratios):
         try:
             key = (str(row["lang_b"]), str(row["lang_a"]))
             ratio_means[key] = table_number(row["mean"])
+            if not ratio_means[key]:
+                raise ValueError(f"{row['mean']} is not a finite number > 0")
         except (KeyError, ValueError) as exc:
             raise DataError(f"malformed ratios row: {exc}", args.ratios) from exc
     records = read_records(args.stats)
@@ -270,6 +283,8 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_box(args: argparse.Namespace) -> int:
+    from .pipeline import plot_ratios, plot_ric
+
     if (args.corpus is None) == (args.ric is None):
         raise UsageError("give exactly one of --corpus or --ric")
     if args.corpus is not None:
@@ -306,6 +321,12 @@ def _cmd_plot_box(args: argparse.Namespace) -> int:
         raise UsageError("no RIC rows to plot", args.ric)
     plot_ric(cells, "/".join(sorted(base_langs)), args.out, args.title)
     return 0
+
+
+def _cmd_pipeline_run(args: argparse.Namespace) -> int:
+    from .pipeline import run_pipeline
+
+    return run_pipeline(args.config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

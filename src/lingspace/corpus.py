@@ -16,11 +16,9 @@ from pathlib import Path
 from .errors import DataError, LingspaceError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
+from .options import CORPUS_FORMATS  # the layouts this module loads
 from .subtitles import parse_subtitle
 from .tables import lf_text, read_json_lines, read_text, surrogate_problem
-
-# Directory layouts: udhr is <dir>/<lang>.txt, ted is <dir>/<talk_id>/<lang>.*
-CORPUS_FORMATS = ("udhr", "ted")
 
 
 @dataclass(frozen=True)

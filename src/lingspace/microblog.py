@@ -29,6 +29,7 @@ from .measures import (
     detect_language,
     strip_urls,
 )
+from .options import DEFAULT_MIN_POSTS, POSTS_FORMATS
 from .tables import read_csv_records, read_json_lines, table_number
 
 log = logging.getLogger(__name__)
@@ -36,9 +37,6 @@ log = logging.getLogger(__name__)
 PLATFORMS = ("twitter", "weibo")
 _PLATFORM_SET = frozenset(PLATFORMS)
 ORG_TYPES = ("embassy", "news")
-POSTS_FORMATS = ("jsonl", "csv")
-
-DEFAULT_MIN_POSTS = 50
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from pathlib import Path
 # perfbench/spans.py times each layer by wrapping the names the stages call
 # through this module: the loaders, aggregate_ratios, describe, emit_table...
 from .corpus import (
-    CORPUS_FORMATS,
     ParallelCorpus,
     load_subtitle_directory,
     load_udhr_directory,
@@ -42,8 +41,6 @@ from .errors import LingspaceError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_list, parse_language_tag
 from .measures import MEASURES_BY_CLI_NAME
 from .microblog import (
-    DEFAULT_MIN_POSTS,
-    POSTS_FORMATS,
     RIC_TABLE_FIELDS,
     STATS_TABLE_FIELDS,
     AccountStats,
@@ -57,6 +54,12 @@ from .microblog import (
     ric_table_row,
     stats_table_row,
 )
+from .options import (
+    CORPUS_FORMATS,
+    DEFAULT_MIN_POSTS,
+    DEFAULT_RESCALE_LIMIT,
+    POSTS_FORMATS,
+)
 from .ratios import (
     RATIO_TABLE_FIELDS,
     RatioStats,
@@ -68,10 +71,6 @@ from .svgplot import BoxplotSeries, render_boxplot
 from .tables import TABLE_FORMATS, emit_table, read_text
 
 log = logging.getLogger(__name__)
-
-# Characters of the rescale language that anchor the ratio plot's right axis:
-# the classic 140-character microblog limit.
-DEFAULT_RESCALE_LIMIT = 140.0
 
 
 @dataclass(frozen=True)

@@ -841,6 +841,19 @@ class TestRic:
         )
         assert not out.exists()
 
+    def test_zero_ratio_mean_is_a_data_error(self, stats_file, tmp_path, capsys):
+        ratios = tmp_path / "ratios.csv"
+        ratios.write_text(
+            "lang_b,lang_a,mean\neng,cmn_hans,0\njpn,cmn_hans,1.30\n", encoding="utf-8"
+        )
+        out = tmp_path / "ric.csv"
+        code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
+                     "--base", "cmn_hans", "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ratios}: malformed ratios row: 0 is not a finite number > 0\n"
+        assert not out.exists()
+
     def test_malformed_ratios_table_is_a_data_error(self, stats_file, tmp_path, capsys):
         ratios = tmp_path / "ratios.csv"
         ratios.write_text("lang_b,lang_a\neng,cmn_hans\n", encoding="utf-8")
