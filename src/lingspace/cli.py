@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -332,12 +331,11 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.ERROR if getattr(args, "quiet", False) else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-        force=True,
-    )
+    if args.handler is not _cmd_limit_check:  # which logs nothing
+        import logging
+        logging.basicConfig(level=logging.ERROR if args.quiet else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s",
+                            stream=sys.stderr, force=True)
     try:
         return args.handler(args)
     except (LingspaceError, OSError) as exc:

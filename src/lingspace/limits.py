@@ -3,7 +3,6 @@ single-SMS capacity with automatic GSM-7/UCS-2 selection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gsm7
@@ -14,41 +13,72 @@ GSM7_CAPACITY = 160
 UCS2_CAPACITY = 70
 
 
-@dataclass(frozen=True)
-class CharLimit:
+class _Value:
+    """A frozen-dataclass-like value with `__slots__`, without `dataclasses`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), self._values()  # copy and pickle without __setattr__
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class CharLimit(_Value):
     """Flat cap on NFC scalar count (the classic microblog rule)."""
 
-    max_chars: int
+    __slots__ = __match_args__ = ("max_chars",)
 
-    def __post_init__(self) -> None:
-        if self.max_chars <= 0:
+    def __init__(self, max_chars: int) -> None:
+        if max_chars <= 0:
             raise UsageError("max_chars must be positive")
+        object.__setattr__(self, "max_chars", max_chars)
 
 
-@dataclass(frozen=True)
-class EncodedUnitLimit:
+class EncodedUnitLimit(_Value):
     """Cap on encoded units: 1 per ASCII scalar, 2 per anything else."""
 
-    max_units: int
+    __slots__ = __match_args__ = ("max_units",)
 
-    def __post_init__(self) -> None:
-        if self.max_units <= 0:
+    def __init__(self, max_units: int) -> None:
+        if max_units <= 0:
             raise UsageError("max_units must be positive")
+        object.__setattr__(self, "max_units", max_units)
 
 
-@dataclass(frozen=True)
-class SingleSms:
+class SingleSms(_Value):
     """One SMS message: 160 septets when the text stays inside the GSM
     alphabet, otherwise 70 UCS-2 characters."""
+
+    __slots__ = ()
 
 
 LimitRule = CharLimit | EncodedUnitLimit | SingleSms
 
 
-@dataclass(frozen=True)
-class LimitSpec:
-    name: str
-    rule: LimitRule
+class LimitSpec(_Value):
+    __slots__ = __match_args__ = ("name", "rule")
+
+    def __init__(self, name: str, rule: LimitRule) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rule", rule)
 
 
 TWITTER = LimitSpec("twitter", CharLimit(140))

@@ -274,11 +274,16 @@ def compute_ric(
                 f"got {ratio_used}"
             )
     per_post = tuple(length / ratio_used for length in stats.per_post_lengths)
+    mean_ric = stats.mean_chars_without_urls / ratio_used
+    if not all(map(math.isfinite, (mean_ric, *per_post))):  # a tiny ratio overflows
+        raise UsageError(
+            f"ratio({language}, {base_lang}) must give finite RICs, got {ratio_used}"
+        )
     return RicResult(
         meta=stats.meta,
         base_lang=base_lang,
         ratio_used=ratio_used,
-        mean_ric=stats.mean_chars_without_urls / ratio_used,
+        mean_ric=mean_ric,
         per_post_ric=per_post,
     )
 

@@ -14,7 +14,6 @@ U+2029) are characters inside a line.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -59,6 +58,7 @@ def emit_table(
                 f"{sorted(fieldnames)}"
             )
     if format == "csv":
+        import csv
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
@@ -199,6 +199,7 @@ def read_csv_records(
     A file without a header yields no records. Undecodable bytes, malformed
     CSV and missing required columns raise a DataError naming the file.
     """
+    import csv
     path = Path(path)
     reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
     # emit_table writes cells of any length (an account's per-post values

@@ -103,7 +103,11 @@ class TestCorpusIngest:
             ]
         )
         assert code == 0
-        assert "kept 39 of 39 units" in capsys.readouterr().err
+        # The whole report, in main's `LEVEL logger: message` log format.
+        assert capsys.readouterr().err == (
+            "INFO lingspace.pipeline: kept 39 of 39 units "
+            "(0 missing languages, 0 too short)\n"
+        )
 
     def test_quiet_silences_the_report(self, udhr_dir, tmp_path, capsys):
         out = tmp_path / "udhr.jsonl"
@@ -509,6 +513,11 @@ class TestLimitCheck:
             counts.append(json.loads(capsys.readouterr().out)["units_used"])
         assert counts[0] == counts[1] == 10
 
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["logging", "quiet"])
+    def test_writes_nothing_to_stderr(self, capsys, quiet):
+        assert main(["limit", "check", "--platform", "weibo", "--text", "中文", *quiet]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_overflow_reports_no(self, capsys):
         code = main(
             [
@@ -602,7 +611,17 @@ class TestPostsAnalyze:
             ]
         )
         assert code == 0
-        assert "excluding smallfry_tw@twitter" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "INFO lingspace.pipeline: excluding smallfry_tw@twitter (eng): "
+            "50 posts (need more than 50)\n"
+        )
+
+    def test_quiet_silences_the_report(self, post_dump, tmp_path, capsys):
+        posts_path, accounts_path = post_dump
+        code = main(["posts", "analyze", "--posts", str(posts_path), "--accounts",
+                     str(accounts_path), "--out", str(tmp_path / "stats.csv"), "--quiet"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_min_posts_zero_keeps_every_account(self, post_dump, tmp_path):
         posts_path, accounts_path = post_dump
@@ -852,6 +871,22 @@ class TestRic:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {ratios}: malformed ratios row: 0 is not a finite number > 0\n"
+        assert not out.exists()
+
+    def test_tiny_ratio_mean_is_a_usage_error(self, stats_file, tmp_path, capsys):
+        # A positive mean so small that the RICs overflow to inf, which no
+        # RIC table may hold: `plot box --ric` would reject the file.
+        ratios = tmp_path / "ratios.csv"
+        ratios.write_text(
+            "lang_b,lang_a,mean\neng,cmn_hans,1e-320\njpn,cmn_hans,1.30\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ric.csv"
+        code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
+                     "--base", "cmn_hans", "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: ratio(eng, cmn_hans) must give finite RICs, got 1e-320\n"
         assert not out.exists()
 
     def test_malformed_ratios_table_is_a_data_error(self, stats_file, tmp_path, capsys):

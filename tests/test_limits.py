@@ -1,6 +1,9 @@
 """Platform length limits and SMS encoding selection."""
 
+import copy
+import pickle
 import unicodedata
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import example, given
@@ -253,3 +256,80 @@ class TestReferenceEquivalence:
                 result = check_fit(padded, spec)
                 assert type(result) is FitResult
                 assert tuple(result) == expected_padded
+
+
+# The limit types as the frozen dataclasses they once were, under the same
+# qualified names, so that their reprs read the same.
+@dataclass(frozen=True)
+class _CharLimitReference:
+    __qualname__ = "CharLimit"
+    max_chars: int
+
+
+@dataclass(frozen=True)
+class _EncodedUnitLimitReference:
+    __qualname__ = "EncodedUnitLimit"
+    max_units: int
+
+
+@dataclass(frozen=True)
+class _SingleSmsReference:
+    __qualname__ = "SingleSms"
+
+
+@dataclass(frozen=True)
+class _LimitSpecReference:
+    __qualname__ = "LimitSpec"
+    name: str
+    rule: object
+
+
+POSITIVE = st.integers(min_value=1, max_value=2**70)
+# (value, reference) pairs built alike; keyword construction on one side.
+RULE_PAIRS = st.one_of(
+    POSITIVE.map(lambda n: (CharLimit(n), _CharLimitReference(n))),
+    POSITIVE.map(lambda n: (EncodedUnitLimit(max_units=n), _EncodedUnitLimitReference(n))),
+    st.just((SingleSms(), _SingleSmsReference())),
+)
+VALUE_PAIRS = st.one_of(
+    RULE_PAIRS,
+    st.builds(
+        lambda name, rule: (LimitSpec(name=name, rule=rule[0]),
+                            _LimitSpecReference(name, rule[1])),
+        st.text(max_size=8),
+        RULE_PAIRS,
+    ),
+)
+
+
+class TestDataclassReference:
+    @given(VALUE_PAIRS, VALUE_PAIRS)
+    def test_limit_types_behave_as_the_dataclasses(self, pair, other_pair):
+        (value, reference), (other, other_reference) = pair, other_pair
+        assert repr(value) == repr(reference)
+        assert hash(value) == hash(reference)
+        assert (value == other) == (reference == other_reference)
+        assert (value != other) == (reference != other_reference)
+        names = [field.name for field in fields(reference)]
+        values = [getattr(value, name) for name in names]
+        assert type(value)(*values) == type(value)(**dict(zip(names, values))) == value
+        assert copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
+        for name in [*names, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert [getattr(value, name) for name in names] == values
+
+    @given(POSITIVE)
+    def test_rules_of_other_types_differ_at_the_same_cap(self, cap):
+        assert CharLimit(cap) != EncodedUnitLimit(cap)
+        assert CharLimit(cap) != (cap,)
+
+    def test_rule_checks_keep_their_messages(self):
+        with pytest.raises(UsageError) as info:
+            CharLimit(0)
+        assert str(info.value) == "max_chars must be positive"
+        with pytest.raises(UsageError) as info:
+            EncodedUnitLimit(-1)
+        assert str(info.value) == "max_units must be positive"

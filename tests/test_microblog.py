@@ -537,6 +537,16 @@ class TestComputeRic:
         with pytest.raises(UsageError, match="must be positive and finite"):
             compute_ric(stats, {("eng", "cmn_hans"): ratio}, "cmn_hans")
 
+    # 1e-320 overflows the mean and every post; 1e-306 keeps the mean of
+    # 100 characters finite (1e308) but overflows the 400-character post.
+    @pytest.mark.parametrize("ratio, lengths", [(1e-320, [10]), (1e-306, [0, 0, 0, 400])])
+    def test_ratio_giving_non_finite_rics_rejected(self, ratio, lengths):
+        stats = self._stats(lengths)
+        assert math.isfinite(stats.mean_chars_without_urls / ratio) == (ratio == 1e-306)
+        with pytest.raises(UsageError) as info:
+            compute_ric(stats, {("eng", "cmn_hans"): ratio}, "cmn_hans")
+        assert str(info.value) == f"ratio(eng, cmn_hans) must give finite RICs, got {ratio}"
+
     def test_ric_increases_with_mean_length(self):
         shorter = compute_ric(self._stats([40, 40]), self.RATIOS, "cmn_hans")
         longer = compute_ric(self._stats([41, 41]), self.RATIOS, "cmn_hans")
