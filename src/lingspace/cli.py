@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 # Only what `limit check` runs is imported here; every other handler imports
 # its stages when it runs, so a check does not pay for loading them.
-from .errors import DataError, LingspaceError, UsageError
+from .errors import LingspaceError, UsageError
 from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
 from .measures import MEASURES_BY_CLI_NAME
@@ -26,13 +26,7 @@ from .options import (
     DEFAULT_RESCALE_LIMIT,
     POSTS_FORMATS,
 )
-from .tables import (
-    TABLE_FORMATS,
-    read_records,
-    read_text,
-    surrogate_problem,
-    table_number,
-)
+from .tables import TABLE_FORMATS, read_table, read_text, surrogate_problem
 
 if TYPE_CHECKING:
     from .ratios import RatioStats
@@ -208,43 +202,32 @@ def _ratio_stats(args: argparse.Namespace) -> dict[str, RatioStats]:
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
     from .pipeline import emit_stage_table
+    from .ratios import RATIOS_TABLE
 
-    emit_stage_table("ratios", _ratio_stats(args).values(), args.format, args.out)
+    emit_stage_table(RATIOS_TABLE, _ratio_stats(args).values(), args.format, args.out)
     return 0
 
 
 def _cmd_posts_analyze(args: argparse.Namespace) -> int:
+    from .microblog import STATS_TABLE
     from .pipeline import analyze_posts, emit_stage_table
 
     stats_list = analyze_posts(
         args.posts, args.posts_format, args.accounts, args.min_posts
     )
-    emit_stage_table("stats", stats_list, args.format, args.out)
+    emit_stage_table(STATS_TABLE, stats_list, args.format, args.out)
     return 0
 
 
 def _cmd_ric(args: argparse.Namespace) -> int:
-    from .microblog import stats_from_row
+    from .microblog import RIC_TABLE, STATS_TABLE
     from .pipeline import analyze_ric, emit_stage_table
+    from .ratios import RATIOS_TABLE
 
     base = parse_language_tag(args.base)
-    ratio_means: dict[tuple[str, str], float] = {}
-    for row in read_records(args.ratios):
-        try:
-            key = (str(row["lang_b"]), str(row["lang_a"]))
-            ratio_means[key] = table_number(row["mean"])
-            if not ratio_means[key]:
-                raise ValueError(f"{row['mean']} is not a finite number > 0")
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"malformed ratios row: {exc}", args.ratios) from exc
-    records = read_records(args.stats)
-    try:
-        stats_rows = [stats_from_row(record) for record in records]
-    except DataError as exc:
-        exc.path = args.stats
-        raise
-    results = analyze_ric(stats_rows, ratio_means, base)
-    emit_stage_table("ric", results, args.format, args.out)
+    ratio_means = dict(read_table(args.ratios, RATIOS_TABLE))
+    results = analyze_ric(read_table(args.stats, STATS_TABLE), ratio_means, base)
+    emit_stage_table(RIC_TABLE, results, args.format, args.out)
     return 0
 
 
@@ -282,6 +265,7 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_box(args: argparse.Namespace) -> int:
+    from .microblog import RIC_TABLE
     from .pipeline import plot_ratios, plot_ric
 
     if (args.corpus is None) == (args.ric is None):
@@ -306,19 +290,11 @@ def _cmd_plot_box(args: argparse.Namespace) -> int:
         )
         return 0
 
-    cells = []
-    base_langs: set[str] = set()
-    for row in read_records(args.ric):
-        try:
-            key = (str(row["platform"]), str(row["language"]), str(row["org_type"]))
-            values = [table_number(v) for v in str(row["per_post_ric"]).split()]
-            cells.append((key, values))
-            base_langs.add(str(row["base_lang"]))
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"malformed RIC row: {exc}", args.ric) from exc
-    if not cells:
+    rows = read_table(args.ric, RIC_TABLE)
+    if not rows:
         raise UsageError("no RIC rows to plot", args.ric)
-    plot_ric(cells, "/".join(sorted(base_langs)), args.out, args.title)
+    cells = [(key, values) for key, values, _ in rows]
+    plot_ric(cells, "/".join(sorted({base for *_, base in rows})), args.out, args.title)
     return 0
 
 

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DataError, UsageError
+from .errors import DataError, LingspaceError, UsageError
 from .langtags import CMN_HANS, CMN_HANT, LanguageTag, parse_language_tag
 # count_urls and strip_urls are no longer called here, but perfbench/spans.py
 # wraps both names at this module, so they stay imported.
@@ -30,7 +30,7 @@ from .measures import (
     strip_urls,
 )
 from .options import DEFAULT_MIN_POSTS, POSTS_FORMATS
-from .tables import read_csv_records, read_json_lines, table_number
+from .tables import Table, read_csv_records, read_json_lines, table_number
 
 log = logging.getLogger(__name__)
 
@@ -184,25 +184,16 @@ def load_accounts(path: str | Path) -> list[AccountMeta]:
     accounts: list[AccountMeta] = []
     seen: set[tuple[str, str, str]] = set()
     for lineno, row in read_csv_records(path, _ACCOUNT_FIELDS):
-        screen_name = (row["screen_name"] or "").strip()
-        platform = (row["platform"] or "").strip()
-        org_type = (row["org_type"] or "").strip()
-        if not screen_name:
-            raise DataError("empty screen_name", path, lineno)
-        if platform not in PLATFORMS:
-            raise DataError(f"unknown platform {platform!r}", path, lineno)
-        if org_type not in ORG_TYPES:
-            raise DataError(f"unknown org_type {org_type!r}", path, lineno)
         try:
-            language = parse_language_tag((row["language"] or "").strip())
-        except UsageError as exc:
+            meta = _read_account(row)
+        except LingspaceError as exc:
             raise DataError(exc.problem, path, lineno) from exc
-        key = (screen_name, platform, language)
+        key = (meta.screen_name, meta.platform, meta.language)
         if key in seen:
-            problem = f"duplicate account {screen_name}@{platform}"
-            raise DataError(f"{problem} for language {language}", path, lineno)
+            problem = f"duplicate account {meta.screen_name}@{meta.platform}"
+            raise DataError(f"{problem} for language {meta.language}", path, lineno)
         seen.add(key)
-        accounts.append(AccountMeta(screen_name, platform, language, org_type))
+        accounts.append(meta)
     return accounts
 
 
@@ -353,92 +344,90 @@ def _route_by_language(post: Post, metas: Sequence[AccountMeta]) -> AccountMeta 
     return None
 
 
-STATS_TABLE_FIELDS = (
-    "screen_name",
-    "platform",
-    "language",
-    "org_type",
-    "n_posts",
-    "mean_chars_with_urls",
-    "mean_chars_without_urls",
-    "url_count_histogram",
-    "per_post_lengths",
-)
-
-RIC_TABLE_FIELDS = (
-    "screen_name",
-    "platform",
-    "language",
-    "org_type",
-    "base_lang",
-    "ratio_used",
-    "mean_ric",
-    "per_post_ric",
-)
+def _account_cells(meta: AccountMeta) -> tuple[str, str, str, str]:
+    return (meta.screen_name, meta.platform, meta.language, meta.org_type)
 
 
-def stats_table_row(stats: AccountStats) -> dict[str, object]:
-    """Flatten AccountStats into the stats table schema."""
+def _read_account(row: Mapping[str, object]) -> AccountMeta:
+    """The account columns of a row, by the rules of the accounts file: each
+    cell is stripped, the screen name is not empty, and the platform, org type
+    and language are known."""
+    screen_name, platform, language, org_type = (
+        "" if row[name] is None else str(row[name]).strip() for name in _ACCOUNT_FIELDS
+    )
+    if not screen_name:
+        raise DataError("empty screen_name")
+    if platform not in PLATFORMS:
+        raise DataError(f"unknown platform {platform!r}")
+    if org_type not in ORG_TYPES:
+        raise DataError(f"unknown org_type {org_type!r}")
+    return AccountMeta(screen_name, platform, parse_language_tag(language), org_type)
+
+
+def _stats_cells(stats: AccountStats) -> tuple:
     histogram = " ".join(
         f"{count}:{freq}" for count, freq in sorted(stats.url_count_histogram.items())
     )
-    return {
-        "screen_name": stats.meta.screen_name,
-        "platform": stats.meta.platform,
-        "language": stats.meta.language,
-        "org_type": stats.meta.org_type,
-        "n_posts": stats.n_posts,
-        "mean_chars_with_urls": stats.mean_chars_with_urls,
-        "mean_chars_without_urls": stats.mean_chars_without_urls,
-        "url_count_histogram": histogram,
-        "per_post_lengths": " ".join(str(v) for v in stats.per_post_lengths),
-    }
+    return (
+        *_account_cells(stats.meta),
+        stats.n_posts,
+        stats.mean_chars_with_urls,
+        stats.mean_chars_without_urls,
+        histogram,
+        " ".join(str(v) for v in stats.per_post_lengths),
+    )
 
 
-def stats_from_row(row: Mapping[str, object]) -> AccountStats:
-    """Rebuild AccountStats from a stats table row; a malformed row, or one
-    holding a number that is negative or not finite, is a DataError."""
-    try:
-        meta = AccountMeta(
-            screen_name=str(row["screen_name"]),
-            platform=str(row["platform"]),
-            language=parse_language_tag(str(row["language"])),
-            org_type=str(row["org_type"]),
+def _read_stats(row: Mapping[str, object]) -> AccountStats:
+    meta = _read_account(row)
+    histogram: dict[int, int] = {}
+    for pair in str(row["url_count_histogram"]).split():
+        count, freq = pair.split(":")
+        histogram[table_number(count, int)] = table_number(freq, int)
+    lengths = tuple(table_number(v, int) for v in str(row["per_post_lengths"]).split())
+    n_posts = table_number(row["n_posts"], int)
+    if n_posts != len(lengths):
+        raise ValueError(
+            f"n_posts is {n_posts} but per_post_lengths holds {len(lengths)} values"
         )
-        histogram: dict[int, int] = {}
-        for pair in str(row["url_count_histogram"]).split():
-            count, freq = pair.split(":")
-            histogram[table_number(count, int)] = table_number(freq, int)
-        lengths = tuple(
-            table_number(v, int) for v in str(row["per_post_lengths"]).split()
-        )
-        n_posts = int(row["n_posts"])
-        if n_posts != len(lengths):
-            raise DataError(
-                f"malformed stats row: n_posts is {n_posts} but "
-                f"per_post_lengths holds {len(lengths)} values"
-            )
-        return AccountStats(
-            meta=meta,
-            n_posts=n_posts,
-            mean_chars_with_urls=table_number(row["mean_chars_with_urls"]),
-            mean_chars_without_urls=table_number(row["mean_chars_without_urls"]),
-            per_post_lengths=lengths,
-            url_count_histogram=histogram,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed stats row: {exc}") from exc
+    return AccountStats(
+        meta=meta,
+        n_posts=n_posts,
+        mean_chars_with_urls=table_number(row["mean_chars_with_urls"]),
+        mean_chars_without_urls=table_number(row["mean_chars_without_urls"]),
+        per_post_lengths=lengths,
+        url_count_histogram=histogram,
+    )
 
 
-def ric_table_row(result: RicResult) -> dict[str, object]:
-    """Flatten RicResult into the RIC table schema."""
-    return {
-        "screen_name": result.meta.screen_name,
-        "platform": result.meta.platform,
-        "language": result.meta.language,
-        "org_type": result.meta.org_type,
-        "base_lang": result.base_lang,
-        "ratio_used": result.ratio_used,
-        "mean_ric": result.mean_ric,
-        "per_post_ric": " ".join(f"{v:.4f}" for v in result.per_post_ric),
-    }
+def _ric_cells(result: RicResult) -> tuple:
+    return (
+        *_account_cells(result.meta),
+        result.base_lang,
+        result.ratio_used,
+        result.mean_ric,
+        " ".join(f"{v:.4f}" for v in result.per_post_ric),
+    )
+
+
+def _read_ric(row: Mapping[str, object]) -> tuple[tuple[str, str, str], tuple, str]:
+    """`(cell key, per-post RICs, base_lang)` of a RIC row: what a figure draws."""
+    key = cell_key(_read_account(row))
+    values = tuple(table_number(v) for v in str(row["per_post_ric"]).split())
+    return key, values, str(row["base_lang"])
+
+
+STATS_TABLE = Table(
+    "stats",
+    (*_ACCOUNT_FIELDS, "n_posts", "mean_chars_with_urls", "mean_chars_without_urls",
+     "url_count_histogram", "per_post_lengths"),
+    _stats_cells,
+    _read_stats,
+)
+
+RIC_TABLE = Table(
+    "RIC",
+    (*_ACCOUNT_FIELDS, "base_lang", "ratio_used", "mean_ric", "per_post_ric"),
+    _ric_cells,
+    _read_ric,
+)

@@ -41,8 +41,8 @@ from .errors import LingspaceError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_list, parse_language_tag
 from .measures import MEASURES_BY_CLI_NAME
 from .microblog import (
-    RIC_TABLE_FIELDS,
-    STATS_TABLE_FIELDS,
+    RIC_TABLE,
+    STATS_TABLE,
     AccountStats,
     RicResult,
     account_length_stats,
@@ -51,8 +51,6 @@ from .microblog import (
     compute_ric,
     load_accounts,
     load_posts,
-    ric_table_row,
-    stats_table_row,
 )
 from .options import (
     CORPUS_FORMATS,
@@ -60,15 +58,9 @@ from .options import (
     DEFAULT_RESCALE_LIMIT,
     POSTS_FORMATS,
 )
-from .ratios import (
-    RATIO_TABLE_FIELDS,
-    RatioStats,
-    aggregate_ratios,
-    describe,
-    ratio_table_row,
-)
+from .ratios import RATIOS_TABLE, RatioStats, aggregate_ratios, describe
 from .svgplot import BoxplotSeries, render_boxplot
-from .tables import TABLE_FORMATS, emit_table, read_text
+from .tables import TABLE_FORMATS, Table, emit_table, read_text
 
 log = logging.getLogger(__name__)
 
@@ -319,25 +311,14 @@ def plot_ric(
     )
 
 
-_TABLES = {
-    "ratios": (ratio_table_row, RATIO_TABLE_FIELDS),
-    "stats": (stats_table_row, STATS_TABLE_FIELDS),
-    "ric": (ric_table_row, RIC_TABLE_FIELDS),
-}
-
-
 def emit_stage_table(
-    name: str, results: Iterable, format: str, destination: str | Path | None
+    table: Table, results: Iterable, format: str, destination: str | Path | None
 ) -> None:
-    """Write stage results as the ratios (RatioStats), stats (AccountStats)
-    or ric (RicResult) table; a destination of None means standard output."""
-    to_row, fields = _TABLES[name]
-    emit_table(
-        [to_row(result) for result in results],
-        format=format,
-        destination=destination,
-        fieldnames=fields,
-    )
+    """Write stage results as rows of RATIOS_TABLE (RatioStats), STATS_TABLE
+    (AccountStats) or RIC_TABLE (RicResult); a destination of None means
+    standard output."""
+    rows = [dict(zip(table.fields, table.cells(r), strict=True)) for r in results]
+    emit_table(rows, format=format, destination=destination, fieldnames=table.fields)
 
 
 def run_pipeline(config_path: str | Path) -> int:
@@ -358,13 +339,13 @@ def run_pipeline(config_path: str | Path) -> int:
         ratio_stats = compute_ratios(
             corpus, cfg.ratio_base, cfg.ratio_others, cfg.measure_name
         )
-        emit_stage_table("ratios", ratio_stats.values(), ext, out / f"ratios.{ext}")
+        emit_stage_table(RATIOS_TABLE, ratio_stats.values(), ext, out / f"ratios.{ext}")
 
         stage = "posts analyze"
         stats_list = analyze_posts(
             cfg.posts_path, cfg.posts_format, cfg.accounts_path, cfg.min_posts
         )
-        emit_stage_table("stats", stats_list, ext, out / f"stats.{ext}")
+        emit_stage_table(STATS_TABLE, stats_list, ext, out / f"stats.{ext}")
 
         stage = "ric"
         ratio_means = {
@@ -372,7 +353,7 @@ def run_pipeline(config_path: str | Path) -> int:
             for stats in ratio_stats.values()
         }
         ric_results = analyze_ric(stats_list, ratio_means, cfg.ric_base)
-        emit_stage_table("ric", ric_results, ext, out / f"ric.{ext}")
+        emit_stage_table(RIC_TABLE, ric_results, ext, out / f"ric.{ext}")
 
         stage = "plot"
         plot_ratios(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import statistics
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .corpus import AlignedUnit, ParallelCorpus
 from .errors import DataError, UsageError
-from .langtags import LanguageTag
+from .langtags import LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
+from .tables import Table, table_number
 
 log = logging.getLogger(__name__)
 
@@ -132,34 +133,37 @@ def aggregate_ratios(
     return RatioStats(lang_b, lang_a, measure, per_unit, describe(values))
 
 
-RATIO_TABLE_FIELDS = (
-    "lang_b",
-    "lang_a",
-    "measure",
-    "n",
-    "mean",
-    "median",
-    "q1",
-    "q3",
-    "whisker_low",
-    "whisker_high",
-    "outlier_count",
-)
-
-
-def ratio_table_row(ratio_stats: RatioStats) -> dict[str, object]:
-    """Flatten RatioStats into the ratios table schema."""
+def _ratio_cells(ratio_stats: RatioStats) -> tuple:
     stats = ratio_stats.stats
-    return {
-        "lang_b": ratio_stats.lang_b,
-        "lang_a": ratio_stats.lang_a,
-        "measure": ratio_stats.measure.value,
-        "n": stats.n,
-        "mean": stats.mean,
-        "median": stats.median,
-        "q1": stats.q1,
-        "q3": stats.q3,
-        "whisker_low": stats.whisker_low,
-        "whisker_high": stats.whisker_high,
-        "outlier_count": len(stats.outliers),
-    }
+    return (
+        ratio_stats.lang_b,
+        ratio_stats.lang_a,
+        ratio_stats.measure.value,
+        stats.n,
+        stats.mean,
+        stats.median,
+        stats.q1,
+        stats.q3,
+        stats.whisker_low,
+        stats.whisker_high,
+        len(stats.outliers),
+    )
+
+
+def _read_ratio(row: Mapping[str, object]) -> tuple[tuple[str, str], float]:
+    """`((lang_b, lang_a), mean)` of a ratios row, the mean `ric` divides by."""
+    lang_b, lang_a = (parse_language_tag(str(row[n])) for n in ("lang_b", "lang_a"))
+    mean = table_number(row["mean"])
+    if not mean:
+        raise ValueError(f"{row['mean']} is not a finite number > 0")
+    return (lang_b, lang_a), mean
+
+
+RATIOS_TABLE = Table(
+    "ratios",
+    ("lang_b", "lang_a", "measure", "n", "mean", "median", "q1", "q3",
+     "whisker_low", "whisker_high", "outlier_count"),
+    _ratio_cells,
+    _read_ratio,
+    unique=lambda ratio: "({}, {})".format(*ratio[0]),
+)

@@ -3,6 +3,8 @@ the decoding of every input file: UTF-8, line ends and JSON.
 
 CSV cells render floats with exactly four decimal places; JSON output
 rounds floats to four decimals. Both are byte-stable for identical input.
+A `Table` declares one table: its columns, a result's cells and what a
+reader takes from a row; `read_table` reads a table by its declaration.
 
 Every input file ends a line at LF, at CRLF and at a lone CR, and numbers
 lines by that rule, which `lf_text` holds: `read_text` reads all three as LF,
@@ -20,7 +22,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
-from typing import BinaryIO
+from typing import Any, BinaryIO, NamedTuple
 
 from .errors import DataError, LingspaceError, UsageError
 
@@ -60,10 +62,15 @@ def emit_table(
     if format == "csv":
         import csv
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(buffer, lineterminator="\n")
+        # The writer leaves a lone CR unquoted, which a reader takes for a
+        # line end, so a row holding one is written with every cell quoted.
+        quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow({name: _csv_value(row[name]) for name in fieldnames})
+            cells = [_csv_value(row[name]) for name in fieldnames]
+            cr = any("\r" in cell for cell in cells if isinstance(cell, str))
+            (quoted if cr else writer).writerow(cells)
         text = buffer.getvalue()
     elif format == "json":
         payload = [
@@ -251,3 +258,43 @@ def read_records(path: str | Path) -> list[dict[str, object]]:
             if problem := surrogate_problem("".join(cells)):
                 raise DataError(f"JSON table row #{index} {problem}", path)
     return payload
+
+
+class Table(NamedTuple):
+    """One table's declaration: its columns in order, the cells of a result
+    in that order, and what its readers need from a row. `read` raises
+    KeyError, TypeError, ValueError or a LingspaceError for a malformed row;
+    `unique`, when given, labels what no two rows may share."""
+
+    name: str
+    fields: tuple[str, ...]
+    cells: Callable[[Any], tuple]
+    read: Callable[[Mapping[str, object]], Any]
+    unique: Callable[[Any], str] | None = None
+
+
+def read_table(path: str | Path, table: Table) -> list:
+    """`table.read` of each row of a table written by emit_table; format
+    inferred from the suffix. A row it rejects, or a second row with the
+    same `unique` label, is a DataError at its CSV line or JSON row."""
+    path = Path(path)
+    if path.suffix.lower() == ".json":
+        located = [(None, f"JSON table row #{index}: ", row)
+                   for index, row in enumerate(read_records(path))]
+    else:
+        located = [(line, "", row) for line, row in read_csv_records(path)]
+    values, seen = [], set()
+    for line, where, row in located:
+        try:
+            value = table.read(row)
+        except (LingspaceError, KeyError, TypeError, ValueError) as exc:
+            problem = f"malformed {table.name} row: {exc}"
+            raise DataError(where + problem, path, line) from exc
+        if table.unique is not None:
+            label = table.unique(value)
+            if label in seen:
+                problem = f"duplicate {table.name} row {label}"
+                raise DataError(where + problem, path, line)
+            seen.add(label)
+        values.append(value)
+    return values

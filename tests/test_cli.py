@@ -16,8 +16,8 @@ import pytest
 
 from lingspace.cli import main
 from lingspace.corpus import load_corpus
-from lingspace.microblog import RIC_TABLE_FIELDS, STATS_TABLE_FIELDS
-from lingspace.ratios import RATIO_TABLE_FIELDS
+from lingspace.microblog import RIC_TABLE, STATS_TABLE
+from lingspace.ratios import RATIOS_TABLE
 from lingspace.tables import read_records
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -68,6 +68,16 @@ def stats_file(tmp_path_factory, post_dump):
     )
     assert code == 0
     return out
+
+
+def _json_stats_row(n_posts: str, lengths: str) -> str:
+    """A one-row JSON stats table whose n_posts is the JSON text `n_posts`."""
+    return (
+        '[{"screen_name": "usnews_tw", "platform": "twitter", "language": "eng", '
+        f'"org_type": "news", "n_posts": {n_posts}, "mean_chars_with_urls": 81.0, '
+        '"mean_chars_without_urls": 81.0, "url_count_histogram": "0:2", '
+        f'"per_post_lengths": "{lengths}"}}]'
+    )
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +331,7 @@ class TestRatios:
         )
         assert code == 0
         rows = _read_csv(capsys.readouterr().out)
-        assert [tuple(r) for r in rows] == [tuple(RATIO_TABLE_FIELDS)] * 3
+        assert [tuple(r) for r in rows] == [RATIOS_TABLE.fields] * 3
         by_lang = {r["lang_b"]: r for r in rows}
         assert set(by_lang) == {"eng", "jpn", "cmn_hans"}
         assert all(r["lang_a"] == "cmn_hant" for r in rows)
@@ -591,7 +601,7 @@ class TestPostsAnalyze:
     def test_emits_one_row_per_qualifying_account(self, stats_file):
         rows = _read_csv(stats_file.read_text(encoding="utf-8"))
         assert len(rows) == 8
-        assert tuple(rows[0]) == STATS_TABLE_FIELDS
+        assert tuple(rows[0]) == STATS_TABLE.fields
         names = {r["screen_name"] for r in rows}
         assert "smallfry_tw" not in names
         assert {r["n_posts"] for r in rows} == {"200"}
@@ -738,7 +748,7 @@ class TestRic:
         )
         assert code == 0
         rows = _read_csv(capsys.readouterr().out)
-        assert tuple(rows[0]) == RIC_TABLE_FIELDS
+        assert tuple(rows[0]) == RIC_TABLE.fields
         by_name = {r["screen_name"]: r for r in rows}
         assert len(by_name) == 8
         # designed per-post lengths are flat, so mean RIC = length / ratio
@@ -777,23 +787,21 @@ class TestRic:
             # n_posts says 5 but only two lengths follow
             (
                 "stats.csv",
-                ",".join(STATS_TABLE_FIELDS)
+                ",".join(STATS_TABLE.fields)
                 + "\nusnews_tw,twitter,eng,news,5,81.0,81.0,0:2,81 81\n",
             ),
-            (
-                "stats.json",
-                '[{"screen_name": "usnews_tw", "platform": "twitter", '
-                '"language": "eng", "org_type": "news", "n_posts": null, '
-                '"mean_chars_with_urls": 81.0, "mean_chars_without_urls": 81.0, '
-                '"url_count_histogram": "0:2", "per_post_lengths": "81 81"}]',
-            ),
+            ("stats.json", _json_stats_row("null", "81 81")),
             (
                 "stats.csv",
-                ",".join(STATS_TABLE_FIELDS)
+                ",".join(STATS_TABLE.fields)
                 + "\nusnews_tw,twitter,eng,news,x,81.0,81.0,0:2,81 81\n",
             ),
+            # counts are whole numbers: neither truncated nor read from a bool
+            ("stats.json", _json_stats_row("2.7", "81 81")),
+            ("stats.json", _json_stats_row("true", "81")),
         ],
-        ids=["n_posts-mismatch", "n_posts-null", "n_posts-not-a-number"],
+        ids=["n_posts-mismatch", "n_posts-null", "n_posts-not-a-number",
+             "n_posts-fraction", "n_posts-bool"],
     )
     def test_malformed_stats_row_is_a_data_error(
         self, ratios_for_ric, tmp_path, capsys, name, content
@@ -813,7 +821,9 @@ class TestRic:
             ]
         )
         assert code == 1
-        assert f"error: {stats}: malformed stats row" in capsys.readouterr().err
+        where = ":2:" if name.endswith(".csv") else ": JSON table row #0:"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stats}{where} malformed stats row: ")
 
     @pytest.mark.parametrize(
         "column, cells, problem",
@@ -833,7 +843,7 @@ class TestRic:
             rows[0][column] = cells[0]
         stats = tmp_path / "stats.csv"
         with stats.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=STATS_TABLE_FIELDS)
+            writer = csv.DictWriter(fh, fieldnames=STATS_TABLE.fields)
             writer.writeheader()
             writer.writerows(rows)
         out = tmp_path / "ric.csv"
@@ -841,7 +851,7 @@ class TestRic:
                      "--base", "cmn_hans", "--out", str(out), "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: {stats}: malformed stats row: {problem}\n"
+        assert err == f"error: {stats}:2: malformed stats row: {problem}\n"
         assert not out.exists()
 
     def test_non_finite_ratio_mean_is_a_data_error(self, stats_file, tmp_path, capsys):
@@ -856,7 +866,7 @@ class TestRic:
         assert code == 1
         err = capsys.readouterr().err
         assert err == (
-            f"error: {ratios}: malformed ratios row: nan is not a finite number >= 0\n"
+            f"error: {ratios}:2: malformed ratios row: nan is not a finite number >= 0\n"
         )
         assert not out.exists()
 
@@ -870,7 +880,9 @@ class TestRic:
                      "--base", "cmn_hans", "--out", str(out), "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: {ratios}: malformed ratios row: 0 is not a finite number > 0\n"
+        assert err == (
+            f"error: {ratios}:2: malformed ratios row: 0 is not a finite number > 0\n"
+        )
         assert not out.exists()
 
     def test_tiny_ratio_mean_is_a_usage_error(self, stats_file, tmp_path, capsys):
@@ -906,6 +918,37 @@ class TestRic:
         )
         assert code == 1
         assert "malformed ratios row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, content, problem",
+        [
+            ("ratios.csv", "CMN_HANS,eng,0.5\n",
+             ":2: malformed ratios row: unknown language tag 'CMN_HANS' (registered: "),
+            ("ratios.csv", "eng,cmn_hans,3.21\neng,klingon,0.5\n",
+             ":3: malformed ratios row: unknown language tag 'klingon' (registered: "),
+            # no writer emits two rows for one pair, so the second is not
+            # silently taken in place of the first
+            ("ratios.csv", "cmn_hans,eng,0.5\ncmn_hans,eng,0.25\n",
+             ":3: duplicate ratios row (cmn_hans, eng)\n"),
+            ("ratios.json", json.dumps([{"lang_b": "cmn_hans", "lang_a": "eng",
+                                         "mean": 0.5}] * 2),
+             ": JSON table row #1: duplicate ratios row (cmn_hans, eng)\n"),
+        ],
+        ids=["tag-case", "unregistered-tag", "duplicate-pair", "json-duplicate-pair"],
+    )
+    def test_ratios_row_tags_are_parsed_and_pairs_unique(
+        self, stats_file, tmp_path, capsys, name, content, problem
+    ):
+        ratios = tmp_path / name
+        if name.endswith(".csv"):
+            content = "lang_b,lang_a,mean\n" + content
+        ratios.write_text(content, encoding="utf-8")
+        out = tmp_path / "ric.csv"
+        code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
+                     "--base", "eng", "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {ratios}{problem}")
+        assert not out.exists()
 
     def test_lone_surrogate_in_a_json_stats_table_is_a_data_error(
         self, stats_file, ratios_for_ric, tmp_path, capsys
@@ -1050,15 +1093,15 @@ class TestPlotBox:
     def test_malformed_ric_row_is_a_data_error(self, tmp_path, capsys):
         ric = tmp_path / "ric.csv"
         ric.write_text(
-            "platform,language,org_type,base_lang,per_post_ric\n"
-            "twitter,eng,news,cmn_hans,1.0 abc\n",
+            "screen_name,platform,language,org_type,base_lang,per_post_ric\n"
+            "usnews_tw,twitter,eng,news,cmn_hans,1.0 abc\n",
             encoding="utf-8",
         )
         out = tmp_path / "ric.svg"
         code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {ric}: malformed RIC row: could not convert string to float: 'abc'\n"
+            f"error: {ric}:2: malformed RIC row: could not convert string to float: 'abc'\n"
         )
         assert not out.exists()
 
@@ -1066,15 +1109,15 @@ class TestPlotBox:
     def test_ric_value_out_of_range_is_a_data_error(self, tmp_path, capsys, value):
         ric = tmp_path / "ric.csv"
         ric.write_text(
-            "platform,language,org_type,base_lang,per_post_ric\n"
-            f"twitter,eng,news,cmn_hans,1.0 {value}\n",
+            "screen_name,platform,language,org_type,base_lang,per_post_ric\n"
+            f"usnews_tw,twitter,eng,news,cmn_hans,1.0 {value}\n",
             encoding="utf-8",
         )
         out = tmp_path / "ric.svg"
         code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {ric}: malformed RIC row: {value} is not a finite number >= 0\n"
+            f"error: {ric}:2: malformed RIC row: {value} is not a finite number >= 0\n"
         )
         assert not out.exists()
 
@@ -1154,6 +1197,45 @@ class TestPlotBox:
         )
         assert code == 2
         assert "--rescale-lang eng is not in --others" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, cell, problem",
+    [
+        ("platform", "myspace", "unknown platform 'myspace'"),
+        ("org_type", "blog", "unknown org_type 'blog'"),
+        ("language", "klingon", "unknown language tag 'klingon' (registered: "),
+        ("screen_name", " ", "empty screen_name"),
+    ],
+    ids=["platform", "org_type", "language", "screen_name"],
+)
+@pytest.mark.parametrize("command", ["ric", "plot-box"])
+def test_account_columns_follow_the_accounts_file_rules(
+    ratios_for_ric, tmp_path, capsys, command, column, cell, problem
+):
+    """The stats and RIC tables' account columns are read by the rules of
+    `load_accounts`, so neither reader passes on an account it would reject."""
+    account = {"screen_name": "usnews_tw", "platform": "twitter", "language": "eng",
+               "org_type": "news"}
+    if command == "ric":
+        table, name, rest = STATS_TABLE, "stats", "2,81.0,81.0,0:2,81 81"
+    else:
+        table, name, rest = RIC_TABLE, "RIC", "cmn_hans,3.2100,25.2336,25.2336 25.2336"
+    path = tmp_path / "table.csv"
+    # a valid row, then the same row with the one bad cell
+    rows = [",".join({**account, **bad}.values()) + f",{rest}\n"
+            for bad in ({}, {column: cell})]
+    path.write_text(",".join(table.fields) + "\n" + "".join(rows), encoding="utf-8")
+    out = tmp_path / "out.svg"
+    if command == "ric":
+        argv = ["ric", "--stats", str(path), "--ratios", str(ratios_for_ric),
+                "--base", "cmn_hans", "--out", str(out)]
+    else:
+        argv = ["plot", "box", "--ric", str(path), "--out", str(out)]
+    assert main([*argv, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: malformed {name} row: {problem}")
+    assert not out.exists()
 
 
 class TestParserContract:

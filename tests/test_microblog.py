@@ -14,8 +14,8 @@ from lingspace.errors import DataError, UsageError
 from lingspace.measures import URL_PATTERN, nfc, strip_urls
 from lingspace.microblog import (
     PLATFORMS,
-    RIC_TABLE_FIELDS,
-    STATS_TABLE_FIELDS,
+    RIC_TABLE,
+    STATS_TABLE,
     AccountMeta,
     Post,
     account_length_stats,
@@ -25,10 +25,8 @@ from lingspace.microblog import (
     load_accounts,
     _parse_timestamp,
     load_posts,
-    ric_table_row,
-    stats_from_row,
-    stats_table_row,
 )
+from lingspace.tables import emit_table, read_table
 from textgen import MIXED_TEXT
 
 UTC = timezone.utc
@@ -638,26 +636,33 @@ class TestTables:
 
     def test_stats_row_matches_schema_and_round_trips(self):
         stats = self._stats()
-        row = stats_table_row(stats)
-        assert tuple(row) == STATS_TABLE_FIELDS
+        cells = STATS_TABLE.cells(stats)
+        assert len(cells) == len(STATS_TABLE.fields)
+        row = dict(zip(STATS_TABLE.fields, cells))
         assert row["url_count_histogram"] == "0:1 1:1"
         assert row["per_post_lengths"] == "10 20"
-        restored = stats_from_row({k: str(v) for k, v in row.items()})
+        restored = STATS_TABLE.read({k: str(v) for k, v in row.items()})
         assert restored == stats
 
-    def test_malformed_stats_row_is_a_data_error(self):
-        row = stats_table_row(self._stats())
+    def test_malformed_stats_row_is_a_data_error(self, tmp_path):
+        row = dict(zip(STATS_TABLE.fields, STATS_TABLE.cells(self._stats())))
         del row["n_posts"]
-        with pytest.raises(DataError, match="malformed stats row"):
-            stats_from_row(row)
+        path = tmp_path / "stats.csv"
+        emit_table([row], "csv", path, [f for f in STATS_TABLE.fields if f in row])
+        with pytest.raises(DataError, match=r"stats\.csv:2: malformed stats row: "):
+            read_table(path, STATS_TABLE)
 
     def test_ric_row_matches_schema(self):
         result = compute_ric(
             self._stats(), {("eng", "cmn_hans"): 3.21}, "cmn_hans"
         )
-        row = ric_table_row(result)
-        assert tuple(row) == RIC_TABLE_FIELDS
+        cells = RIC_TABLE.cells(result)
+        assert len(cells) == len(RIC_TABLE.fields)
+        row = dict(zip(RIC_TABLE.fields, cells))
         assert row["per_post_ric"] == "3.1153 6.2305"
+        assert RIC_TABLE.read(row) == (
+            ("twitter", "eng", "news"), (3.1153, 6.2305), "cmn_hans"
+        )
 
     def test_cell_key_groups_platform_language_org(self):
         assert cell_key(META) == ("twitter", "eng", "news")

@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 from lingspace.corpus import AlignedUnit, ParallelCorpus
 from lingspace.errors import DataError, UsageError
 from lingspace.measures import SpaceMeasure
-from lingspace.ratios import (
-    RATIO_TABLE_FIELDS,
-    aggregate_ratios,
-    describe,
-    ratio_table_row,
-    unit_ratio,
-)
+from lingspace.ratios import RATIOS_TABLE, aggregate_ratios, describe, unit_ratio
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -259,10 +253,12 @@ class TestAggregateRatios:
 
 def test_ratio_table_row_matches_schema(udhr_corpus):
     stats = aggregate_ratios(udhr_corpus, "eng", "cmn_hant", SpaceMeasure.CHARACTERS)
-    row = ratio_table_row(stats)
-    assert tuple(row) == RATIO_TABLE_FIELDS
+    cells = RATIOS_TABLE.cells(stats)
+    assert len(cells) == len(RATIOS_TABLE.fields)
+    row = dict(zip(RATIOS_TABLE.fields, cells))
     assert row["lang_b"] == "eng"
     assert row["lang_a"] == "cmn_hant"
     assert row["measure"] == "characters"
     assert row["n"] == stats.stats.n
     assert row["outlier_count"] == len(stats.stats.outliers)
+    assert RATIOS_TABLE.read(row) == (("eng", "cmn_hant"), stats.stats.mean)

@@ -3,13 +3,34 @@
 import io
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingspace.errors import DataError, UsageError
-from lingspace.tables import _split_lines, emit_table, parse_json, read_records
+from lingspace.measures import SpaceMeasure
+from lingspace.microblog import (
+    ORG_TYPES,
+    PLATFORMS,
+    RIC_TABLE,
+    STATS_TABLE,
+    AccountMeta,
+    AccountStats,
+    RicResult,
+    cell_key,
+)
+from lingspace.pipeline import emit_stage_table
+from lingspace.ratios import RATIOS_TABLE, DescriptiveStats, RatioStats
+from lingspace.tables import (
+    TABLE_FORMATS,
+    _split_lines,
+    emit_table,
+    parse_json,
+    read_records,
+    read_table,
+)
 
 ROWS = [
     {"name": "eng", "mean": 3.95123456, "n": 39},
@@ -196,3 +217,80 @@ class TestParseJson:
     @example("[" * 100_000)
     def test_matches_json_loads(self, text):
         assert repr(parse_json(text)) == repr(_reference_parse_json(text))
+
+
+_TAG = st.sampled_from(["eng", "jpn", "cmn_hans", "cmn_hant"])
+_NUMBER = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+_COUNT = st.integers(0, 10**6)
+# A name `load_accounts` accepts: not blank, no surrounding whitespace. No
+# lone surrogate, which UTF-8 cannot encode, and no NUL, which the csv
+# module reads only from Python 3.11 on.
+_NAME = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6,
+).map(lambda name: name.strip() or "_")
+_META = st.builds(
+    AccountMeta, _NAME, st.sampled_from(PLATFORMS), _TAG, st.sampled_from(ORG_TYPES)
+)
+# A mean below 0.00005 is written as 0.0000, which no ratio may be.
+_RATIO = st.builds(
+    RatioStats,
+    _TAG,
+    _TAG,
+    st.sampled_from(SpaceMeasure),
+    st.just(()),
+    st.floats(1e-4, 1e12).map(lambda m: DescriptiveStats(1, m, m, m, m, m, m, ())),
+)
+_STATS = st.builds(
+    lambda meta, means, lengths, histogram: AccountStats(
+        meta, len(lengths), *means, tuple(lengths), histogram
+    ),
+    _META,
+    st.tuples(_NUMBER, _NUMBER),
+    st.lists(_COUNT, max_size=4),
+    st.dictionaries(_COUNT, _COUNT, max_size=2),
+)
+_RIC = st.builds(
+    RicResult, _META, _TAG, _NUMBER, _NUMBER, st.lists(_NUMBER, max_size=4).map(tuple)
+)
+# Each table with what its declaration reads back from a result's row.
+_TABLES = st.one_of(
+    st.tuples(
+        st.just(RATIOS_TABLE),
+        st.lists(_RATIO, max_size=3, unique_by=lambda r: (r.lang_b, r.lang_a)),
+        st.just(lambda r: ((r.lang_b, r.lang_a), round(r.stats.mean, 4))),
+    ),
+    st.tuples(
+        st.just(STATS_TABLE),
+        st.lists(_STATS, max_size=3),
+        st.just(lambda s: replace(
+            s,
+            mean_chars_with_urls=round(s.mean_chars_with_urls, 4),
+            mean_chars_without_urls=round(s.mean_chars_without_urls, 4),
+        )),
+    ),
+    st.tuples(
+        st.just(RIC_TABLE),
+        st.lists(_RIC, max_size=3),
+        st.just(lambda r: (
+            cell_key(r.meta), tuple(round(v, 4) for v in r.per_post_ric), r.base_lang
+        )),
+    ),
+)
+
+
+@given(case=_TABLES)
+@example(case=(
+    STATS_TABLE,
+    [AccountStats(AccountMeta("a\rb", "weibo", "jpn", "news"), 0, 0.0, 0.0, (), {})],
+    lambda s: s,
+))
+def test_stage_tables_read_back_through_their_declarations(tmp_path_factory, case):
+    """A result written by `emit_stage_table`, as CSV and as JSON, reads back
+    through its table's declaration as written, but for floats rounded to four
+    decimals. The example is a name holding a lone CR, which CSV must quote."""
+    table, results, read_back = case
+    for format in TABLE_FORMATS:
+        path = tmp_path_factory.getbasetemp() / f"round_trip.{format}"
+        emit_stage_table(table, results, format, path)
+        assert read_table(path, table) == [read_back(result) for result in results]
