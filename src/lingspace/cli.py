@@ -266,10 +266,11 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
 
 def _cmd_plot_box(args: argparse.Namespace) -> int:
     from .microblog import RIC_TABLE
-    from .pipeline import plot_ratios, plot_ric
+    from .pipeline import check_rescale_limit, plot_ratios, plot_ric
 
     if (args.corpus is None) == (args.ric is None):
         raise UsageError("give exactly one of --corpus or --ric")
+    check_rescale_limit(args.rescale_limit, "--rescale-limit")
     if args.corpus is not None:
         if not args.base or not args.others:
             raise UsageError("--corpus plots need --base and --others")

@@ -115,7 +115,8 @@ def _validate_record(record: Mapping[str, object]) -> tuple[Post | None, str | N
             timestamp = _parse_timestamp(created_at)
         except (ValueError, OverflowError):
             return None, f"unparseable created_at {created_at!r}"
-        return Post(post_id, account, platform, text, timestamp), None
+        # tuple.__new__: the C call that Post's generated __new__ wraps, without its frame.
+        return tuple.__new__(Post, (post_id, account, platform, text, timestamp)), None
     values = []
     for field in _REQUIRED_POST_FIELDS:
         value = record.get(field)
@@ -224,8 +225,10 @@ def account_length_stats(
     characters = SpaceMeasure.CHARACTERS
     for post in posts:
         text = post.text
-        # One scan gives both the text without URLs and their count.
-        stripped, urls = strip("", text)
+        # One scan gives both the text without URLs and their count. Every
+        # URL holds "://", whose characters have no case variants, so a text
+        # without it needs no scan.
+        stripped, urls = strip("", text) if "://" in text else (text, 0)
         histogram[urls] = histogram.get(urls, 0) + 1
         length = count_units(text, characters)
         with_urls.append(length)
@@ -400,19 +403,33 @@ def _read_stats(row: Mapping[str, object]) -> AccountStats:
     )
 
 
+def _ric_text(values: Sequence[float]) -> str:
+    """The per-post RICs as a cell: each value with four decimals. An account
+    repeats few distinct values, so each is formatted once; 0.0 and -0.0 share
+    a key but not a text, so a zero is formatted where it stands."""
+    texts = dict.fromkeys(values)
+    for value in texts:
+        texts[value] = f"{value:.4f}"
+    return " ".join([texts[v] if v else f"{v:.4f}" for v in values])
+
+
 def _ric_cells(result: RicResult) -> tuple:
     return (
         *_account_cells(result.meta),
         result.base_lang,
         result.ratio_used,
         result.mean_ric,
-        " ".join(f"{v:.4f}" for v in result.per_post_ric),
+        _ric_text(result.per_post_ric),
     )
 
 
 def _read_ric(row: Mapping[str, object]) -> tuple[tuple[str, str, str], tuple, str]:
-    """`(cell key, per-post RICs, base_lang)` of a RIC row: what a figure draws."""
+    """`(cell key, per-post RICs, base_lang)` of a RIC row: what a figure draws.
+    Its ratio and mean, which no figure draws, are checked if it has them."""
     key = cell_key(_read_account(row))
+    for name in ("ratio_used", "mean_ric"):
+        if name in row:
+            table_number(row[name])
     values = tuple(table_number(v) for v in str(row["per_post_ric"]).split())
     return key, values, str(row["base_lang"])
 

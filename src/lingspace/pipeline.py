@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 import sys
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
@@ -138,7 +139,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             raise UsageError(
                 f"[ratios] rescale_lang {rescale_lang} is not among others"
             )
-    rescale_limit = number("ratios", "rescale_limit", float, DEFAULT_RESCALE_LIMIT)
+    rescale_limit = check_rescale_limit(
+        number("ratios", "rescale_limit", float, DEFAULT_RESCALE_LIMIT),
+        "[ratios] rescale_limit",
+    )
 
     posts_path = resolve(need("posts", "posts"))
     posts_format = parser.get("posts", "posts_format", fallback=None)
@@ -261,6 +265,14 @@ def analyze_ric(
 ) -> list[RicResult]:
     """RIC of each account, from mean ratios keyed (language, base)."""
     return [compute_ric(stats, ratio_means, base) for stats in stats_list]
+
+
+def check_rescale_limit(value: float, setting: str) -> float:
+    """`value` if it is a finite number > 0, as the characters that anchor a
+    ratio plot's right axis must be; a UsageError naming `setting` if not."""
+    if not 0 < value < math.inf:
+        raise UsageError(f"{setting} must be a finite number > 0, got {value:g}")
+    return value
 
 
 def plot_ratios(

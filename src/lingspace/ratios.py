@@ -135,6 +135,14 @@ def aggregate_ratios(
 
 def _ratio_cells(ratio_stats: RatioStats) -> tuple:
     stats = ratio_stats.stats
+    # A mean that four decimals round to 0 is not written: _read_ratio would
+    # reject it, since ric divides by it.
+    if not float(f"{stats.mean:.4f}"):
+        raise DataError(
+            f"ratio({ratio_stats.lang_b}, {ratio_stats.lang_a}) has mean "
+            f"{stats.mean:.6g}, which a table would write as 0.0000 and ric "
+            "could not divide by"
+        )
     return (
         ratio_stats.lang_b,
         ratio_stats.lang_a,

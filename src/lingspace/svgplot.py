@@ -7,6 +7,7 @@ median, whisker, outlier, mean) keep the geometry machine-checkable.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,23 @@ class BoxplotSeries:
     def __post_init__(self) -> None:
         if not self.label:
             raise UsageError("series label must be non-empty")
+
+
+# What XML 1.0 allows in a document: tab, LF, CR and every other code point
+# from U+0020 up, except the surrogates, U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _check_text(what: str, text: str) -> None:
+    """Reject figure text that an SVG cannot hold: a lone surrogate, which
+    UTF-8 cannot encode, or another character that XML 1.0 forbids."""
+    bad = _NOT_XML.search(text)
+    if bad is not None:
+        code = ord(bad.group())
+        kind = "lone surrogate" if 0xD800 <= code <= 0xDFFF else "character"
+        raise UsageError(
+            f"figure {what} holds {kind} U+{code:04X}, which XML 1.0 does not allow"
+        )
 
 
 def _escape(text: str) -> str:
@@ -98,6 +116,12 @@ def render_boxplot(
     """
     if not series:
         raise UsageError("at least one series is required")
+    _check_text("title", title)
+    _check_text("axis label", y_label)
+    if secondary is not None:
+        _check_text("axis label", secondary[1])
+    for s in series:
+        _check_text("series label", s.label)
 
     plot_w = CANVAS_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = CANVAS_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

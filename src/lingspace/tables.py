@@ -127,6 +127,16 @@ def read_json_lines(
             except UnicodeDecodeError as exc:
                 yield lineno, None, f"not UTF-8 ({exc.reason})"
                 continue
+            # The decoder's C scanner, which parse_json reaches through two
+            # Python frames, takes a line that is one object and nothing else;
+            # any other line goes to parse_json, which names its problem.
+            try:
+                record, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                record = end = None
+            if end == len(line) and type(record) is dict:
+                yield lineno, record, None
+                continue
             record, problem, _ = parse_json(line)
             if type(record) is dict:
                 yield lineno, record, None
@@ -148,6 +158,7 @@ def surrogate_problem(text: str) -> str | None:
 
 
 _DECODER = json.JSONDecoder()
+_scan = _DECODER.scan_once
 _JSON_WHITESPACE = " \t\n\r"
 
 

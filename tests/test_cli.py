@@ -316,6 +316,30 @@ class TestRatios:
             f"error: {corpus}:2: unknown language tag 'qqz' (registered: "
         )
 
+    def test_mean_written_as_zero_is_a_data_error(self, tmp_path, capsys):
+        """A mean of 1/20000 is written as 0.0001; one below 0.00005 would be
+        written as 0.0000, which `ric` rejects, so it is not written."""
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "ratios.csv"
+
+        def ratios(base_chars: int) -> int:
+            corpus.write_text(
+                '{"name": "c", "languages": ["eng", "jpn"], "provenance": ""}\n'
+                + json.dumps({"unit_id": "1", "eng": "a", "jpn": "x" * base_chars}) + "\n",
+                encoding="utf-8",
+            )
+            return main(["ratios", "--corpus", str(corpus), "--base", "jpn", "--others",
+                         "eng", "--out", str(out), "--quiet"])
+
+        assert ratios(20_000) == 0
+        assert _read_csv(out.read_text(encoding="utf-8"))[0]["mean"] == "0.0001"
+        out.unlink()
+        assert ratios(20_001) == 1
+        assert capsys.readouterr().err == (
+            "error: ratio(eng, jpn) has mean 4.99975e-05, which a table would write "
+            "as 0.0000 and ric could not divide by\n"
+        )
+        assert not out.exists()
+
     def test_csv_to_stdout(self, udhr_corpus_file, capsys):
         code = main(
             [
@@ -1121,6 +1145,29 @@ class TestPlotBox:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "column, cell, problem",
+        [
+            ("ratio_used", "abc", "could not convert string to float: 'abc'"),
+            ("mean_ric", "-5", "-5 is not a finite number >= 0"),
+        ],
+        ids=["ratio_used", "mean_ric"],
+    )
+    def test_ric_ratio_and_mean_are_read_as_numbers(
+        self, tmp_path, capsys, column, cell, problem
+    ):
+        row = {"screen_name": "usnews_tw", "platform": "twitter", "language": "eng",
+               "org_type": "news", "base_lang": "cmn_hans", "ratio_used": "3.21",
+               "mean_ric": "1.5", "per_post_ric": "1.0 2.0"}
+        row[column] = cell
+        ric = tmp_path / "ric.csv"
+        ric.write_text(f"{','.join(row)}\n{','.join(row.values())}\n", encoding="utf-8")
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ric}:2: malformed RIC row: {problem}\n"
+        assert not out.exists()
+
     def test_header_only_ric_table_is_a_usage_error(self, tmp_path, capsys):
         ric = tmp_path / "ric.csv"
         ric.write_text(
@@ -1174,6 +1221,62 @@ class TestPlotBox:
         )
         assert code == 2
         assert "--corpus plots need --base and --others" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_rescale_limit_must_be_finite_and_positive(
+        self, udhr_corpus_file, tmp_path, capsys, value
+    ):
+        out = tmp_path / "plot.svg"
+        code = main(
+            ["plot", "box", "--corpus", str(udhr_corpus_file), "--base", "cmn_hant",
+             "--others", "eng", "--rescale-lang", "eng", "--rescale-limit", value,
+             "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --rescale-limit must be a finite number > 0, got {value}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "title, problem",
+        [
+            ("a\x01b", "character U+0001"),
+            ("form\x0cfeed", "character U+000C"),
+            ("caf\udce9", "lone surrogate U+DCE9"),
+            ("\ufffe", "character U+FFFE"),
+        ],
+        ids=["soh", "form-feed", "surrogate", "non-character"],
+    )
+    def test_title_that_xml_forbids_is_a_usage_error(
+        self, udhr_corpus_file, tmp_path, capsys, title, problem
+    ):
+        """A lone surrogate is what Python makes of argv bytes that are not
+        UTF-8. No output file is opened, so none is left behind."""
+        out = tmp_path / "plot.svg"
+        code = main(
+            ["plot", "box", "--corpus", str(udhr_corpus_file), "--base", "cmn_hant",
+             "--others", "eng", "--title", title, "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: figure title holds {problem}, which XML 1.0 does not allow\n"
+        )
+        assert not out.exists()
+
+    def test_title_with_tab_line_ends_and_astral_text_parses(
+        self, udhr_corpus_file, tmp_path
+    ):
+        out = tmp_path / "plot.svg"
+        title = "a\tb\nc\rd \x7f\x85\ud7ff\ue000\ufffd\U0001f600 <&>"
+        code = main(
+            ["plot", "box", "--corpus", str(udhr_corpus_file), "--base", "cmn_hant",
+             "--others", "eng", "--title", title, "--out", str(out), "--quiet"]
+        )
+        assert code == 0
+        texts = [e.text for e in ET.parse(out).getroot().iter(SVG + "text")
+                 if e.get("class") == "title"]
+        assert texts == [title.replace("\r", "\n")]  # XML reads a CR as LF
 
     def test_rescale_language_must_be_plotted(
         self, udhr_corpus_file, tmp_path, capsys

@@ -11,13 +11,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingspace.errors import DataError, UsageError
-from lingspace.measures import URL_PATTERN, nfc, strip_urls
+from lingspace.measures import URL_PATTERN, SpaceMeasure, count_units, nfc, strip_urls
 from lingspace.microblog import (
     PLATFORMS,
     RIC_TABLE,
     STATS_TABLE,
     AccountMeta,
+    AccountStats,
     Post,
+    RicResult,
     account_length_stats,
     assign_posts,
     cell_key,
@@ -407,6 +409,29 @@ class TestLoadAccounts:
             load_accounts(path)
 
 
+def _reference_account_length_stats(posts, meta):
+    """account_length_stats before it scanned only texts holding "://": one
+    URL_PATTERN.subn on every post."""
+    with_urls, without_urls, histogram = [], [], {}
+    for post in posts:
+        stripped, urls = URL_PATTERN.subn("", post.text)
+        histogram[urls] = histogram.get(urls, 0) + 1
+        with_urls.append(count_units(post.text, SpaceMeasure.CHARACTERS))
+        without_urls.append(count_units(stripped, SpaceMeasure.CHARACTERS))
+    return AccountStats(meta, len(posts), statistics.fmean(with_urls),
+                        statistics.fmean(without_urls), tuple(without_urls),
+                        dict(sorted(histogram.items())))
+
+
+# Text around the "://" test: schemes in any case, U+017F (long s), which
+# IGNORECASE matches to "s", "://" with no scheme, and schemes cut short.
+_URL_EDGE_TEXT = st.lists(
+    st.sampled_from(["HTTP://", "hTtPſ://", "httpſ://a", "://", "://x", "http:/",
+                     "https:", "http", "ſ", "K", "x", " ", "\u0301", "中", "/", ":"]),
+    max_size=8,
+).map("".join)
+
+
 class TestAccountLengthStats:
     def test_mean_of_two_posts(self):
         posts = [_post(0, "x" * 10), _post(1, "y" * 20)]
@@ -475,6 +500,14 @@ class TestAccountLengthStats:
         assert stats.mean_chars_with_urls == statistics.fmean(with_urls)
         assert stats.mean_chars_without_urls == statistics.fmean(without_urls)
         assert stats.url_count_histogram == dict(sorted(urls.items()))
+
+    @given(st.lists(_URL_EDGE_TEXT | _POST_TEXT, min_size=1, max_size=8))
+    @example(["HTTP://a", "hTtPſ://b c", "://x", "no link", "http:/x"])
+    def test_stats_equal_a_scan_of_every_post(self, texts):
+        posts = [_post(i, text) for i, text in enumerate(texts)]
+        assert account_length_stats(posts, META, min_posts=0) == (
+            _reference_account_length_stats(posts, META)
+        )
 
 
 class TestComputeRic:
@@ -663,6 +696,17 @@ class TestTables:
         assert RIC_TABLE.read(row) == (
             ("twitter", "eng", "news"), (3.1153, 6.2305), "cmn_hans"
         )
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 1 / 3, 2.00005, 1e-5, -1e-5])
+                    | st.floats(), max_size=12))
+    @example([0.0, -0.0, 0.0, -0.0, 1.5, 1.5])
+    @example([-0.0, 0.0])
+    def test_ric_cell_formats_every_value_as_it_stands(self, values):
+        """Each distinct value is formatted once; repeats and both signed
+        zeros still read as `f"{v:.4f}"` of each value in turn."""
+        result = RicResult(META, "cmn_hans", 1.0, 0.0, tuple(values))
+        cell = RIC_TABLE.cells(result)[RIC_TABLE.fields.index("per_post_ric")]
+        assert cell == " ".join(f"{v:.4f}" for v in values)
 
     def test_cell_key_groups_platform_language_org(self):
         assert cell_key(META) == ("twitter", "eng", "news")

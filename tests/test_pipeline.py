@@ -316,6 +316,24 @@ class TestFailureStages:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("nan", "nan"), ("inf", "inf"), ("1e400", "inf"), ("0", "0"), ("-5", "-5")],
+    )
+    def test_rescale_limit_must_be_finite_and_positive(
+        self, tmp_path, udhr_dir, post_dump, capsys, value, shown
+    ):
+        sections = base_sections(udhr_dir, post_dump)
+        sections["ratios"]["rescale_limit"] = value
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        assert capsys.readouterr().err == (
+            "pipeline failed at stage 'config': "
+            f"[ratios] rescale_limit must be a finite number > 0, got {shown}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_config_fails_in_config(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_bytes(b"\xff\xfe[corpus]\n")
@@ -399,6 +417,25 @@ class TestFailureStages:
         write_config(config, sections)
         assert run_pipeline(config) == 1
         assert "pipeline failed at stage 'ratios':" in capsys.readouterr().err
+
+    def test_ratio_mean_written_as_zero_fails_in_the_ratios_stage(
+        self, tmp_path, post_dump, capsys
+    ):
+        udhr = tmp_path / "udhr"
+        udhr.mkdir()
+        (udhr / "eng.txt").write_text("a\n", "utf-8")
+        (udhr / "jpn.txt").write_text("あ" * 30_000 + "\n", "utf-8")
+        sections = base_sections(udhr, post_dump)
+        sections["corpus"]["langs"] = "eng,jpn"
+        sections["ratios"] = {"base": "jpn", "others": "eng"}
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        assert capsys.readouterr().err == (
+            "pipeline failed at stage 'ratios': ratio(eng, jpn) has mean 3.33333e-05, "
+            "which a table would write as 0.0000 and ric could not divide by\n"
+        )
+        assert not (tmp_path / "out" / "ratios.csv").exists()
 
     def test_earlier_stage_failures_leave_no_later_outputs(
         self, tmp_path, udhr_dir, post_dump

@@ -28,6 +28,7 @@ from lingspace.tables import (
     _split_lines,
     emit_table,
     parse_json,
+    read_json_lines,
     read_records,
     read_table,
 )
@@ -217,6 +218,69 @@ class TestParseJson:
     @example("[" * 100_000)
     def test_matches_json_loads(self, text):
         assert repr(parse_json(text)) == repr(_reference_parse_json(text))
+
+
+def _reference_read_json_lines(data: bytes) -> list:
+    """read_json_lines before its C-scanner fast path: `parse_json` on every
+    line, lines split at LF, CRLF and a lone CR."""
+    lines = re.split(rb"\r\n|\r|\n", data)
+    if lines[-1] == b"":
+        lines.pop()
+    triples = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            triples.append((lineno, None, f"not UTF-8 ({exc.reason})"))
+            continue
+        record, problem, _ = parse_json(line)
+        if type(record) is dict:
+            triples.append((lineno, record, None))
+        elif problem is None:
+            triples.append((lineno, None, "record is not an object"))
+        elif line.strip():
+            triples.append((lineno, None, f"invalid JSON ({problem})"))
+    return triples
+
+
+# A JSON Lines line: a JSON value (objects, other values, nesting far past the
+# decoder's limit, a huge integer) or bytes that are not JSON or not UTF-8,
+# with whitespace or garbage around it. Nesting a few levels from the limit is
+# left out: there the verdict has always hung on how deep the caller's stack
+# is, and the scanner called without parse_json's two frames reaches two
+# levels further.
+_LINE_BODY = st.one_of(
+    _JSON_TEXT,
+    st.dictionaries(st.text(max_size=3), _JSON_TEXT.map(json.loads), max_size=3).map(
+        json.dumps
+    ),
+    st.sampled_from(["[" * 100_000, '{"a":' * 100_000, '{"a": ' + "1" * 5000 + "}"]),
+    st.text(alphabet='{}[]":,0123456789.e-truefalsn \\', max_size=12),
+).map(str.encode) | st.sampled_from(
+    [b"\xff", b'{"a": "caf\xe9"}', b"\xc3", b"{\xed\xa0\x80}"]
+)
+_LINE_AROUND = st.lists(
+    st.sampled_from([b" ", b"\t", b"\x0c", "\u3000".encode(), "\ufeff".encode(), b"x",
+                     b"}", b"1", b"{}"]),
+    max_size=2,
+).map(b"".join)
+_JSONL_FILE = st.lists(
+    st.tuples(_LINE_AROUND, _LINE_BODY, _LINE_AROUND,
+              st.sampled_from([b"\n", b"\r", b"\r\n"])),
+    max_size=6,
+).map(lambda lines: b"".join(b"".join(line) for line in lines))
+
+
+@given(_JSONL_FILE, st.booleans())
+@example(b'{"a": 1}\r\n {"b": 2}\n{"c": 3} \r[1]\n\n"s"\nnull', True)
+@example(b'{"a": 1}{"b": 2}\n{"a": 1} x\n\xef\xbb\xbf{}\n', False)
+def test_json_lines_match_parse_json_on_every_line(tmp_path_factory, data, final_end):
+    """The C-scanner fast path gives every line the record or problem that
+    `parse_json` gives it. repr compares NaN, which equals nothing."""
+    path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+    path.write_bytes(data if final_end else data.rstrip(b"\r\n"))
+    expected = _reference_read_json_lines(path.read_bytes())
+    assert repr(list(read_json_lines(path))) == repr(expected)
 
 
 _TAG = st.sampled_from(["eng", "jpn", "cmn_hans", "cmn_hant"])
