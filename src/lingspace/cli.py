@@ -16,20 +16,23 @@ from typing import TYPE_CHECKING
 
 # Only what `limit check` runs is imported here; every other handler imports
 # its stages when it runs, so a check does not pay for loading them.
+from . import options
 from .errors import LingspaceError, UsageError
-from .langtags import parse_language_list, parse_language_tag
 from .limits import PRESETS, check_fit
-from .measures import MEASURES_BY_CLI_NAME
-from .options import (
-    CORPUS_FORMATS,
-    DEFAULT_MIN_POSTS,
-    DEFAULT_RESCALE_LIMIT,
-    POSTS_FORMATS,
-)
-from .tables import TABLE_FORMATS, read_table, read_text, surrogate_problem
+from .tables import read_table, read_text, surrogate_problem
 
 if TYPE_CHECKING:
     from .ratios import RatioStats
+
+
+def _add(parser: argparse.ArgumentParser, setting: options.Setting, help: str,
+         **kwargs) -> None:
+    """Add the setting's flag: its conversion, choices and default come from
+    the declaration. A text the setting rejects raises the UsageError that
+    `main` reports."""
+    parser.add_argument(setting.flag, type=lambda text: setting.parse(text, setting.flag),
+                        choices=setting.choices, default=setting.default, help=help,
+                        **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,9 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--out", type=Path, default=None, help="output file (default: stdout)"
     )
-    table.add_argument(
-        "--format", choices=TABLE_FORMATS, default="csv", help="table format"
-    )
+    _add(table, options.TABLE_FORMAT, "table format")
 
     parser = argparse.ArgumentParser(
         prog="lingspace",
@@ -59,22 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = corpus_sub.add_parser(
         "ingest", parents=[quiet], help="parse and align a corpus directory"
     )
-    ingest.add_argument(
-        "--format",
-        dest="corpus_format",
-        choices=CORPUS_FORMATS,
-        required=True,
-        help="input layout: <dir>/<lang>.txt or <dir>/<talk_id>/<lang>.*",
-    )
-    ingest.add_argument("--input", type=Path, required=True, help="corpus directory")
-    ingest.add_argument("--langs", required=True, help="comma-separated language tags")
-    ingest.add_argument(
-        "--min-chars",
-        type=int,
-        default=None,
-        help="minimum reference-language characters per unit "
-        "(default: 0 for udhr, 1000 for ted)",
-    )
+    _add(ingest, options.CORPUS_FORMAT,
+         "input layout: <dir>/<lang>.txt or <dir>/<talk_id>/<lang>.*",
+         dest="corpus_format", required=True)
+    _add(ingest, options.CORPUS_INPUT, "corpus directory", required=True)
+    _add(ingest, options.LANGS, "comma-separated language tags", required=True)
+    _add(ingest, options.MIN_CHARS, "minimum reference-language characters per unit "
+         "(default: 0 for udhr, 1000 for ted)")
     ingest.add_argument("--out", type=Path, required=True, help="corpus output file")
     ingest.set_defaults(handler=_cmd_corpus_ingest)
 
@@ -82,14 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         "ratios", parents=[table], help="aggregate space ratios over a corpus"
     )
     ratios.add_argument("--corpus", type=Path, required=True, help="corpus file")
-    ratios.add_argument("--base", required=True, help="baseline language tag")
-    ratios.add_argument("--others", required=True, help="comma-separated language tags")
-    ratios.add_argument(
-        "--measure",
-        choices=tuple(MEASURES_BY_CLI_NAME),
-        default="characters",
-        help="space measure",
-    )
+    _add(ratios, options.RATIO_BASE, "baseline language tag", required=True)
+    _add(ratios, options.OTHERS, "comma-separated language tags", required=True)
+    _add(ratios, options.MEASURE, "space measure")
     ratios.set_defaults(handler=_cmd_ratios)
 
     posts = sub.add_parser("posts", help="microblog post operations")
@@ -97,22 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = posts_sub.add_parser(
         "analyze", parents=[table], help="per-account length statistics"
     )
-    analyze.add_argument("--posts", type=Path, required=True, help="posts file")
-    analyze.add_argument(
-        "--posts-format",
-        choices=POSTS_FORMATS,
-        default=None,
-        help="posts file format (default: by suffix)",
-    )
-    analyze.add_argument(
-        "--accounts", type=Path, required=True, help="accounts CSV file"
-    )
-    analyze.add_argument(
-        "--min-posts",
-        type=int,
-        default=DEFAULT_MIN_POSTS,
-        help="accounts need strictly more posts than this",
-    )
+    _add(analyze, options.POSTS, "posts file", required=True)
+    _add(analyze, options.POSTS_FORMAT, "posts file format (default: by suffix)")
+    _add(analyze, options.ACCOUNTS, "accounts CSV file", required=True)
+    _add(analyze, options.MIN_POSTS, "accounts need strictly more posts than this")
     analyze.set_defaults(handler=_cmd_posts_analyze)
 
     ric = sub.add_parser(
@@ -122,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ric.add_argument("--stats", type=Path, required=True, help="stats table")
     ric.add_argument("--ratios", type=Path, required=True, help="ratios table")
-    ric.add_argument("--base", required=True, help="baseline language tag")
+    _add(ric, options.RIC_BASE, "baseline language tag", required=True)
     ric.set_defaults(handler=_cmd_ric)
 
     limit = sub.add_parser("limit", help="platform length limits")
@@ -146,25 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
         "box", parents=[quiet], help="boxplot from a corpus or a RIC table"
     )
     box.add_argument("--corpus", type=Path, help="corpus file (ratio boxplots)")
-    box.add_argument("--base", help="baseline language tag (with --corpus)")
-    box.add_argument("--others", help="comma-separated language tags (with --corpus)")
-    box.add_argument(
-        "--measure",
-        choices=tuple(MEASURES_BY_CLI_NAME),
-        default="characters",
-        help="space measure (with --corpus)",
-    )
-    box.add_argument(
-        "--rescale-lang",
-        default=None,
-        help="language whose mean anchors the secondary axis (with --corpus)",
-    )
-    box.add_argument(
-        "--rescale-limit",
-        type=float,
-        default=DEFAULT_RESCALE_LIMIT,
-        help=f"secondary-axis anchor value (default {DEFAULT_RESCALE_LIMIT:g})",
-    )
+    _add(box, options.RATIO_BASE, "baseline language tag (with --corpus)")
+    _add(box, options.OTHERS, "comma-separated language tags (with --corpus)")
+    _add(box, options.MEASURE, "space measure (with --corpus)")
+    _add(box, options.RESCALE_LANG,
+         "language whose mean anchors the secondary axis (with --corpus)")
+    _add(box, options.RESCALE_LIMIT,
+         f"secondary-axis anchor value (default {options.RESCALE_LIMIT.default:g})")
     box.add_argument("--ric", type=Path, help="RIC table (per-cell boxplots)")
     box.add_argument("--title", default=None, help="figure title")
     box.add_argument("--out", type=Path, required=True, help="SVG output file")
@@ -185,8 +148,7 @@ def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
     from .corpus import save_corpus
     from .pipeline import ingest_corpus
 
-    langs = parse_language_list(args.langs)
-    corpus = ingest_corpus(args.corpus_format, args.input, langs, args.min_chars)
+    corpus = ingest_corpus(args.corpus_format, args.input, args.langs, args.min_chars)
     save_corpus(corpus, args.out)
     return 0
 
@@ -195,9 +157,7 @@ def _ratio_stats(args: argparse.Namespace) -> dict[str, RatioStats]:
     from .corpus import load_corpus
     from .pipeline import compute_ratios
 
-    corpus = load_corpus(args.corpus)
-    base = parse_language_tag(args.base)
-    return compute_ratios(corpus, base, parse_language_list(args.others), args.measure)
+    return compute_ratios(load_corpus(args.corpus), args.base, args.others, args.measure)
 
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
@@ -224,9 +184,8 @@ def _cmd_ric(args: argparse.Namespace) -> int:
     from .pipeline import analyze_ric, emit_stage_table
     from .ratios import RATIOS_TABLE
 
-    base = parse_language_tag(args.base)
     ratio_means = dict(read_table(args.ratios, RATIOS_TABLE))
-    results = analyze_ric(read_table(args.stats, STATS_TABLE), ratio_means, base)
+    results = analyze_ric(read_table(args.stats, STATS_TABLE), ratio_means, args.base)
     emit_stage_table(RIC_TABLE, results, args.format, args.out)
     return 0
 
@@ -266,26 +225,20 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
 
 def _cmd_plot_box(args: argparse.Namespace) -> int:
     from .microblog import RIC_TABLE
-    from .pipeline import check_rescale_limit, plot_ratios, plot_ric
+    from .pipeline import check_rescale_lang, plot_ratios, plot_ric
 
     if (args.corpus is None) == (args.ric is None):
         raise UsageError("give exactly one of --corpus or --ric")
-    check_rescale_limit(args.rescale_limit, "--rescale-limit")
     if args.corpus is not None:
         if not args.base or not args.others:
             raise UsageError("--corpus plots need --base and --others")
-        ratio_stats = _ratio_stats(args)
-        rescale_lang = None
-        if args.rescale_lang:
-            rescale_lang = parse_language_tag(args.rescale_lang)
-            if rescale_lang not in ratio_stats:
-                raise UsageError(f"--rescale-lang {rescale_lang} is not in --others")
+        check_rescale_lang(args.rescale_lang, args.others, lambda s: s.flag)
         plot_ratios(
-            ratio_stats,
+            _ratio_stats(args),
             args.base,
             args.measure,
             args.out,
-            rescale_lang,
+            args.rescale_lang,
             args.rescale_limit,
             args.title,
         )
@@ -306,14 +259,14 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.handler is not _cmd_limit_check:  # which logs nothing
-        import logging
-        logging.basicConfig(level=logging.ERROR if args.quiet else logging.INFO,
-                            format="%(levelname)s %(name)s: %(message)s",
-                            stream=sys.stderr, force=True)
     try:
+        # A flag whose setting rejects its text raises here, as a UsageError.
+        args = build_parser().parse_args(argv)
+        if args.handler is not _cmd_limit_check:  # which logs nothing
+            import logging
+            logging.basicConfig(level=logging.ERROR if args.quiet else logging.INFO,
+                                format="%(levelname)s %(name)s: %(message)s",
+                                stream=sys.stderr, force=True)
         return args.handler(args)
     except (LingspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

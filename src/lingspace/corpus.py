@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import DataError, LingspaceError, SubtitleParseError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
-from .options import CORPUS_FORMATS  # the layouts this module loads
+from .options import MIN_CHARS
 from .subtitles import parse_subtitle
 from .tables import lf_text, read_json_lines, read_text, surrogate_problem
 
@@ -107,11 +107,6 @@ def parse_udhr_language_file(content: str, lang: LanguageTag) -> list[tuple[int,
     return paragraphs
 
 
-def _check_min_chars(min_chars: int) -> None:
-    if min_chars < 0:
-        raise UsageError("min_chars must be >= 0")
-
-
 def build_parallel_corpus(
     per_language_units: Mapping[LanguageTag, Iterable[tuple[str, str]]],
     min_chars: int,
@@ -128,7 +123,7 @@ def build_parallel_corpus(
     talks. Returns the corpus plus a report of how many unit ids were
     dropped and why.
     """
-    _check_min_chars(min_chars)
+    MIN_CHARS.parse(min_chars, "min_chars")
     if len(per_language_units) < 2:
         raise UsageError("need at least two languages to build a parallel corpus")
     by_lang: dict[LanguageTag, dict[str, str]] = {}
@@ -188,7 +183,7 @@ def load_udhr_directory(
     because positional alignment would silently pair unrelated paragraphs.
     No paragraph is dropped for length unless min_chars is given.
     """
-    _check_min_chars(min_chars)
+    MIN_CHARS.parse(min_chars, "min_chars")
     directory = Path(directory)
     per_lang: dict[LanguageTag, list[tuple[str, str]]] = {}
     counts: dict[LanguageTag, int] = {}
@@ -228,7 +223,7 @@ def load_subtitle_directory(
     caption file found per language (srt, then vtt, then json) wins. Talks
     whose eng transcript is shorter than min_chars characters are dropped.
     """
-    _check_min_chars(min_chars)
+    MIN_CHARS.parse(min_chars, "min_chars")
     directory = Path(directory)
     with os.scandir(directory) as entries:
         talk_names = sorted(entry.name for entry in entries if entry.is_dir())

@@ -29,7 +29,7 @@ from .measures import (
     detect_language,
     strip_urls,
 )
-from .options import DEFAULT_MIN_POSTS, POSTS_FORMATS
+from .options import MIN_POSTS, POSTS_FORMAT
 from .tables import Table, read_csv_records, read_json_lines, table_number
 
 log = logging.getLogger(__name__)
@@ -144,16 +144,12 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     bad record's, and up to 19 more follow it, one a line.
     """
     path = Path(path)
-    if format == "jsonl":
+    if POSTS_FORMAT.parse(format, "posts format") == "jsonl":
         records = read_json_lines(path)
-    elif format == "csv":
+    else:
         records = (
             (lineno, row, None)
             for lineno, row in read_csv_records(path, _REQUIRED_POST_FIELDS)
-        )
-    else:
-        raise UsageError(
-            f"unknown posts format {format!r} (expected {' or '.join(POSTS_FORMATS)})"
         )
 
     posts: list[Post] = []
@@ -201,15 +197,14 @@ def load_accounts(path: str | Path) -> list[AccountMeta]:
 def account_length_stats(
     posts: Sequence[Post],
     meta: AccountMeta,
-    min_posts: int = DEFAULT_MIN_POSTS,
+    min_posts: int = MIN_POSTS.default,
 ) -> AccountStats | None:
     """Length statistics for one account, or None when it has too few posts.
 
     Inclusion requires strictly more than min_posts posts. Posts that are
     empty after URL stripping stay in with length 0.
     """
-    if min_posts < 0:
-        raise UsageError("min_posts must be >= 0")
+    MIN_POSTS.parse(min_posts, "min_posts")
     for post in posts:
         if post.account != meta.screen_name or post.platform != meta.platform:
             raise UsageError(
@@ -389,6 +384,8 @@ def _read_stats(row: Mapping[str, object]) -> AccountStats:
         histogram[table_number(count, int)] = table_number(freq, int)
     lengths = tuple(table_number(v, int) for v in str(row["per_post_lengths"]).split())
     n_posts = table_number(row["n_posts"], int)
+    if not n_posts:  # analyze_posts keeps only accounts with posts
+        raise ValueError("n_posts is 0: a stats row needs at least one post")
     if n_posts != len(lengths):
         raise ValueError(
             f"n_posts is {n_posts} but per_post_lengths holds {len(lengths)} values"
@@ -425,12 +422,13 @@ def _ric_cells(result: RicResult) -> tuple:
 
 def _read_ric(row: Mapping[str, object]) -> tuple[tuple[str, str, str], tuple, str]:
     """`(cell key, per-post RICs, base_lang)` of a RIC row: what a figure draws.
-    Its ratio and mean, which no figure draws, are checked if it has them."""
+    Its ratio and mean, which no figure draws, are checked too."""
     key = cell_key(_read_account(row))
-    for name in ("ratio_used", "mean_ric"):
-        if name in row:
-            table_number(row[name])
+    table_number(row["ratio_used"])
+    table_number(row["mean_ric"])
     values = tuple(table_number(v) for v in str(row["per_post_ric"]).split())
+    if not values:  # compute_ric gets stats rows with at least one post
+        raise ValueError("per_post_ric holds no values")
     return key, values, str(row["base_lang"])
 
 

@@ -5,7 +5,8 @@ CLI subcommands call the same functions and only add argument parsing and
 file I/O around them.
 
 Configuration is one INI document; every output lands in a single directory
-and is byte-stable across reruns on unchanged inputs. Sections:
+and is byte-stable across reruns on unchanged inputs. Its keys are the
+settings `options.SETTINGS` declares, read as the CLI flags are:
 
     [corpus]   format (udhr|ted), input (dir), langs (comma list),
                min_chars (optional; 0 for udhr, 1000 for ted by default)
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import configparser
 import logging
-import math
 import sys
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 
 # perfbench/spans.py times each layer by wrapping the names the stages call
@@ -39,7 +39,7 @@ from .corpus import (
     save_corpus,
 )
 from .errors import LingspaceError, UsageError
-from .langtags import ENG, LanguageTag, parse_language_list, parse_language_tag
+from .langtags import ENG, LanguageTag
 from .measures import MEASURES_BY_CLI_NAME
 from .microblog import (
     RIC_TABLE,
@@ -54,136 +54,65 @@ from .microblog import (
     load_posts,
 )
 from .options import (
-    CORPUS_FORMATS,
-    DEFAULT_MIN_POSTS,
-    DEFAULT_RESCALE_LIMIT,
-    POSTS_FORMATS,
+    CORPUS_FORMAT,
+    MEASURE,
+    MIN_POSTS,
+    OTHERS,
+    RESCALE_LANG,
+    RESCALE_LIMIT,
+    SETTINGS,
+    Setting,
 )
 from .ratios import RATIOS_TABLE, RatioStats, aggregate_ratios, describe
 from .svgplot import BoxplotSeries, render_boxplot
-from .tables import TABLE_FORMATS, Table, emit_table, read_text
+from .tables import Table, emit_table, read_text
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    corpus_format: str
-    corpus_input: Path
-    langs: tuple[LanguageTag, ...]
-    min_chars: int | None
-    ratio_base: LanguageTag
-    ratio_others: tuple[LanguageTag, ...]
-    measure_name: str
-    rescale_lang: LanguageTag | None
-    rescale_limit: float
-    posts_path: Path
-    posts_format: str | None
-    accounts_path: Path
-    min_posts: int
-    ric_base: LanguageTag
-    out_dir: Path
-    table_format: str
+# A loaded config: one field per setting, named by the setting's `name`.
+PipelineConfig = make_dataclass("PipelineConfig", [s.name for s in SETTINGS],
+                                frozen=True, namespace={"__module__": __name__})
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
+    """Each setting read from its config key, or its default; a relative path
+    resolves against the config file's directory."""
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.read_string(read_text(path, UsageError), str(path))
-    base_dir = path.parent
+    values = {}
+    for setting in SETTINGS:
+        text = parser.get(setting.section, setting.key, fallback=None)
+        if text is not None:
+            value = setting.parse(text, setting.config_name)
+        elif setting.required:
+            raise UsageError(f"config lacks {setting.config_name}")
+        else:
+            value = setting.default
+        values[setting.name] = path.parent / value if isinstance(value, Path) else value
+    # The two defaults only a config has.
+    rescale = RESCALE_LANG.section, RESCALE_LANG.key
+    if ENG in values["ratio_others"] and not parser.has_option(*rescale):
+        values["rescale_lang"] = ENG
+    values["ric_base"] = values["ric_base"] or values["ratio_base"]
+    check_rescale_lang(values["rescale_lang"], values["ratio_others"],
+                       lambda setting: setting.config_name)
+    return PipelineConfig(**values)
 
-    def need(section: str, key: str) -> str:
-        if not parser.has_option(section, key):
-            raise UsageError(f"config lacks [{section}] {key}")
-        return parser.get(section, key)
 
-    def resolve(value: str) -> Path:
-        candidate = Path(value)
-        return candidate if candidate.is_absolute() else base_dir / candidate
-
-    def number(section: str, key: str, kind: Callable[[str], float], default):
-        raw = parser.get(section, key, fallback=None)
-        try:
-            return default if raw is None else kind(raw)
-        except ValueError as exc:
-            raise UsageError(
-                f"[{section}] {key} is not a valid {kind.__name__}: {raw!r}"
-            ) from exc
-
-    corpus_format = need("corpus", "format").strip()
-    if corpus_format not in CORPUS_FORMATS:
-        raise UsageError(
-            f"[corpus] format must be {' or '.join(CORPUS_FORMATS)}, "
-            f"got {corpus_format!r}"
-        )
-    langs = parse_language_list(need("corpus", "langs"))
-    min_chars = number("corpus", "min_chars", int, None)
-
-    ratio_base = parse_language_tag(need("ratios", "base").strip())
-    ratio_others = parse_language_list(need("ratios", "others"))
-    measure_name = parser.get("ratios", "measure", fallback="characters").strip()
-    if measure_name not in MEASURES_BY_CLI_NAME:
-        raise UsageError(
-            f"[ratios] measure must be one of "
-            f"{', '.join(MEASURES_BY_CLI_NAME)}, got {measure_name!r}"
-        )
-    rescale_raw = parser.get(
-        "ratios", "rescale_lang", fallback=ENG if ENG in ratio_others else ""
-    ).strip()
-    rescale_lang: LanguageTag | None = None
-    if rescale_raw:
-        rescale_lang = parse_language_tag(rescale_raw)
-        if rescale_lang not in ratio_others:
-            raise UsageError(
-                f"[ratios] rescale_lang {rescale_lang} is not among others"
-            )
-    rescale_limit = check_rescale_limit(
-        number("ratios", "rescale_limit", float, DEFAULT_RESCALE_LIMIT),
-        "[ratios] rescale_limit",
-    )
-
-    posts_path = resolve(need("posts", "posts"))
-    posts_format = parser.get("posts", "posts_format", fallback=None)
-    if posts_format is not None and posts_format not in POSTS_FORMATS:
-        raise UsageError(
-            f"[posts] posts_format must be {' or '.join(POSTS_FORMATS)}, "
-            f"got {posts_format!r}"
-        )
-    accounts_path = resolve(need("posts", "accounts"))
-    min_posts = number("posts", "min_posts", int, DEFAULT_MIN_POSTS)
-
-    ric_base = parse_language_tag(
-        parser.get("ric", "base", fallback=ratio_base).strip()
-    )
-
-    out_dir = resolve(need("output", "dir"))
-    table_format = parser.get("output", "format", fallback="csv").strip()
-    if table_format not in TABLE_FORMATS:
-        raise UsageError(
-            f"[output] format must be {' or '.join(TABLE_FORMATS)}, "
-            f"got {table_format!r}"
-        )
-
-    return PipelineConfig(
-        corpus_format=corpus_format,
-        corpus_input=resolve(need("corpus", "input")),
-        langs=langs,
-        min_chars=min_chars,
-        ratio_base=ratio_base,
-        ratio_others=ratio_others,
-        measure_name=measure_name,
-        rescale_lang=rescale_lang,
-        rescale_limit=rescale_limit,
-        posts_path=posts_path,
-        posts_format=posts_format,
-        accounts_path=accounts_path,
-        min_posts=min_posts,
-        ric_base=ric_base,
-        out_dir=out_dir,
-        table_format=table_format,
-    )
+def check_rescale_lang(
+    rescale_lang: LanguageTag | None,
+    others: tuple[LanguageTag, ...],
+    name: Callable[[Setting], str],
+) -> None:
+    """The one check across settings: the language that anchors a ratio
+    plot's right axis is plotted, so it is among the others. `name` names a
+    setting by its flag or by its config key."""
+    if rescale_lang is not None and rescale_lang not in others:
+        raise UsageError(f"{name(RESCALE_LANG)} {rescale_lang} is not in {name(OTHERS)}")
 
 
 def ingest_corpus(
@@ -194,11 +123,7 @@ def ingest_corpus(
 ) -> ParallelCorpus:
     """Parse and align a udhr or ted directory; logs what the filter kept.
     A min_chars of None keeps the loader's default."""
-    if corpus_format not in CORPUS_FORMATS:
-        raise UsageError(
-            f"unknown corpus format {corpus_format!r} "
-            f"(expected {' or '.join(CORPUS_FORMATS)})"
-        )
+    corpus_format = CORPUS_FORMAT.parse(corpus_format, "corpus format")
     load = load_udhr_directory if corpus_format == "udhr" else load_subtitle_directory
     if min_chars is None:
         corpus, report = load(input_dir, langs)
@@ -221,7 +146,7 @@ def compute_ratios(
     measure_name: str,
 ) -> dict[LanguageTag, RatioStats]:
     """Ratio statistics of each language in others against base, in order."""
-    measure = MEASURES_BY_CLI_NAME[measure_name]
+    measure = MEASURES_BY_CLI_NAME[MEASURE.parse(measure_name, "measure")]
     return {lang: aggregate_ratios(corpus, lang, base, measure) for lang in others}
 
 
@@ -229,13 +154,12 @@ def analyze_posts(
     posts_path: str | Path,
     posts_format: str | None,
     accounts_path: str | Path,
-    min_posts: int = DEFAULT_MIN_POSTS,
+    min_posts: int = MIN_POSTS.default,
 ) -> list[AccountStats]:
     """Per-account statistics, in accounts-file order, of the accounts with
     more than min_posts posts. A posts_format of None means csv for a .csv
     file and jsonl otherwise."""
-    if min_posts < 0:
-        raise UsageError("min_posts must be >= 0")
+    MIN_POSTS.parse(min_posts, "min_posts")
     if posts_format is None:
         posts_format = "csv" if Path(posts_path).suffix.lower() == ".csv" else "jsonl"
     posts = load_posts(posts_path, posts_format)
@@ -267,21 +191,13 @@ def analyze_ric(
     return [compute_ric(stats, ratio_means, base) for stats in stats_list]
 
 
-def check_rescale_limit(value: float, setting: str) -> float:
-    """`value` if it is a finite number > 0, as the characters that anchor a
-    ratio plot's right axis must be; a UsageError naming `setting` if not."""
-    if not 0 < value < math.inf:
-        raise UsageError(f"{setting} must be a finite number > 0, got {value:g}")
-    return value
-
-
 def plot_ratios(
     ratio_stats: Mapping[LanguageTag, RatioStats],
     base: LanguageTag,
     measure_name: str,
     out: str | Path,
     rescale_lang: LanguageTag | None = None,
-    rescale_limit: float = DEFAULT_RESCALE_LIMIT,
+    rescale_limit: float = RESCALE_LIMIT.default,
     title: str | None = None,
 ) -> None:
     """One box per language; with rescale_lang, a right axis in characters

@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, NamedTuple
 
 from .errors import DataError, LingspaceError, UsageError
-
-TABLE_FORMATS = ("csv", "json")
+from .options import TABLE_FORMAT
 
 
 def _csv_value(value: object) -> object:
@@ -59,7 +58,7 @@ def emit_table(
                 f"row fields {sorted(row)} do not match the table schema "
                 f"{sorted(fieldnames)}"
             )
-    if format == "csv":
+    if TABLE_FORMAT.parse(format, "table format") == "csv":
         import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -72,16 +71,11 @@ def emit_table(
             cr = any("\r" in cell for cell in cells if isinstance(cell, str))
             (quoted if cr else writer).writerow(cells)
         text = buffer.getvalue()
-    elif format == "json":
+    else:
         payload = [
             {name: _json_value(row[name]) for name in fieldnames} for row in rows
         ]
         text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    else:
-        raise UsageError(
-            f"unknown table format {format!r} (expected one of: "
-            f"{', '.join(TABLE_FORMATS)})"
-        )
     if destination is None:
         sys.stdout.write(text)
     else:
@@ -286,16 +280,21 @@ class Table(NamedTuple):
 
 def read_table(path: str | Path, table: Table) -> list:
     """`table.read` of each row of a table written by emit_table; format
-    inferred from the suffix. A row it rejects, or a second row with the
-    same `unique` label, is a DataError at its CSV line or JSON row."""
+    inferred from the suffix. A CSV header or a JSON row that lacks a column
+    of `table.fields` is a DataError naming the columns; a row `table.read`
+    rejects, or a second row with the same `unique` label, is one at its CSV
+    line or JSON row."""
     path = Path(path)
     if path.suffix.lower() == ".json":
         located = [(None, f"JSON table row #{index}: ", row)
                    for index, row in enumerate(read_records(path))]
     else:
-        located = [(line, "", row) for line, row in read_csv_records(path)]
+        located = [(line, "", row)
+                   for line, row in read_csv_records(path, table.fields)]
     values, seen = [], set()
     for line, where, row in located:
+        if missing := [name for name in table.fields if name not in row]:
+            raise DataError(f"{where}missing columns: {', '.join(missing)}", path)
         try:
             value = table.read(row)
         except (LingspaceError, KeyError, TypeError, ValueError) as exc:

@@ -7,18 +7,23 @@ ingest -> ratios -> plot and analyze -> ric -> plot workflows.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lingspace.cli import main
 from lingspace.corpus import load_corpus
 from lingspace.microblog import RIC_TABLE, STATS_TABLE
+from lingspace.options import MEASURE, POSTS_FORMAT, TABLE_FORMAT
 from lingspace.ratios import RATIOS_TABLE
-from lingspace.tables import read_records
+from lingspace.tables import read_records, read_table
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -80,12 +85,21 @@ def _json_stats_row(n_posts: str, lengths: str) -> str:
     )
 
 
+def _ratios_csv(*rows: str) -> str:
+    """A ratios table of `lang_b,lang_a,mean` rows, the cells `ric` reads;
+    the other declared columns hold the mean or a count of 1 or 0."""
+    lines = [",".join(RATIOS_TABLE.fields)]
+    for row in rows:
+        lang_b, lang_a, mean = row.split(",")
+        lines.append(f"{lang_b},{lang_a},characters,1,{f'{mean},' * 6}0")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def ratios_for_ric(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_ric") / "ratios.csv"
     path.write_text(
-        "lang_b,lang_a,mean\neng,cmn_hans,3.21\njpn,cmn_hans,1.30\n",
-        encoding="utf-8",
+        _ratios_csv("eng,cmn_hans,3.21", "jpn,cmn_hans,1.30"), encoding="utf-8"
     )
     return path
 
@@ -751,7 +765,7 @@ class TestPostsAnalyze:
             ]
         )
         assert code == 2
-        assert "min_posts must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --min-posts must be >= 0, got -1\n"
 
 
 class TestRic:
@@ -789,7 +803,7 @@ class TestRic:
         self, stats_file, tmp_path, capsys
     ):
         ratios = tmp_path / "ratios.csv"
-        ratios.write_text("lang_b,lang_a,mean\neng,cmn_hans,3.21\n", encoding="utf-8")
+        ratios.write_text(_ratios_csv("eng,cmn_hans,3.21"), encoding="utf-8")
         code = main(
             [
                 "ric",
@@ -881,8 +895,7 @@ class TestRic:
     def test_non_finite_ratio_mean_is_a_data_error(self, stats_file, tmp_path, capsys):
         ratios = tmp_path / "ratios.csv"
         ratios.write_text(
-            "lang_b,lang_a,mean\neng,cmn_hans,nan\njpn,cmn_hans,1.30\n",
-            encoding="utf-8",
+            _ratios_csv("eng,cmn_hans,nan", "jpn,cmn_hans,1.30"), encoding="utf-8"
         )
         out = tmp_path / "ric.csv"
         code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
@@ -897,7 +910,7 @@ class TestRic:
     def test_zero_ratio_mean_is_a_data_error(self, stats_file, tmp_path, capsys):
         ratios = tmp_path / "ratios.csv"
         ratios.write_text(
-            "lang_b,lang_a,mean\neng,cmn_hans,0\njpn,cmn_hans,1.30\n", encoding="utf-8"
+            _ratios_csv("eng,cmn_hans,0", "jpn,cmn_hans,1.30"), encoding="utf-8"
         )
         out = tmp_path / "ric.csv"
         code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
@@ -914,8 +927,7 @@ class TestRic:
         # RIC table may hold: `plot box --ric` would reject the file.
         ratios = tmp_path / "ratios.csv"
         ratios.write_text(
-            "lang_b,lang_a,mean\neng,cmn_hans,1e-320\njpn,cmn_hans,1.30\n",
-            encoding="utf-8",
+            _ratios_csv("eng,cmn_hans,1e-320", "jpn,cmn_hans,1.30"), encoding="utf-8"
         )
         out = tmp_path / "ric.csv"
         code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
@@ -927,7 +939,9 @@ class TestRic:
 
     def test_malformed_ratios_table_is_a_data_error(self, stats_file, tmp_path, capsys):
         ratios = tmp_path / "ratios.csv"
-        ratios.write_text("lang_b,lang_a\neng,cmn_hans\n", encoding="utf-8")
+        # a row of two cells under the full header
+        header = ",".join(RATIOS_TABLE.fields)
+        ratios.write_text(f"{header}\neng,cmn_hans\n", encoding="utf-8")
         code = main(
             [
                 "ric",
@@ -946,16 +960,15 @@ class TestRic:
     @pytest.mark.parametrize(
         "name, content, problem",
         [
-            ("ratios.csv", "CMN_HANS,eng,0.5\n",
+            ("ratios.csv", _ratios_csv("CMN_HANS,eng,0.5"),
              ":2: malformed ratios row: unknown language tag 'CMN_HANS' (registered: "),
-            ("ratios.csv", "eng,cmn_hans,3.21\neng,klingon,0.5\n",
+            ("ratios.csv", _ratios_csv("eng,cmn_hans,3.21", "eng,klingon,0.5"),
              ":3: malformed ratios row: unknown language tag 'klingon' (registered: "),
             # no writer emits two rows for one pair, so the second is not
             # silently taken in place of the first
-            ("ratios.csv", "cmn_hans,eng,0.5\ncmn_hans,eng,0.25\n",
+            ("ratios.csv", _ratios_csv("cmn_hans,eng,0.5", "cmn_hans,eng,0.25"),
              ":3: duplicate ratios row (cmn_hans, eng)\n"),
-            ("ratios.json", json.dumps([{"lang_b": "cmn_hans", "lang_a": "eng",
-                                         "mean": 0.5}] * 2),
+            ("ratios.json", json.dumps(_read_csv(_ratios_csv("cmn_hans,eng,0.5")) * 2),
              ": JSON table row #1: duplicate ratios row (cmn_hans, eng)\n"),
         ],
         ids=["tag-case", "unregistered-tag", "duplicate-pair", "json-duplicate-pair"],
@@ -964,14 +977,53 @@ class TestRic:
         self, stats_file, tmp_path, capsys, name, content, problem
     ):
         ratios = tmp_path / name
-        if name.endswith(".csv"):
-            content = "lang_b,lang_a,mean\n" + content
         ratios.write_text(content, encoding="utf-8")
         out = tmp_path / "ric.csv"
         code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
                      "--base", "eng", "--out", str(out), "--quiet"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {ratios}{problem}")
+        assert not out.exists()
+
+    def test_stats_row_without_posts_is_a_data_error(
+        self, ratios_for_ric, tmp_path, capsys
+    ):
+        """`analyze_posts` never writes an account with no posts, and a RIC
+        row made from one would hold no per-post value to draw."""
+        stats = tmp_path / "stats.csv"
+        stats.write_text(
+            ",".join(STATS_TABLE.fields) + "\nusnews_tw,twitter,eng,news,0,0.0,0.0,,\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ric.csv"
+        code = main(["ric", "--stats", str(stats), "--ratios", str(ratios_for_ric),
+                     "--base", "cmn_hans", "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {stats}:2: malformed stats row: "
+            "n_posts is 0: a stats row needs at least one post\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["ratios.csv", "ratios.json"])
+    def test_ratios_table_lacking_declared_columns_is_a_data_error(
+        self, stats_file, tmp_path, capsys, name
+    ):
+        ratios = tmp_path / name
+        row = {"lang_b": "eng", "lang_a": "cmn_hans", "mean": "3.21"}
+        if name.endswith(".csv"):
+            ratios.write_text("lang_b,lang_a,mean\neng,cmn_hans,3.21\n", encoding="utf-8")
+        else:
+            ratios.write_text(json.dumps([row]), encoding="utf-8")
+        out = tmp_path / "ric.csv"
+        code = main(["ric", "--stats", str(stats_file), "--ratios", str(ratios),
+                     "--base", "cmn_hans", "--out", str(out), "--quiet"])
+        assert code == 1
+        where = ":" if name.endswith(".csv") else ": JSON table row #0:"
+        assert capsys.readouterr().err == (
+            f"error: {ratios}{where} missing columns: "
+            "measure, n, median, q1, q3, whisker_low, whisker_high, outlier_count\n"
+        )
         assert not out.exists()
 
     def test_lone_surrogate_in_a_json_stats_table_is_a_data_error(
@@ -1117,8 +1169,8 @@ class TestPlotBox:
     def test_malformed_ric_row_is_a_data_error(self, tmp_path, capsys):
         ric = tmp_path / "ric.csv"
         ric.write_text(
-            "screen_name,platform,language,org_type,base_lang,per_post_ric\n"
-            "usnews_tw,twitter,eng,news,cmn_hans,1.0 abc\n",
+            ",".join(RIC_TABLE.fields) + "\n"
+            "usnews_tw,twitter,eng,news,cmn_hans,3.21,1.5,1.0 abc\n",
             encoding="utf-8",
         )
         out = tmp_path / "ric.svg"
@@ -1133,8 +1185,8 @@ class TestPlotBox:
     def test_ric_value_out_of_range_is_a_data_error(self, tmp_path, capsys, value):
         ric = tmp_path / "ric.csv"
         ric.write_text(
-            "screen_name,platform,language,org_type,base_lang,per_post_ric\n"
-            f"usnews_tw,twitter,eng,news,cmn_hans,1.0 {value}\n",
+            ",".join(RIC_TABLE.fields) + "\n"
+            f"usnews_tw,twitter,eng,news,cmn_hans,3.21,1.5,1.0 {value}\n",
             encoding="utf-8",
         )
         out = tmp_path / "ric.svg"
@@ -1168,11 +1220,43 @@ class TestPlotBox:
         assert capsys.readouterr().err == f"error: {ric}:2: malformed RIC row: {problem}\n"
         assert not out.exists()
 
-    def test_header_only_ric_table_is_a_usage_error(self, tmp_path, capsys):
+    def test_ric_row_without_values_is_a_data_error(self, tmp_path, capsys):
         ric = tmp_path / "ric.csv"
         ric.write_text(
-            "platform,language,org_type,base_lang,per_post_ric\n", encoding="utf-8"
+            ",".join(RIC_TABLE.fields) + "\nusnews_tw,twitter,eng,news,cmn_hans,3.21,0,\n",
+            encoding="utf-8",
         )
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {ric}:2: malformed RIC row: per_post_ric holds no values\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["ric.csv", "ric.json"])
+    def test_ric_table_lacking_declared_columns_is_a_data_error(
+        self, tmp_path, capsys, name
+    ):
+        row = {"screen_name": "usnews_tw", "platform": "twitter", "language": "eng",
+               "org_type": "news", "base_lang": "cmn_hans", "per_post_ric": "1.0 2.0"}
+        ric = tmp_path / name
+        if name.endswith(".csv"):
+            ric.write_text(f"{','.join(row)}\n{','.join(row.values())}\n", "utf-8")
+        else:
+            ric.write_text(json.dumps([row]), encoding="utf-8")
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 1
+        where = ":" if name.endswith(".csv") else ": JSON table row #0:"
+        assert capsys.readouterr().err == (
+            f"error: {ric}{where} missing columns: ratio_used, mean_ric\n"
+        )
+        assert not out.exists()
+
+    def test_header_only_ric_table_is_a_usage_error(self, tmp_path, capsys):
+        ric = tmp_path / "ric.csv"
+        ric.write_text(",".join(RIC_TABLE.fields) + "\n", encoding="utf-8")
         out = tmp_path / "ric.svg"
         code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
         assert code == 2
@@ -1351,3 +1435,130 @@ class TestParserContract:
         with pytest.raises(SystemExit) as excinfo:
             main(["limit", "check", "--platform", "myspace", "--text", "hi"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["corpus", "ingest", "--format", "xml", "--input", "in", "--langs",
+              "eng,jpn", "--out", "c.jsonl"], "--format must be udhr or ted, got 'xml'"),
+            (["corpus", "ingest", "--format", "udhr", "--input", "in", "--langs",
+              "eng,jpn", "--min-chars", "-3", "--out", "c.jsonl"],
+             "--min-chars must be >= 0, got -3"),
+            (["ratios", "--corpus", "c.jsonl", "--base", "eng", "--others", "jpn",
+              "--measure", "words"],
+             "--measure must be one of characters, utf8, gbk, got 'words'"),
+            (["posts", "analyze", "--posts", "p.jsonl", "--accounts", "a.csv",
+              "--min-posts", "abc"], "--min-posts is not a valid int: 'abc'"),
+            (["posts", "analyze", "--posts", "p.jsonl", "--accounts", "a.csv",
+              "--posts-format", "xml"], "--posts-format must be jsonl or csv, got 'xml'"),
+            (["plot", "box", "--corpus", "c.jsonl", "--rescale-limit", "abc", "--out",
+              "o.svg"], "--rescale-limit is not a valid float: 'abc'"),
+            (["limit", "check", "--platform", "sms", "--text", "x", "--format", "tsv"],
+             "--format must be csv or json, got 'tsv'"),
+        ],
+        ids=["corpus-format", "min-chars", "measure", "min-posts", "posts-format",
+             "rescale-limit", "table-format"],
+    )
+    def test_bad_flag_is_named_by_its_setting(
+        self, tmp_path, monkeypatch, capsys, argv, error
+    ):
+        """A flag's text goes through its setting's declaration while the
+        arguments are parsed, so nothing is read or written."""
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory, udhr_corpus_file, stats_file, ratios_for_ric):
+    """The files the property's commands read: a corpus, a small post dump
+    with its accounts, and stats, ratios and RIC tables."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    posts, accounts = root / "posts.jsonl", root / "accounts.csv"
+    posts.write_text("".join(
+        json.dumps({"id": str(i), "account": name, "platform": "twitter",
+                    "text": f"{name} post {i} https://t.co/x", "created_at":
+                    "2015-01-01T00:00:00Z"}) + "\n"
+        for i, name in enumerate(["usnews_tw"] * 3 + ["jpnews_tw"])
+    ), encoding="utf-8")
+    accounts.write_text("screen_name,platform,language,org_type\n"
+                        "usnews_tw,twitter,eng,news\njpnews_tw,twitter,jpn,news\n",
+                        encoding="utf-8")
+    ric = root / "ric.csv"
+    assert main(["ric", "--stats", str(stats_file), "--ratios", str(ratios_for_ric),
+                 "--base", "cmn_hans", "--out", str(ric), "--quiet"]) == 0
+    return {"corpus": str(udhr_corpus_file), "posts": str(posts),
+            "accounts": str(accounts), "stats": str(stats_file),
+            "ratios": str(ratios_for_ric), "ric": str(ric)}
+
+
+# The commands the property runs, each giving generated texts to settings,
+# a title, or both; `{out}` is the output file.
+_COMMANDS = {
+    "plot-corpus": ["plot", "box", "--corpus", "{corpus}", "--base", "cmn_hant",
+                    "--others", "eng,jpn", "--rescale-lang", "eng",
+                    "--rescale-limit={rescale}", "--measure={measure}",
+                    "--title={title}", "--out", "{out}.svg"],
+    "plot-ric": ["plot", "box", "--ric", "{ric}", "--title={title}", "--out",
+                 "{out}.svg"],
+    "ratios": ["ratios", "--corpus", "{corpus}", "--base", "cmn_hant", "--others",
+               "eng,jpn", "--measure={measure}", "--format={format}", "--out",
+               "{out}.table"],
+    "posts": ["posts", "analyze", "--posts", "{posts}", "--accounts", "{accounts}",
+              "--min-posts={count}", "--posts-format={posts_format}",
+              "--format={format}", "--out", "{out}.table"],
+    "ric": ["ric", "--stats", "{stats}", "--ratios", "{ratios}", "--base", "cmn_hans",
+            "--format={format}", "--out", "{out}.table"],
+}
+_TABLE_OF = {"ratios": RATIOS_TABLE, "posts": STATS_TABLE, "ric": RIC_TABLE}
+_ANY_TEXT = st.text(max_size=8)
+
+
+def _named(choices):
+    """A choice, a choice with outer whitespace, or any text."""
+    padded = st.tuples(st.sampled_from(" \t\x1c\xa0"), st.sampled_from(choices))
+    return st.one_of(st.sampled_from(choices), padded.map("".join), _ANY_TEXT)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    title=st.text(max_size=12),
+    rescale=st.one_of(
+        st.sampled_from(["140", " 2.5", "nan", "inf", "-inf", "1e400", "0", "-5"]),
+        st.floats().map(repr), _ANY_TEXT),
+    count=st.one_of(st.integers(-3, 5).map(str), _ANY_TEXT),
+    measure=_named(MEASURE.choices),
+    format=_named(TABLE_FORMAT.choices),
+    posts_format=_named(POSTS_FORMAT.choices),
+)
+def test_main_writes_what_lingspace_reads_or_fails_with_one_error(
+    cli_inputs, tmp_path_factory, command, **texts
+):
+    """Exit 0 writes an SVG that parses as XML, or a table that reads back
+    through its declaration. Exit 1 or 2 is reported on stderr, whose last
+    line starts with `error:` or argparse's `lingspace ...: error:`, and no
+    traceback: `main` raises nothing but argparse's SystemExit."""
+    out = tmp_path_factory.mktemp("cli_property") / "out"
+    argv = [arg.format(out=out, **cli_inputs, **texts) for arg in _COMMANDS[command]]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([*argv, "--quiet"])
+        except SystemExit as exc:
+            code = exc.code
+    written = list(out.parent.iterdir())
+    if code == 0:
+        (path,) = written
+        if path.suffix == ".svg":
+            ET.parse(path)
+        else:  # a table's format shows in its first byte
+            if path.read_bytes().startswith(b"["):
+                path = path.rename(path.with_suffix(".json"))
+            read_table(path, _TABLE_OF[command])
+    else:
+        assert code in (1, 2)
+        last = stderr.getvalue().splitlines()[-1]
+        assert re.match(r"(lingspace [a-z ]+: )?error: ", last), last
+        assert "Traceback" not in stderr.getvalue()

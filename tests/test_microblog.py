@@ -299,7 +299,9 @@ class TestLoadPosts:
             load_posts(path, format="csv")
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(UsageError, match="unknown posts format"):
+        with pytest.raises(
+            UsageError, match=r"^posts format must be jsonl or csv, got 'xml'$"
+        ):
             load_posts(tmp_path / "x.xml", format="xml")
 
     @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
@@ -682,7 +684,7 @@ class TestTables:
         del row["n_posts"]
         path = tmp_path / "stats.csv"
         emit_table([row], "csv", path, [f for f in STATS_TABLE.fields if f in row])
-        with pytest.raises(DataError, match=r"stats\.csv:2: malformed stats row: "):
+        with pytest.raises(DataError, match=r"stats\.csv: missing columns: n_posts$"):
             read_table(path, STATS_TABLE)
 
     def test_ric_row_matches_schema(self):

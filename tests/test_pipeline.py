@@ -8,13 +8,21 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import microgen
 import tedgen
-from lingspace.cli import main
+from lingspace import options
+from lingspace.cli import build_parser, main
 from lingspace.corpus import load_corpus
 from lingspace.errors import UsageError
-from lingspace.pipeline import ingest_corpus, load_pipeline_config, run_pipeline
+from lingspace.pipeline import (
+    compute_ratios,
+    ingest_corpus,
+    load_pipeline_config,
+    run_pipeline,
+)
 
 OUTPUT_NAMES = (
     "corpus.jsonl",
@@ -160,9 +168,15 @@ class TestConfigHandling:
 
     def test_unknown_corpus_format_is_a_usage_error(self, tmp_path):
         with pytest.raises(
-            UsageError, match=r"unknown corpus format 'xml' \(expected udhr or ted\)"
+            UsageError, match=r"^corpus format must be udhr or ted, got 'xml'$"
         ):
             ingest_corpus("xml", tmp_path, ("eng", "jpn"), None)
+
+    def test_unknown_measure_is_a_usage_error(self, udhr_corpus):
+        with pytest.raises(
+            UsageError, match=r"^measure must be one of characters, utf8, gbk, got 'words'$"
+        ):
+            compute_ratios(udhr_corpus, "eng", ("jpn",), "words")
 
     def test_loaded_config_fills_documented_defaults(
         self, tmp_path, udhr_dir, post_dump
@@ -195,8 +209,8 @@ class TestConfigHandling:
             ("corpus", "min_chars", "abc", "'config': [corpus] min_chars is not a"),
             ("posts", "min_posts", "abc", "'config': [posts] min_posts is not a"),
             ("ratios", "rescale_limit", "abc", "'config': [ratios] rescale_limit is"),
-            ("corpus", "min_chars", "-1", "'corpus ingest': min_chars must be >= 0"),
-            ("posts", "min_posts", "-1", "'posts analyze': min_posts must be >= 0"),
+            ("corpus", "min_chars", "-1", "'config': [corpus] min_chars must be >= 0,"),
+            ("posts", "min_posts", "-1", "'config': [posts] min_posts must be >= 0,"),
         ],
         ids=[
             "corpus-min_chars",
@@ -209,14 +223,15 @@ class TestConfigHandling:
     def test_non_numeric_value_fails_in_config(
         self, tmp_path, udhr_dir, post_dump, capsys, section, key, value, error
     ):
-        """Non-numbers fail while the config is read; negative counts fail
-        in the stage that uses them."""
+        """Non-numbers and negative counts fail while the config is read,
+        before the output directory is made."""
         sections = base_sections(udhr_dir, post_dump)
         sections[section][key] = value
         config = tmp_path / "run.ini"
         write_config(config, sections)
         assert run_pipeline(config) == 1
         assert f"pipeline failed at stage {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rescale_defaults_off_without_eng(self, tmp_path, udhr_dir, post_dump):
         sections = base_sections(udhr_dir, post_dump)
@@ -224,6 +239,102 @@ class TestConfigHandling:
         config = tmp_path / "run.ini"
         write_config(config, sections)
         assert load_pipeline_config(config).rescale_lang is None
+
+
+# For each setting with a flag: a command that takes it, with every required
+# flag given, and the attribute the parsed flag lands in. The flag given last
+# wins, so the property appends its own.
+_FLAG_COMMANDS = {
+    "corpus ingest": (
+        ["corpus", "ingest", "--format", "udhr", "--input", "in", "--langs", "eng,jpn",
+         "--out", "c.jsonl"],
+        {"corpus_format": "corpus_format", "corpus_input": "input", "langs": "langs",
+         "min_chars": "min_chars"},
+    ),
+    "ratios": (
+        ["ratios", "--corpus", "c.jsonl", "--base", "eng", "--others", "jpn"],
+        {"ratio_base": "base", "ratio_others": "others", "measure_name": "measure",
+         "table_format": "format"},
+    ),
+    "plot box": (
+        ["plot", "box", "--out", "o.svg"],
+        {"rescale_lang": "rescale_lang", "rescale_limit": "rescale_limit"},
+    ),
+    "posts analyze": (
+        ["posts", "analyze", "--posts", "p.jsonl", "--accounts", "a.csv"],
+        {"posts_path": "posts", "posts_format": "posts_format",
+         "accounts_path": "accounts", "min_posts": "min_posts"},
+    ),
+    "ric": (["ric", "--stats", "s.csv", "--ratios", "r.csv", "--base", "eng"],
+            {"ric_base": "base"}),
+}
+_FLAGGED = {name: (argv, dest) for argv, dests in _FLAG_COMMANDS.values()
+            for name, dest in dests.items()}
+# An INI value is one line, and `%` starts an interpolation, so neither a
+# line end nor `%` can stand in one; UTF-8 cannot hold a lone surrogate.
+_INI_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\n\r%"), max_size=10)
+_CLOSE_TEXTS = [
+    "udhr", "ted", "csv", "json", "jsonl", "characters", "utf8", "gbk", "eng",
+    "cmn_hans", "eng,jpn", "jpn, eng,", "eng,eng", "", "0", "7", "-1", "+3", "1_000",
+    "\u0665", "2.5", "1e400", "nan", "-inf", "0x10", "data/in", "UDHR", "EnG",
+]
+_SETTING_TEXT = st.one_of(
+    st.sampled_from(_CLOSE_TEXTS),
+    st.tuples(st.sampled_from(["", " ", "\t", "\x1c", "\xa0", "\u3000"]),
+              st.sampled_from(_CLOSE_TEXTS),
+              st.sampled_from(["", " ", "\x85", "\u2028"])).map("".join),
+    _INI_TEXT,
+)
+
+
+def test_every_flag_has_its_command():
+    assert sorted(_FLAGGED) == sorted(s.name for s in options.SETTINGS if s.flag)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(setting=st.sampled_from([s for s in options.SETTINGS if s.flag]),
+       text=_SETTING_TEXT)
+@example(setting=options.MIN_POSTS, text="\x1c5")
+@example(setting=options.MEASURE, text=" gbk\u2028")
+@example(setting=options.POSTS, text="p\0.jsonl")
+def test_flag_and_config_key_accept_the_same_texts_as_the_same_values(
+    tmp_path_factory, setting, text
+):
+    """A text is accepted as a setting's flag exactly when it is accepted as
+    its config key, and both give the same value. A path key is relative to
+    the config's directory, and an INI value loses its outer whitespace, which
+    a path flag keeps: a path text is compared without it."""
+    is_path = setting.name in ("corpus_input", "posts_path", "accounts_path")
+    if is_path:
+        text = text.strip()
+    argv, dest = _FLAGGED[setting.name]
+    try:
+        args = build_parser().parse_args([*argv, f"{setting.flag}={text}"])
+        flag = (True, getattr(args, dest))
+    except UsageError as exc:
+        flag = (False, exc)
+    root = tmp_path_factory.mktemp("setting")
+    # every registered language among the others, so that any rescale
+    # language passes the check across settings
+    sections = {"corpus": {"format": "udhr", "input": "in", "langs": "eng,jpn"},
+                "ratios": {"base": "eng", "others": "eng,jpn,cmn_hans,cmn_hant"},
+                "posts": {"posts": "p.jsonl", "accounts": "a.csv"}, "ric": {},
+                "output": {"dir": "out"}}
+    sections[setting.section][setting.key] = text
+    config = root / "run.ini"
+    config.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    ), encoding="utf-8")
+    try:
+        keyed = (True, getattr(load_pipeline_config(config), setting.name))
+    except UsageError as exc:
+        keyed = (False, exc)
+    assert flag[0] == keyed[0], (flag, keyed)
+    if flag[0]:
+        value = root / flag[1] if is_path else flag[1]
+        assert value == keyed[1]
 
 
 def test_cli_commands_write_the_pipeline_outputs(
@@ -312,7 +423,7 @@ class TestFailureStages:
         assert run_pipeline(config) == 1
         assert capsys.readouterr().err == (
             "pipeline failed at stage 'config': "
-            "[ratios] rescale_lang eng is not among others\n"
+            "[ratios] rescale_lang eng is not in [ratios] others\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -331,6 +442,26 @@ class TestFailureStages:
         assert capsys.readouterr().err == (
             "pipeline failed at stage 'config': "
             f"[ratios] rescale_limit must be a finite number > 0, got {shown}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("corpus", "input"), ("posts", "posts"), ("posts", "accounts"), ("output", "dir")],
+    )
+    def test_path_holding_nul_fails_in_config(
+        self, tmp_path, udhr_dir, post_dump, capsys, section, key
+    ):
+        """No file system takes a NUL in a file name; `os.mkdir` raised
+        ValueError for an output directory holding one."""
+        sections = base_sections(udhr_dir, post_dump)
+        sections[section][key] = "o\0ut"
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        assert capsys.readouterr().err == (
+            "pipeline failed at stage 'config': "
+            f"[{section}] {key} holds a NUL character: 'o\\x00ut'\n"
         )
         assert not (tmp_path / "out").exists()
 

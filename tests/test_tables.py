@@ -23,8 +23,8 @@ from lingspace.microblog import (
 )
 from lingspace.pipeline import emit_stage_table
 from lingspace.ratios import RATIOS_TABLE, DescriptiveStats, RatioStats
+from lingspace.options import TABLE_FORMAT
 from lingspace.tables import (
-    TABLE_FORMATS,
     _split_lines,
     emit_table,
     parse_json,
@@ -147,7 +147,9 @@ class TestValidation:
             emit_table(ROWS, "csv", tmp_path / "t.csv", fieldnames=["x"])
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(UsageError, match="unknown table format"):
+        with pytest.raises(
+            UsageError, match=r"^table format must be csv or json, got 'tsv'$"
+        ):
             emit_table(ROWS, "tsv", tmp_path / "t.tsv", fieldnames=FIELDS)
 
 
@@ -305,17 +307,19 @@ _RATIO = st.builds(
     st.just(()),
     st.floats(1e-4, 1e12).map(lambda m: DescriptiveStats(1, m, m, m, m, m, m, ())),
 )
+# A stats row holds at least one post and a RIC row one value, as
+# `analyze_posts` keeps only accounts with posts.
 _STATS = st.builds(
     lambda meta, means, lengths, histogram: AccountStats(
         meta, len(lengths), *means, tuple(lengths), histogram
     ),
     _META,
     st.tuples(_NUMBER, _NUMBER),
-    st.lists(_COUNT, max_size=4),
+    st.lists(_COUNT, min_size=1, max_size=4),
     st.dictionaries(_COUNT, _COUNT, max_size=2),
 )
 _RIC = st.builds(
-    RicResult, _META, _TAG, _NUMBER, _NUMBER, st.lists(_NUMBER, max_size=4).map(tuple)
+    RicResult, _META, _TAG, _NUMBER, _NUMBER, st.lists(_NUMBER, min_size=1, max_size=4).map(tuple)
 )
 # Each table with what its declaration reads back from a result's row.
 _TABLES = st.one_of(
@@ -346,7 +350,7 @@ _TABLES = st.one_of(
 @given(case=_TABLES)
 @example(case=(
     STATS_TABLE,
-    [AccountStats(AccountMeta("a\rb", "weibo", "jpn", "news"), 0, 0.0, 0.0, (), {})],
+    [AccountStats(AccountMeta("a\rb", "weibo", "jpn", "news"), 1, 0.0, 0.0, (0,), {})],
     lambda s: s,
 ))
 def test_stage_tables_read_back_through_their_declarations(tmp_path_factory, case):
@@ -354,7 +358,7 @@ def test_stage_tables_read_back_through_their_declarations(tmp_path_factory, cas
     through its table's declaration as written, but for floats rounded to four
     decimals. The example is a name holding a lone CR, which CSV must quote."""
     table, results, read_back = case
-    for format in TABLE_FORMATS:
+    for format in TABLE_FORMAT.choices:
         path = tmp_path_factory.getbasetemp() / f"round_trip.{format}"
         emit_stage_table(table, results, format, path)
         assert read_table(path, table) == [read_back(result) for result in results]
