@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import options
 from .errors import LingspaceError, UsageError
 from .limits import PRESETS, check_fit
-from .tables import read_table, read_text, surrogate_problem
+from .tables import emit_table, read_table, read_text, surrogate_problem
 
 if TYPE_CHECKING:
     from .ratios import RatioStats
@@ -161,32 +161,31 @@ def _ratio_stats(args: argparse.Namespace) -> dict[str, RatioStats]:
 
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
-    from .pipeline import emit_stage_table
     from .ratios import RATIOS_TABLE
 
-    emit_stage_table(RATIOS_TABLE, _ratio_stats(args).values(), args.format, args.out)
+    emit_table(RATIOS_TABLE, _ratio_stats(args).values(), args.out, args.format)
     return 0
 
 
 def _cmd_posts_analyze(args: argparse.Namespace) -> int:
     from .microblog import STATS_TABLE
-    from .pipeline import analyze_posts, emit_stage_table
+    from .pipeline import analyze_posts
 
     stats_list = analyze_posts(
         args.posts, args.posts_format, args.accounts, args.min_posts
     )
-    emit_stage_table(STATS_TABLE, stats_list, args.format, args.out)
+    emit_table(STATS_TABLE, stats_list, args.out, args.format)
     return 0
 
 
 def _cmd_ric(args: argparse.Namespace) -> int:
-    from .microblog import RIC_TABLE, STATS_TABLE
-    from .pipeline import analyze_ric, emit_stage_table
+    from .microblog import RIC_TABLE, STATS_TABLE, compute_ric
     from .ratios import RATIOS_TABLE
 
     ratio_means = dict(read_table(args.ratios, RATIOS_TABLE))
-    results = analyze_ric(read_table(args.stats, STATS_TABLE), ratio_means, args.base)
-    emit_stage_table(RIC_TABLE, results, args.format, args.out)
+    results = [compute_ric(stats, ratio_means, args.base)
+               for stats in read_table(args.stats, STATS_TABLE)]
+    emit_table(RIC_TABLE, results, args.out, args.format)
     return 0
 
 

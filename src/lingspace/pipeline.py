@@ -2,7 +2,9 @@
 
 Each stage is a public function that takes inputs and returns results; the
 CLI subcommands call the same functions and only add argument parsing and
-file I/O around them.
+file I/O around them. The RIC stage is `compute_ric` for each account, and
+each stage's table is written by `tables.emit_table` from its declaration:
+`RATIOS_TABLE`, `STATS_TABLE` or `RIC_TABLE`.
 
 Configuration is one INI document; every output lands in a single directory
 and is byte-stable across reruns on unchanged inputs. Its keys are the
@@ -32,6 +34,8 @@ from pathlib import Path
 
 # perfbench/spans.py times each layer by wrapping the names the stages call
 # through this module: the loaders, aggregate_ratios, describe, emit_table...
+# It counts the bytes of each table at emit_table's third argument, so the
+# destination is passed by position.
 from .corpus import (
     ParallelCorpus,
     load_subtitle_directory,
@@ -45,7 +49,6 @@ from .microblog import (
     RIC_TABLE,
     STATS_TABLE,
     AccountStats,
-    RicResult,
     account_length_stats,
     assign_posts,
     cell_key,
@@ -65,7 +68,7 @@ from .options import (
 )
 from .ratios import RATIOS_TABLE, RatioStats, aggregate_ratios, describe
 from .svgplot import BoxplotSeries, render_boxplot
-from .tables import Table, emit_table, read_text
+from .tables import emit_table, read_text
 
 log = logging.getLogger(__name__)
 
@@ -182,15 +185,6 @@ def analyze_posts(
     return stats_list
 
 
-def analyze_ric(
-    stats_list: Iterable[AccountStats],
-    ratio_means: Mapping[tuple[LanguageTag, LanguageTag], float],
-    base: LanguageTag,
-) -> list[RicResult]:
-    """RIC of each account, from mean ratios keyed (language, base)."""
-    return [compute_ric(stats, ratio_means, base) for stats in stats_list]
-
-
 def plot_ratios(
     ratio_stats: Mapping[LanguageTag, RatioStats],
     base: LanguageTag,
@@ -239,16 +233,6 @@ def plot_ric(
     )
 
 
-def emit_stage_table(
-    table: Table, results: Iterable, format: str, destination: str | Path | None
-) -> None:
-    """Write stage results as rows of RATIOS_TABLE (RatioStats), STATS_TABLE
-    (AccountStats) or RIC_TABLE (RicResult); a destination of None means
-    standard output."""
-    rows = [dict(zip(table.fields, table.cells(r), strict=True)) for r in results]
-    emit_table(rows, format=format, destination=destination, fieldnames=table.fields)
-
-
 def run_pipeline(config_path: str | Path) -> int:
     """Run every stage; returns 0 on success, 1 naming the failed stage."""
     stage = "config"
@@ -267,21 +251,22 @@ def run_pipeline(config_path: str | Path) -> int:
         ratio_stats = compute_ratios(
             corpus, cfg.ratio_base, cfg.ratio_others, cfg.measure_name
         )
-        emit_stage_table(RATIOS_TABLE, ratio_stats.values(), ext, out / f"ratios.{ext}")
+        emit_table(RATIOS_TABLE, ratio_stats.values(), out / f"ratios.{ext}", ext)
 
         stage = "posts analyze"
         stats_list = analyze_posts(
             cfg.posts_path, cfg.posts_format, cfg.accounts_path, cfg.min_posts
         )
-        emit_stage_table(STATS_TABLE, stats_list, ext, out / f"stats.{ext}")
+        emit_table(STATS_TABLE, stats_list, out / f"stats.{ext}", ext)
 
         stage = "ric"
         ratio_means = {
             (stats.lang_b, stats.lang_a): stats.stats.mean
             for stats in ratio_stats.values()
         }
-        ric_results = analyze_ric(stats_list, ratio_means, cfg.ric_base)
-        emit_stage_table(RIC_TABLE, ric_results, ext, out / f"ric.{ext}")
+        ric_results = [compute_ric(stats, ratio_means, cfg.ric_base)
+                       for stats in stats_list]
+        emit_table(RIC_TABLE, ric_results, out / f"ric.{ext}", ext)
 
         stage = "plot"
         plot_ratios(

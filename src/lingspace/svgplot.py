@@ -7,6 +7,7 @@ median, whisker, outlier, mean) keep the geometry machine-checkable.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -112,7 +113,9 @@ def render_boxplot(
     whiskers with caps, outlier dots, and a marked mean.
 
     secondary=(scale, label) adds a right-hand axis, titled label, that
-    shows each tick value multiplied by scale.
+    shows each tick value multiplied by scale. Figure text an SVG cannot
+    hold, or a right-hand tick label that is not a finite number, is a
+    UsageError raised before `out` is opened.
     """
     if not series:
         raise UsageError("at least one series is required")
@@ -137,6 +140,13 @@ def render_boxplot(
     pad = (hi - lo) * 0.05 if hi > lo else max(abs(hi), 1.0) * 0.05
     lo -= pad
     hi += pad
+    ticks = [lo + (hi - lo) * i / (N_TICKS - 1) for i in range(N_TICKS)]
+    if secondary is not None:
+        scale, axis = secondary
+        for tick in ticks:
+            if not math.isfinite(tick * scale):
+                raise UsageError(f"figure axis '{axis}' has tick label "
+                                 f"{_fmt(tick * scale)}, which is not a finite number")
 
     def y(value: float) -> float:
         return MARGIN_TOP + (hi - value) / (hi - lo) * plot_h
@@ -153,8 +163,7 @@ def render_boxplot(
     ]
     if secondary is not None:
         parts.append(_line("axis", right, MARGIN_TOP, right, bottom))
-    for i in range(N_TICKS):
-        tick = lo + (hi - lo) * i / (N_TICKS - 1)
+    for tick in ticks:
         ty = y(tick)
         parts.append(_line("tick", MARGIN_LEFT, ty, right, ty))
         parts.append(_text(MARGIN_LEFT - 8, ty + 4, "end", _fmt(tick)))

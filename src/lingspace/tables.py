@@ -1,10 +1,11 @@
 """Tabular output with deterministic field order and number formatting, and
 the decoding of every input file: UTF-8, line ends and JSON.
 
-CSV cells render floats with exactly four decimal places; JSON output
-rounds floats to four decimals. Both are byte-stable for identical input.
 A `Table` declares one table: its columns, a result's cells and what a
-reader takes from a row; `read_table` reads a table by its declaration.
+reader takes from a row. `emit_table` writes a table by its declaration and
+`read_table` reads one by it. CSV cells render floats with exactly four
+decimal places; JSON output rounds floats to four decimals. Both are
+byte-stable for identical input.
 
 Every input file ends a line at LF, at CRLF and at a lone CR, and numbers
 lines by that rule, which `lf_text` holds: `read_text` reads all three as LF,
@@ -24,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import Any, BinaryIO, NamedTuple
 
-from .errors import DataError, LingspaceError, UsageError
+from .errors import DataError, LingspaceError
 from .options import TABLE_FORMAT
 
 
@@ -41,23 +42,20 @@ def _json_value(value: object) -> object:
 
 
 def emit_table(
-    rows: Iterable[Mapping[str, object]],
-    format: str,
+    table: Table,
+    results: Iterable,
     destination: str | Path | None,
-    fieldnames: Sequence[str],
+    format: str,
 ) -> None:
-    """Write records as CSV or JSON with the field order of `fieldnames`.
-
-    All rows must share that schema. `destination` None writes to standard
-    output.
-    """
-    rows = list(rows)
-    for row in rows:
-        if set(row) != set(fieldnames):
-            raise UsageError(
-                f"row fields {sorted(row)} do not match the table schema "
-                f"{sorted(fieldnames)}"
-            )
+    """Write `table.cells` of each result as a CSV or JSON row under the
+    columns `table.fields`; a destination of None means standard output. A
+    result whose cells do not match the columns is a ValueError."""
+    fields = table.fields
+    rows = [table.cells(result) for result in results]
+    for cells in rows:
+        if len(cells) != len(fields):
+            raise ValueError(f"{table.name} row has {len(cells)} cells "
+                             f"for {len(fields)} columns")
     if TABLE_FORMAT.parse(format, "table format") == "csv":
         import csv
         buffer = io.StringIO()
@@ -65,15 +63,16 @@ def emit_table(
         # The writer leaves a lone CR unquoted, which a reader takes for a
         # line end, so a row holding one is written with every cell quoted.
         quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(fieldnames)
-        for row in rows:
-            cells = [_csv_value(row[name]) for name in fieldnames]
+        writer.writerow(fields)
+        for cells in rows:
+            cells = [_csv_value(cell) for cell in cells]
             cr = any("\r" in cell for cell in cells if isinstance(cell, str))
             (quoted if cr else writer).writerow(cells)
         text = buffer.getvalue()
     else:
         payload = [
-            {name: _json_value(row[name]) for name in fieldnames} for row in rows
+            {name: _json_value(cell) for name, cell in zip(fields, cells)}
+            for cells in rows
         ]
         text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if destination is None:
@@ -121,7 +120,7 @@ def read_json_lines(
             except UnicodeDecodeError as exc:
                 yield lineno, None, f"not UTF-8 ({exc.reason})"
                 continue
-            # The decoder's C scanner, which parse_json reaches through two
+            # The decoder's C scanner, which parse_json reaches through four
             # Python frames, takes a line that is one object and nothing else;
             # any other line goes to parse_json, which names its problem.
             try:
@@ -151,9 +150,7 @@ def surrogate_problem(text: str) -> str | None:
     return None
 
 
-_DECODER = json.JSONDecoder()
-_scan = _DECODER.scan_once
-_JSON_WHITESPACE = " \t\n\r"
+_scan = json.JSONDecoder().scan_once
 
 
 def parse_json(text: str) -> tuple[object, str | None, int]:
@@ -161,16 +158,6 @@ def parse_json(text: str) -> tuple[object, str | None, int]:
     does not decode; past the decoder's limits (huge integers, deep nesting)
     the line is 1."""
     try:
-        # A document that starts with its value (a JSON Lines line, a file
-        # without leading whitespace) skips json.loads's Python layers around
-        # the same decoder. Any other text goes to json.loads, whose errors
-        # this function reports.
-        try:
-            value, end = _DECODER.raw_decode(text)
-            if end == len(text) or not text[end:].strip(_JSON_WHITESPACE):
-                return value, None, 0
-        except json.JSONDecodeError:
-            pass
         return json.loads(text), None, 0
     except json.JSONDecodeError as exc:
         return None, exc.msg, exc.lineno

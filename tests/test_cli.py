@@ -11,11 +11,12 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lingspace.cli import main
@@ -1323,6 +1324,33 @@ class TestPlotBox:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "base, others, rescale_lang, limit, axis",
+        [
+            ("eng", "jpn,cmn_hans", "jpn", "1e308", "1e+308 jpn"),
+            ("jpn", "eng", "eng", "1.7e308", "1.7e+308 eng"),
+            ("cmn_hant", "eng", "eng", "1.7e308", "1.7e+308 eng"),
+        ],
+        ids=["infinite-scale", "finite-scale", "finite-scale-cmn_hant"],
+    )
+    def test_right_hand_label_past_the_float_range_is_a_usage_error(
+        self, udhr_corpus_file, tmp_path, capsys, base, others, rescale_lang, limit, axis
+    ):
+        """A finite anchor can still scale a tick past the largest float; the
+        figure is refused before its file is opened."""
+        out = tmp_path / "plot.svg"
+        code = main(
+            ["plot", "box", "--corpus", str(udhr_corpus_file), "--base", base,
+             "--others", others, "--rescale-lang", rescale_lang,
+             "--rescale-limit", limit, "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: figure axis 'chars equivalent to {axis}' has tick label inf, "
+            "which is not a finite number\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "title, problem",
         [
             ("a\x01b", "character U+0001"),
@@ -1533,13 +1561,18 @@ def _named(choices):
     format=_named(TABLE_FORMAT.choices),
     posts_format=_named(POSTS_FORMAT.choices),
 )
+@example(command="plot-corpus", title="", rescale="1e308", count="0",
+         measure="characters", format="csv", posts_format="jsonl")
+@example(command="plot-corpus", title="", rescale="1.7e308", count="0",
+         measure="characters", format="csv", posts_format="jsonl")
 def test_main_writes_what_lingspace_reads_or_fails_with_one_error(
     cli_inputs, tmp_path_factory, command, **texts
 ):
-    """Exit 0 writes an SVG that parses as XML, or a table that reads back
-    through its declaration. Exit 1 or 2 is reported on stderr, whose last
-    line starts with `error:` or argparse's `lingspace ...: error:`, and no
-    traceback: `main` raises nothing but argparse's SystemExit."""
+    """Exit 0 writes an SVG that parses as XML, whose right-hand tick labels
+    read as finite numbers, or a table that reads back through its
+    declaration. Exit 1 or 2 is reported on stderr, whose last line starts
+    with `error:` or argparse's `lingspace ...: error:`, and no traceback:
+    `main` raises nothing but argparse's SystemExit."""
     out = tmp_path_factory.mktemp("cli_property") / "out"
     argv = [arg.format(out=out, **cli_inputs, **texts) for arg in _COMMANDS[command]]
     stderr = io.StringIO()
@@ -1552,7 +1585,9 @@ def test_main_writes_what_lingspace_reads_or_fails_with_one_error(
     if code == 0:
         (path,) = written
         if path.suffix == ".svg":
-            ET.parse(path)
+            for text in ET.parse(path).getroot().iter(SVG + "text"):
+                if text.get("text-anchor") == "start":
+                    assert math.isfinite(float(text.text)), text.text
         else:  # a table's format shows in its first byte
             if path.read_bytes().startswith(b"["):
                 path = path.rename(path.with_suffix(".json"))

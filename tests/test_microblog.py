@@ -28,7 +28,7 @@ from lingspace.microblog import (
     _parse_timestamp,
     load_posts,
 )
-from lingspace.tables import emit_table, read_table
+from lingspace.tables import read_table
 from textgen import MIXED_TEXT
 
 UTC = timezone.utc
@@ -683,7 +683,8 @@ class TestTables:
         row = dict(zip(STATS_TABLE.fields, STATS_TABLE.cells(self._stats())))
         del row["n_posts"]
         path = tmp_path / "stats.csv"
-        emit_table([row], "csv", path, [f for f in STATS_TABLE.fields if f in row])
+        path.write_text(",".join(row) + "\n" + ",".join(map(str, row.values())) + "\n",
+                        encoding="utf-8")
         with pytest.raises(DataError, match=r"stats\.csv: missing columns: n_posts$"):
             read_table(path, STATS_TABLE)
 

@@ -445,6 +445,23 @@ class TestFailureStages:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_right_hand_label_past_the_float_range_fails_in_the_plot_stage(
+        self, tmp_path, udhr_dir, post_dump, capsys
+    ):
+        """A finite `rescale_limit` passes the config check, but an anchor
+        that scales a tick past the largest float draws no ratio figure."""
+        sections = base_sections(udhr_dir, post_dump)
+        sections["ratios"]["rescale_limit"] = "1.7e308"
+        config = tmp_path / "run.ini"
+        write_config(config, sections)
+        assert run_pipeline(config) == 1
+        assert capsys.readouterr().err == (
+            "pipeline failed at stage 'plot': figure axis 'chars equivalent to "
+            "1.7e+308 eng' has tick label inf, which is not a finite number\n"
+        )
+        assert (tmp_path / "out" / "ric.csv").is_file()
+        assert not (tmp_path / "out" / "ratios_box.svg").exists()
+
     @pytest.mark.parametrize(
         "section, key",
         [("corpus", "input"), ("posts", "posts"), ("posts", "accounts"), ("output", "dir")],
@@ -654,3 +671,57 @@ def test_input_line_ends_leave_the_outputs_byte_identical(
     inputs, lf_outputs = lf_run
     root = tmp_path_factory.mktemp("line_end_run")
     assert _run_with_line_ends(root, inputs, end) == lf_outputs
+
+
+# The column of each table whose cells list an account's posts in file order.
+_PER_POST = {"stats.csv": "per_post_lengths", "ric.csv": "per_post_ric"}
+
+
+def _run_on_records(root, sections, records):
+    """Run the pipeline of config `sections` on a post dump of `records`
+    under root, and return the output directory as {relative path: bytes}."""
+    write_config(root / "run.ini", sections)
+    (root / "posts.jsonl").write_text("".join(records), encoding="utf-8")
+    assert run_pipeline(root / "run.ini") == 0
+    return _tree(root / "out")
+
+
+@pytest.fixture(scope="module")
+def in_order_run(tmp_path_factory, udhr_dir):
+    """Every tenth post of each generated account, the config of a run on
+    them, and the output directory of that run in the generator's order. An
+    account keeps posts with and without a URL, and the one with 50 posts
+    keeps 5, which `min_posts = 5` excludes."""
+    root = tmp_path_factory.mktemp("post_order")
+    posts, accounts = microgen.build_post_dump(root / "dump")
+    records = [line for line in posts.read_text(encoding="utf-8").splitlines(keepends=True)
+               if int(json.loads(line)["id"][-4:]) % 10 == 0]
+    sections = base_sections(udhr_dir, ("posts.jsonl", accounts))
+    sections["posts"]["min_posts"] = "5"
+    return records, sections, _run_on_records(root, sections, records)
+
+
+@settings(deadline=None)
+@given(order=st.randoms(use_true_random=False))
+def test_post_order_changes_only_the_order_of_per_post_cells(
+    tmp_path_factory, in_order_run, order
+):
+    """Shuffling the records of the post dump leaves the output directory
+    byte-identical, but for the per-post cells of the stats and RIC tables,
+    each of which holds the same values in another order. `statistics.fmean`
+    sums with `fsum`, so every mean is exact."""
+    records, sections, in_order = in_order_run
+    root = tmp_path_factory.mktemp("post_order_run")
+    shuffled = _run_on_records(root, sections, order.sample(records, len(records)))
+    assert sorted(shuffled) == sorted(in_order) == sorted(OUTPUT_NAMES)
+    for name, data in in_order.items():
+        if name not in _PER_POST:
+            assert shuffled[name] == data, name
+            continue
+        old, new = (list(csv.reader(io.StringIO(d.decode("utf-8"), newline="")))
+                    for d in (data, shuffled[name]))
+        column = old[0].index(_PER_POST[name])
+        assert len(new) == len(old)
+        for old_row, new_row in zip(old, new):
+            assert sorted(new_row.pop(column).split()) == sorted(old_row.pop(column).split())
+            assert new_row == old_row

@@ -3,6 +3,7 @@ symbol the package no longer has; its config example and the pipeline's
 docstring name the settings that `options.SETTINGS` declares."""
 
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,16 @@ def _python_api_example() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
-def test_python_api_example_runs(monkeypatch, capsys):
-    monkeypatch.chdir(ROOT)  # the example reads tests/fixtures/udhr
+def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
+    # The example reads tests/fixtures/udhr and writes ratios.csv.
+    shutil.copytree(ROOT / "tests" / "fixtures" / "udhr",
+                    tmp_path / "tests" / "fixtures" / "udhr")
+    monkeypatch.chdir(tmp_path)
     exec(compile(_python_api_example(), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"3\.\d\d eng chars per cmn_hant char over 39 units", lines[0])
     assert lines[1] == "False 71 ucs2_chars"
+    assert re.fullmatch(r"\[\(\('eng', 'cmn_hant'\), 3\.\d{1,4}\)\]", lines[2])
 
 
 def _sections(text: str, header: str) -> dict[str, str]:
