@@ -49,7 +49,7 @@ _EXPORTS = {
     ),
     "subtitles": ("parse_subtitle",),
     "svgplot": ("BoxplotSeries", "render_boxplot"),
-    "tables": ("emit_table", "read_records"),
+    "tables": ("emit_table", "read_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

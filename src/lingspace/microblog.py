@@ -103,7 +103,7 @@ def _validate_record(record: Mapping[str, object]) -> tuple[Post | None, str | N
         get("id"), get("account"), get("platform"), get("text"), get("created_at"))
     # The common record: five strings, a known platform, no blank field.
     # Anything else takes the field-by-field walk that names the problem.
-    if (
+    if not (
         str is type(post_id) is type(account) is type(platform) is type(text)
         is type(created_at)
         and platform in _PLATFORM_SET
@@ -111,29 +111,24 @@ def _validate_record(record: Mapping[str, object]) -> tuple[Post | None, str | N
         and account.strip()
         and created_at.strip()
     ):
-        try:
-            timestamp = _parse_timestamp(created_at)
-        except (ValueError, OverflowError):
-            return None, f"unparseable created_at {created_at!r}"
-        # tuple.__new__: the C call that Post's generated __new__ wraps, without its frame.
-        return tuple.__new__(Post, (post_id, account, platform, text, timestamp)), None
-    values = []
-    for field in _REQUIRED_POST_FIELDS:
-        value = record.get(field)
-        if value is None:
-            return None, f"missing {field!r}"
-        converted = str(value)
-        if field != "text" and not converted.strip():
-            return None, f"empty {field!r}"
-        values.append(converted)
-    post_id, account, platform, text, created_at = values
-    if platform not in PLATFORMS:
+        values = []
+        for field in _REQUIRED_POST_FIELDS:
+            value = record.get(field)
+            if value is None:
+                return None, f"missing {field!r}"
+            converted = str(value)
+            if field != "text" and not converted.strip():
+                return None, f"empty {field!r}"
+            values.append(converted)
+        post_id, account, platform, text, created_at = values
+    if platform not in _PLATFORM_SET:
         return None, f"unknown platform {record['platform']!r}"
     try:
         timestamp = _parse_timestamp(created_at)
     except (ValueError, OverflowError):  # UTC shifts a date past year 1 or 9999
         return None, f"unparseable created_at {record['created_at']!r}"
-    return Post(post_id, account, platform, text, timestamp), None
+    # tuple.__new__: the C call that Post's generated __new__ wraps, without its frame.
+    return tuple.__new__(Post, (post_id, account, platform, text, timestamp)), None
 
 
 def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:

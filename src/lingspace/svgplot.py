@@ -75,8 +75,14 @@ def _escape(text: str) -> str:
 
 def _fmt(value: float) -> str:
     """A computed position or value with two decimals; an int, which only
-    the fixed layout gives, as it is."""
-    return str(value) if isinstance(value, int) else f"{value:.2f}"
+    the fixed layout gives, as it is. A float that is not finite, which no
+    figure can place, is a UsageError."""
+    if isinstance(value, int):
+        return str(value)
+    if not math.isfinite(value):
+        raise UsageError(f"figure has a coordinate or tick label {value}, "
+                         "which is not a finite number")
+    return f"{value:.2f}"
 
 
 def _line(cls: str, x1: float, y1: float, x2: float, y2: float) -> str:
@@ -114,8 +120,9 @@ def render_boxplot(
 
     secondary=(scale, label) adds a right-hand axis, titled label, that
     shows each tick value multiplied by scale. Figure text an SVG cannot
-    hold, or a right-hand tick label that is not a finite number, is a
-    UsageError raised before `out` is opened.
+    hold, or a coordinate or tick label that is not a finite number, as when
+    the padded value axis passes the largest float, is a UsageError raised
+    before `out` is opened.
     """
     if not series:
         raise UsageError("at least one series is required")
@@ -146,7 +153,7 @@ def render_boxplot(
         for tick in ticks:
             if not math.isfinite(tick * scale):
                 raise UsageError(f"figure axis '{axis}' has tick label "
-                                 f"{_fmt(tick * scale)}, which is not a finite number")
+                                 f"{tick * scale:.2f}, which is not a finite number")
 
     def y(value: float) -> float:
         return MARGIN_TOP + (hi - value) / (hi - lo) * plot_h

@@ -2,10 +2,10 @@
 the decoding of every input file: UTF-8, line ends and JSON.
 
 A `Table` declares one table: its columns, a result's cells and what a
-reader takes from a row. `emit_table` writes a table by its declaration and
-`read_table` reads one by it. CSV cells render floats with exactly four
-decimal places; JSON output rounds floats to four decimals. Both are
-byte-stable for identical input.
+reader takes from a row. `emit_table` writes a table by its declaration, and
+`read_table`, the one reader of a table file, reads one by it. CSV cells
+render floats with exactly four decimal places; JSON output rounds floats to
+four decimals. Both are byte-stable for identical input.
 
 Every input file ends a line at LF, at CRLF and at a lone CR, and numbers
 lines by that rule, which `lf_text` holds: `read_text` reads all three as LF,
@@ -191,7 +191,7 @@ def read_text(path: Path, error: type[LingspaceError] = DataError) -> str:
 
 
 def read_csv_records(
-    path: str | Path, required: Sequence[str] = ()
+    path: str | Path, required: Sequence[str]
 ) -> list[tuple[int, dict[str, str]]]:
     """(line number, row) for each record of a CSV file with a header row.
 
@@ -226,32 +226,6 @@ def table_number(cell: object, kind: Callable[[str], float] = float) -> float:
     return value
 
 
-def read_records(path: str | Path) -> list[dict[str, object]]:
-    """Read a table written by emit_table; format inferred from the suffix.
-
-    CSV values come back as strings; JSON values keep their types.
-    Malformed content raises a DataError naming the file.
-    """
-    path = Path(path)
-    if path.suffix.lower() != ".json":
-        return [row for _, row in read_csv_records(path)]
-    text = read_text(path)
-    payload, problem, line = parse_json(text)
-    if problem is not None:
-        raise DataError(f"invalid JSON table: {problem}", path, line)
-    if not isinstance(payload, list) or not all(
-        isinstance(item, dict) for item in payload
-    ):
-        raise DataError("JSON table must be an array of objects", path)
-    # Only a \u escape decodes to a lone surrogate, which no writer encodes.
-    if "\\u" in text:
-        for index, row in enumerate(payload):
-            cells = [*row, *(cell for cell in row.values() if isinstance(cell, str))]
-            if problem := surrogate_problem("".join(cells)):
-                raise DataError(f"JSON table row #{index} {problem}", path)
-    return payload
-
-
 class Table(NamedTuple):
     """One table's declaration: its columns in order, the cells of a result
     in that order, and what its readers need from a row. `read` raises
@@ -267,20 +241,37 @@ class Table(NamedTuple):
 
 def read_table(path: str | Path, table: Table) -> list:
     """`table.read` of each row of a table written by emit_table; format
-    inferred from the suffix. A CSV header or a JSON row that lacks a column
-    of `table.fields` is a DataError naming the columns; a row `table.read`
-    rejects, or a second row with the same `unique` label, is one at its CSV
-    line or JSON row."""
+    inferred from the suffix. A JSON table that does not decode, is not an
+    array of objects or holds a lone surrogate is a DataError naming the file,
+    before any row is read. A CSV header or a JSON row that lacks a column
+    of `table.fields` is one naming the columns; a row `table.read` rejects,
+    or a second row with the same `unique` label, is one at its CSV line or
+    JSON row."""
     path = Path(path)
     if path.suffix.lower() == ".json":
+        text = read_text(path)
+        payload, problem, line = parse_json(text)
+        if problem is not None:
+            raise DataError(f"invalid JSON table: {problem}", path, line)
+        if not isinstance(payload, list) or not all(
+            isinstance(row, dict) for row in payload
+        ):
+            raise DataError("JSON table must be an array of objects", path)
+        # Only a \u escape decodes to a lone surrogate, which no writer encodes.
+        if "\\u" in text:
+            for index, row in enumerate(payload):
+                cells = [*row, *(cell for cell in row.values() if isinstance(cell, str))]
+                if problem := surrogate_problem("".join(cells)):
+                    raise DataError(f"JSON table row #{index} {problem}", path)
         located = [(None, f"JSON table row #{index}: ", row)
-                   for index, row in enumerate(read_records(path))]
+                   for index, row in enumerate(payload)]
     else:
         located = [(line, "", row)
                    for line, row in read_csv_records(path, table.fields)]
     values, seen = [], set()
     for line, where, row in located:
-        if missing := [name for name in table.fields if name not in row]:
+        # A CSV table's header was checked once; a JSON row holds its own columns.
+        if line is None and (missing := [n for n in table.fields if n not in row]):
             raise DataError(f"{where}missing columns: {', '.join(missing)}", path)
         try:
             value = table.read(row)

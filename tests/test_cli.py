@@ -24,7 +24,7 @@ from lingspace.corpus import load_corpus
 from lingspace.microblog import RIC_TABLE, STATS_TABLE
 from lingspace.options import MEASURE, POSTS_FORMAT, TABLE_FORMAT
 from lingspace.ratios import RATIOS_TABLE
-from lingspace.tables import read_records, read_table
+from lingspace.tables import read_table
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -875,7 +875,7 @@ class TestRic:
     def test_stats_number_out_of_range_is_a_data_error(
         self, stats_file, ratios_for_ric, tmp_path, capsys, column, cells, problem
     ):
-        rows = read_records(stats_file)
+        rows = _read_csv(stats_file.read_text(encoding="utf-8"))
         if column == "per_post_lengths":
             rows[0]["n_posts"], rows[0][column] = cells
         else:
@@ -1030,7 +1030,7 @@ class TestRic:
     def test_lone_surrogate_in_a_json_stats_table_is_a_data_error(
         self, stats_file, ratios_for_ric, tmp_path, capsys
     ):
-        rows = read_records(stats_file)
+        rows = _read_csv(stats_file.read_text(encoding="utf-8"))
         rows[1]["screen_name"] = "ab\ud800"
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps(rows), encoding="utf-8")  # escapes as \ud800
@@ -1122,7 +1122,7 @@ class TestPlotBox:
              "--base", "cmn_hans", "--format", "json", "--out", str(ric), "--quiet"]
         )
         assert code == 0
-        rows = read_records(ric)
+        rows = json.loads(ric.read_text(encoding="utf-8"))
         rows[0]["platform"] = "twit\ud800"
         ric.write_text(json.dumps(rows), encoding="utf-8")
         out = tmp_path / "ric.svg"
@@ -1179,6 +1179,24 @@ class TestPlotBox:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {ric}:2: malformed RIC row: could not convert string to float: 'abc'\n"
+        )
+        assert not out.exists()
+
+    def test_values_past_the_float_range_are_a_usage_error(self, tmp_path, capsys):
+        """Each value is finite, but the upper quartile, interpolated as
+        3 * 1.75e308 / 4, passes the largest float."""
+        ric = tmp_path / "ric.csv"
+        ric.write_text(
+            ",".join(RIC_TABLE.fields) + "\n"
+            "usnews_tw,twitter,eng,news,cmn_hans,3.21,1.5,1.75e308 0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ric.svg"
+        code = main(["plot", "box", "--ric", str(ric), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: figure has a coordinate or tick label nan, "
+            "which is not a finite number\n"
         )
         assert not out.exists()
 
@@ -1568,8 +1586,8 @@ def _named(choices):
 def test_main_writes_what_lingspace_reads_or_fails_with_one_error(
     cli_inputs, tmp_path_factory, command, **texts
 ):
-    """Exit 0 writes an SVG that parses as XML, whose right-hand tick labels
-    read as finite numbers, or a table that reads back through its
+    """Exit 0 writes an SVG that parses as XML, in which no coordinate or
+    tick label reads nan or inf, or a table that reads back through its
     declaration. Exit 1 or 2 is reported on stderr, whose last line starts
     with `error:` or argparse's `lingspace ...: error:`, and no traceback:
     `main` raises nothing but argparse's SystemExit."""
@@ -1585,9 +1603,11 @@ def test_main_writes_what_lingspace_reads_or_fails_with_one_error(
     if code == 0:
         (path,) = written
         if path.suffix == ".svg":
-            for text in ET.parse(path).getroot().iter(SVG + "text"):
-                if text.get("text-anchor") == "start":
-                    assert math.isfinite(float(text.text)), text.text
+            for element in ET.parse(path).getroot().iter():
+                for value in element.attrib.values():
+                    assert not re.search(r"\b(nan|inf)\b", value), value
+                if element.get("text-anchor") in ("start", "end"):  # a tick label
+                    assert math.isfinite(float(element.text)), element.text
         else:  # a table's format shows in its first byte
             if path.read_bytes().startswith(b"["):
                 path = path.rename(path.with_suffix(".json"))

@@ -23,9 +23,9 @@ from lingspace.corpus import (
 )
 from lingspace.errors import DataError, LingspaceError, UsageError
 from lingspace.measures import SpaceMeasure, count_units
-from lingspace.microblog import load_accounts, load_posts
+from lingspace.microblog import STATS_TABLE, load_accounts, load_posts
 from lingspace.pipeline import load_pipeline_config
-from lingspace.tables import lf_text, read_records
+from lingspace.tables import lf_text, read_table
 
 from conftest import ALL_LANGS
 
@@ -524,7 +524,8 @@ class TestPersistence:
 _POST_FIELDS = ["id", "account", "platform", "text", "created_at"]
 _ACCOUNT_FIELDS = ["screen_name", "platform", "language", "org_type"]
 # Cells that pass some checks, including timestamps that leave the calendar
-# once shifted to UTC, next to arbitrary text.
+# once shifted to UTC, and stats counts, means and histograms, next to
+# arbitrary text.
 _CELL = st.sampled_from(
     [
         "",
@@ -535,6 +536,10 @@ _CELL = st.sampled_from(
         "2015-01-01T00:00:00Z",
         "0001-01-01T00:00:00+01:00",
         "9999-12-31T23:59:59-01:00",
+        "1",
+        "2.5",
+        "0:1",
+        "3 1e400",
     ]
 ) | st.text(max_size=8)
 
@@ -546,7 +551,7 @@ def _csv_bytes(rows) -> bytes:
 
 
 CSV_CONTENT = st.tuples(
-    st.sampled_from([_POST_FIELDS, _ACCOUNT_FIELDS]),
+    st.sampled_from([_POST_FIELDS, _ACCOUNT_FIELDS, list(STATS_TABLE.fields)]),
     st.lists(st.lists(_CELL, max_size=6), max_size=4),
 ).map(lambda table: _csv_bytes([table[0], *table[1]]))
 POST_LINE = st.fixed_dictionaries(
@@ -555,7 +560,11 @@ POST_LINE = st.fixed_dictionaries(
 JSON_LINES = st.lists(POST_LINE | JSON_LINE, min_size=1, max_size=4).map(
     lambda lines: "\n".join(lines).encode("utf-8")
 )
-JSON_TABLE = st.lists(_JSON_VALUES, max_size=3).map(
+# A row with every stats column, each holding a cell or any JSON value.
+STATS_ROW = st.fixed_dictionaries(
+    {name: _CELL | _JSON_VALUES for name in STATS_TABLE.fields}
+)
+JSON_TABLE = st.lists(STATS_ROW | _JSON_VALUES, max_size=3).map(
     lambda value: json.dumps(value, ensure_ascii=False).encode("utf-8")
 )
 
@@ -563,8 +572,8 @@ LOADERS = {
     "posts.jsonl": lambda path: load_posts(path, "jsonl"),
     "posts.csv": lambda path: load_posts(path, "csv"),
     "accounts.csv": load_accounts,
-    "table.csv": read_records,
-    "table.json": read_records,
+    "table.csv": lambda path: read_table(path, STATS_TABLE),
+    "table.json": lambda path: read_table(path, STATS_TABLE),
 }
 
 

@@ -31,7 +31,7 @@ from lingspace.corpus import load_corpus, load_subtitle_directory, load_udhr_dir
 from lingspace.errors import LingspaceError
 from lingspace.microblog import load_posts
 from lingspace.pipeline import load_pipeline_config
-from lingspace.tables import read_records
+from lingspace.tables import Table, read_table
 
 LINE_ENDS = (b"\n", b"\r\n", b"\r")
 SEPARATORS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -159,6 +159,10 @@ def posts_file(draw):
     return {"p.jsonl": lines}, bad
 
 
+# The table of `json_table_file`, whose rows are read as they are.
+NAME_TABLE = Table("name", ("name", "n"), tuple, dict)
+
+
 @st.composite
 def json_table_file(draw):
     texts = draw(st.lists(_TEXT, max_size=3))
@@ -231,7 +235,8 @@ READERS = {
     "json_captions": Reader(json_caption_files(), _load_talks),
     "corpus": Reader(corpus_file(), lambda root: load_corpus(root / "c.jsonl")),
     "posts": Reader(posts_file(), lambda root: load_posts(root / "p.jsonl", "jsonl")),
-    "json_table": Reader(json_table_file(), lambda root: read_records(root / "t.json")),
+    "json_table": Reader(json_table_file(),
+                         lambda root: read_table(root / "t.json", NAME_TABLE)),
     "config": Reader(config_file(),
                      lambda root: load_pipeline_config(root / "run.ini")),
     "limit_check": Reader(draft_file(), _check_limit),

@@ -1,5 +1,5 @@
-"""The package's public names: the same `__all__` as before the exports
-became lazy, each resolving on first access to its defining module's object.
+"""The package's public names: one `__all__`, each name resolving on first
+access to its defining module's object.
 Fresh interpreters check what a first access loads."""
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import lingspace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# The package's `__all__` when it imported every module eagerly.
+# The package's `__all__`: every public name, whichever module defines it.
 EAGER_ALL = [
     "AccountMeta", "AccountStats", "AlignedUnit", "BoxplotSeries", "CMN_HANS",
     "CMN_HANT", "CharLimit", "DataError", "DescriptiveStats", "ENG",
@@ -29,7 +29,7 @@ EAGER_ALL = [
     "detect_language", "emit_table", "load_accounts", "load_corpus", "load_posts",
     "load_subtitle_directory", "load_udhr_directory", "nfc", "parse_language_list",
     "parse_language_tag", "parse_subtitle", "parse_udhr_language_file",
-    "read_records", "register_language", "render_boxplot", "run_pipeline",
+    "read_table", "register_language", "render_boxplot", "run_pipeline",
     "save_corpus", "strip_urls", "unit_ratio",
 ]
 

@@ -6,6 +6,7 @@ import configparser
 import csv
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -17,6 +18,7 @@ from lingspace import options
 from lingspace.cli import build_parser, main
 from lingspace.corpus import load_corpus
 from lingspace.errors import UsageError
+from lingspace.microblog import PLATFORMS, assign_posts, load_accounts, load_posts
 from lingspace.pipeline import (
     compute_ratios,
     ingest_corpus,
@@ -725,3 +727,82 @@ def test_post_order_changes_only_the_order_of_per_post_cells(
         for old_row, new_row in zip(old, new):
             assert sorted(new_row.pop(column).split()) == sorted(old_row.pop(column).split())
             assert new_row == old_row
+
+
+# Talk directory names: any text a file name can hold.
+_TALK_NAME = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="/\x00"),
+    min_size=1, max_size=6,
+).filter(lambda name: name not in (".", ".."))
+
+
+@pytest.fixture(scope="module")
+def talks_run(tmp_path_factory, in_order_run):
+    """A few generated talks, one lacking a language and one too short, the
+    config of a run on them and on the posts of `in_order_run`, and the
+    output directory of that run."""
+    root = tmp_path_factory.mktemp("talk_names")
+    tedgen.build_subtitle_tree(root / "talks", n_kept=4, n_missing=1, n_short=1)
+    records, sections, _ = in_order_run
+    sections = {**sections, "corpus": {"format": "ted", "input": "talks",
+                                       "langs": "eng,jpn,cmn_hans,cmn_hant"}}
+    return root / "talks", records, sections, _run_on_records(root, sections, records)
+
+
+@settings(deadline=None)
+@given(names=st.lists(_TALK_NAME, min_size=6, max_size=6, unique=True))
+def test_talk_names_leave_every_ratio_statistic_unchanged(
+    tmp_path_factory, talks_run, names
+):
+    """Renaming the talk directories with a map that keeps their sorted order
+    leaves every output byte-identical but the unit ids of `corpus.jsonl`,
+    each of which is its talk's new name."""
+    talks, records, sections, before = talks_run
+    old = sorted(path.name for path in talks.iterdir())
+    renamed = dict(zip(old, sorted(names)))
+    root = tmp_path_factory.mktemp("talk_names_run")
+    for name, new in renamed.items():
+        shutil.copytree(talks / name, root / "talks" / new)
+    after = _run_on_records(root, sections, records)
+    assert sorted(after) == sorted(before)
+    for name, data in before.items():
+        if name != "corpus.jsonl":
+            assert after[name] == data, name
+    old_units, new_units = ([json.loads(line) for line in d.splitlines()]
+                            for d in (before["corpus.jsonl"], after["corpus.jsonl"]))
+    for unit in old_units[1:]:  # after the header
+        unit["unit_id"] = renamed[unit["unit_id"]]
+    assert new_units == old_units
+
+
+_REGISTERED = {(plan.screen_name, plan.platform) for plan in microgen.PLANS}
+# A post of an account that the accounts file does not list: a new name, a
+# listed name on the other platform, or a listed name with outer whitespace.
+_UNREGISTERED_POST = st.tuples(
+    st.sampled_from([name for name, _ in _REGISTERED]).map(lambda name: f" {name}")
+    | st.sampled_from([name for name, _ in _REGISTERED]) | st.text(max_size=10),
+    st.sampled_from(PLATFORMS),
+    st.text(max_size=30),
+).filter(lambda post: post[0].strip() and post[:2] not in _REGISTERED)
+
+
+@settings(deadline=None)
+@given(posts=st.lists(_UNREGISTERED_POST, min_size=1, max_size=5))
+def test_posts_of_unregistered_accounts_change_only_the_dropped_count(
+    tmp_path_factory, in_order_run, posts
+):
+    """Appending posts of accounts the accounts file does not list leaves the
+    output directory byte-identical, and `assign_posts` drops exactly them."""
+    records, sections, in_order = in_order_run
+    appended = [
+        json.dumps({"id": f"unregistered-{i}", "account": account, "platform": platform,
+                    "text": text, "created_at": "2015-01-01T00:00:00Z"},
+                   ensure_ascii=False) + "\n"
+        for i, (account, platform, text) in enumerate(posts)
+    ]
+    root = tmp_path_factory.mktemp("unregistered_run")
+    assert _run_on_records(root, sections, records + appended) == in_order
+    loaded = load_posts(root / "posts.jsonl")
+    accounts = load_accounts(sections["posts"]["accounts"])
+    dropped = assign_posts(loaded[:len(records)], accounts)[1]
+    assert assign_posts(loaded, accounts)[1] == dropped + len(posts)

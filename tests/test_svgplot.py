@@ -9,7 +9,9 @@ on each of two values).
 from __future__ import annotations
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from xml.sax.saxutils import escape
 
 import pytest
@@ -239,6 +241,25 @@ class TestValidationAndText:
     def test_escape_matches_the_standard_library(self, pieces):
         text = "".join(pieces)
         assert svgplot._escape(text) == escape(text)
+
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            replace(PLAIN, q1=0.0, q3=1.5e308, whisker_low=0.0, whisker_high=1.75e308),
+            replace(PLAIN, median=math.nan),
+            replace(PLAIN, outliers=(math.inf,)),
+        ],
+        ids=["axis-past-the-float-range", "nan-median", "infinite-outlier"],
+    )
+    def test_number_that_is_not_finite_is_rejected_before_the_file(self, tmp_path, stats):
+        """No coordinate or tick label may read nan or inf. The 5 % padding
+        takes an axis that reaches 1.75e308 past the largest float."""
+        out = tmp_path / "plot.svg"
+        with pytest.raises(UsageError, match=(
+            r"^figure has a coordinate or tick label nan, which is not a finite number$"
+        )):
+            render_boxplot([BoxplotSeries("a", stats)], "ric", out)
+        assert not out.exists()
 
     def test_flat_series_still_renders_with_padding(self, tmp_path):
         flat = DescriptiveStats(

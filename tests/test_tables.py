@@ -29,7 +29,6 @@ from lingspace.tables import (
     emit_table,
     parse_json,
     read_json_lines,
-    read_records,
     read_table,
 )
 
@@ -75,7 +74,7 @@ class TestCsv:
     def test_round_trip_values_come_back_as_strings(self, tmp_path):
         out = tmp_path / "t.csv"
         emit_table(TABLE, ROWS, out, "csv")
-        records = read_records(out)
+        records = read_table(out, TABLE)
         assert records == [
             {"name": "eng", "mean": "3.9512", "n": "39"},
             {"name": "jpn", "mean": "1.5000", "n": "39"},
@@ -93,7 +92,7 @@ class TestJson:
     def test_round_trip_keeps_types(self, tmp_path):
         out = tmp_path / "t.json"
         emit_table(TABLE, ROWS, out, "json")
-        records = read_records(out)
+        records = read_table(out, TABLE)
         assert records[1] == {"name": "jpn", "mean": 1.5, "n": 39}
 
     def test_non_ascii_text_is_not_escaped(self, tmp_path):
@@ -119,19 +118,19 @@ class TestJson:
         bad = tmp_path / "t.json"
         bad.write_bytes(content.encode("utf-8"))
         with pytest.raises(DataError, match=rf"t\.json:{line}: invalid JSON table"):
-            read_records(bad)
+            read_table(bad, TABLE)
 
     def test_undecodable_json_table_rejected(self, tmp_path):
         bad = tmp_path / "t.json"
         bad.write_bytes(b'[{"name": "caf\xe9"}]')
         with pytest.raises(DataError, match=r"t\.json:1: not UTF-8"):
-            read_records(bad)
+            read_table(bad, TABLE)
 
     def test_non_array_json_table_rejected(self, tmp_path):
         bad = tmp_path / "t.json"
         bad.write_text('{"a": 1}', encoding="utf-8")
         with pytest.raises(DataError, match="array of objects"):
-            read_records(bad)
+            read_table(bad, TABLE)
 
 
 class TestValidation:
