@@ -433,6 +433,7 @@ STATS_TABLE = Table(
      "url_count_histogram", "per_post_lengths"),
     _stats_cells,
     _read_stats,
+    unique=lambda s: f"{s.meta.screen_name}@{s.meta.platform} ({s.meta.language})",
 )
 
 RIC_TABLE = Table(

@@ -195,8 +195,8 @@ def read_csv_records(
 ) -> list[tuple[int, dict[str, str]]]:
     """(line number, row) for each record of a CSV file with a header row.
 
-    A file without a header yields no records. Undecodable bytes, malformed
-    CSV and missing required columns raise a DataError naming the file.
+    Undecodable bytes, malformed CSV and missing required columns raise a
+    DataError naming the file.
     """
     import csv
     path = Path(path)
@@ -205,9 +205,7 @@ def read_csv_records(
     # share one cell), so the read lifts the csv module's 128 KiB cap.
     limit = csv.field_size_limit(2**31 - 1)
     try:
-        if reader.fieldnames is None:
-            return []
-        missing = [name for name in required if name not in reader.fieldnames]
+        missing = [name for name in required if name not in (reader.fieldnames or ())]
         if missing:
             raise DataError(f"missing columns: {', '.join(missing)}", path)
         return [(reader.line_num, row) for row in reader]

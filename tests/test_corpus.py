@@ -500,6 +500,7 @@ class TestPersistence:
             load_corpus(path)
         assert str(info.value).startswith(f"{path}:")
 
+    @pytest.mark.deep
     @given(
         st.binary(max_size=300)
         | st.lists(JSON_LINE, min_size=1, max_size=4).map(
@@ -577,6 +578,7 @@ LOADERS = {
 }
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("name", LOADERS)
 @given(content=st.binary(max_size=300) | CSV_CONTENT | JSON_LINES | JSON_TABLE)
 @example(content=b'{"id": 1, "account": "a", "platform": "twitter", "text": "",'
@@ -625,6 +627,7 @@ def ini_text(draw):
     return "\n".join(lines)
 
 
+@pytest.mark.deep
 @given(st.binary(max_size=300) | ini_text().map(lambda text: text.encode("utf-8")))
 @example(b"[corpus]\nformat = ted\n[corpus]\n")
 @example(b"[ratios]\nbase = %(\n")

@@ -125,6 +125,7 @@ def _septet_outcome(text):
         return ("not-gsm", exc.char)
 
 
+@pytest.mark.deep
 @given(MIXED_TEXT)
 def test_set_operations_match_the_per_character_reference(text):
     expected = _reference_septet_outcome(text)
@@ -137,6 +138,7 @@ _ORACLE_TEXT = st.text(
 )
 
 
+@pytest.mark.deep
 @given(_ORACLE_TEXT, MIXED_TEXT, _ORACLE_TEXT)
 def test_mixed_text_inside_gsm_text_matches_the_reference(left, middle, right):
     text = left + middle + right

@@ -228,6 +228,7 @@ GSM_TEXT = st.lists(
 ).map("".join)
 
 
+@pytest.mark.deep
 class TestReferenceEquivalence:
     def test_fit_result_fields(self):
         assert FitResult._fields == (
@@ -302,6 +303,7 @@ VALUE_PAIRS = st.one_of(
 )
 
 
+@pytest.mark.deep
 class TestDataclassReference:
     @given(VALUE_PAIRS, VALUE_PAIRS)
     def test_limit_types_behave_as_the_dataclasses(self, pair, other_pair):

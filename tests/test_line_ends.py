@@ -33,6 +33,8 @@ from lingspace.microblog import load_posts
 from lingspace.pipeline import load_pipeline_config
 from lingspace.tables import Table, read_table
 
+pytestmark = pytest.mark.deep
+
 LINE_ENDS = (b"\n", b"\r\n", b"\r")
 SEPARATORS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # Raw in a JSON string, these are control characters, which JSON forbids.

@@ -61,6 +61,7 @@ class TestGbkFallback:
     def test_emoji_counts_as_two_by_default(self):
         assert gbk_unit_length("\U0001f600") == 2
 
+    @pytest.mark.deep
     @given(MIXED_TEXT)
     def test_matches_the_per_scalar_reference(self, text):
         assert gbk_unit_length(text) == _reference_gbk_unit_length(text)
@@ -92,6 +93,7 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+@pytest.mark.deep
 class TestCountUnitsReference:
     @pytest.mark.parametrize("kind", list(SpaceMeasure))
     @given(text=MIXED_TEXT)
@@ -212,6 +214,7 @@ class TestDetectLanguage:
         assert detect_language(scalar) is None
         assert detect_language("abc" + scalar) == "eng"
 
+    @pytest.mark.deep
     @given(st.one_of(MIXED_TEXT, st.text(), st.text(alphabet=_HAN_EDGES + "ab1 ")))
     @example("\u3000")
     @example("\x85")

@@ -31,6 +31,8 @@ from lingspace.microblog import (
 from lingspace.tables import read_table
 from textgen import MIXED_TEXT
 
+pytestmark = pytest.mark.deep
+
 UTC = timezone.utc
 
 META = AccountMeta("acc", "twitter", "eng", "news")

@@ -294,6 +294,7 @@ def test_every_flag_has_its_command():
     assert sorted(_FLAGGED) == sorted(s.name for s in options.SETTINGS if s.flag)
 
 
+@pytest.mark.deep
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(setting=st.sampled_from([s for s in options.SETTINGS if s.flag]),
        text=_SETTING_TEXT)
@@ -703,6 +704,7 @@ def in_order_run(tmp_path_factory, udhr_dir):
     return records, sections, _run_on_records(root, sections, records)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(order=st.randoms(use_true_random=False))
 def test_post_order_changes_only_the_order_of_per_post_cells(
@@ -749,6 +751,7 @@ def talks_run(tmp_path_factory, in_order_run):
     return root / "talks", records, sections, _run_on_records(root, sections, records)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(names=st.lists(_TALK_NAME, min_size=6, max_size=6, unique=True))
 def test_talk_names_leave_every_ratio_statistic_unchanged(
@@ -786,6 +789,7 @@ _UNREGISTERED_POST = st.tuples(
 ).filter(lambda post: post[0].strip() and post[:2] not in _REGISTERED)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(posts=st.lists(_UNREGISTERED_POST, min_size=1, max_size=5))
 def test_posts_of_unregistered_accounts_change_only_the_dropped_count(

@@ -12,6 +12,8 @@ from lingspace.errors import SubtitleParseError, UsageError
 from lingspace.subtitles import SUBTITLE_FORMATS, _TIMING_RE, parse_subtitle
 from textgen import MIXED_TEXT, WHITESPACE
 
+pytestmark = pytest.mark.deep
+
 SRT_TWO_CUES = (
     "1\n"
     "00:00:01,000 --> 00:00:02,000\n"

@@ -32,6 +32,8 @@ from lingspace.tables import (
     read_table,
 )
 
+pytestmark = pytest.mark.deep
+
 # A small table of (name, mean, n) results, written as they are.
 ROWS = [("eng", 3.95123456, 39), ("jpn", 1.5, 39)]
 TABLE = Table("test", ("name", "mean", "n"), tuple, dict)
@@ -320,7 +322,8 @@ _TABLES = st.one_of(
     ),
     st.tuples(
         st.just(STATS_TABLE),
-        st.lists(_STATS, max_size=3),
+        st.lists(_STATS, max_size=3, unique_by=lambda s: (
+            s.meta.screen_name, s.meta.platform, s.meta.language)),
         st.just(lambda s: replace(
             s,
             mean_chars_with_urls=round(s.mean_chars_with_urls, 4),
