@@ -12,7 +12,7 @@ import json
 import sys
 from collections.abc import Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # Only what `limit check` runs is imported here; every other handler imports
 # its stages when it runs, so a check does not pay for loading them.
@@ -35,6 +35,15 @@ def _add(parser: argparse.ArgumentParser, setting: options.Setting, help: str,
                         **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the UsageError that `main` prints on one
+    line, naming the (sub)command, where argparse prints its usage block
+    first. Subparsers are made of the parser's own class, so they inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument(
@@ -46,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add(table, options.TABLE_FORMAT, "table format")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lingspace",
         description=(
             "Cross-lingual text-length ratios, microblog length analysis, "
@@ -259,7 +268,8 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        # A flag whose setting rejects its text raises here, as a UsageError.
+        # A flag whose setting rejects its text, or any other usage error,
+        # raises here as a UsageError.
         args = build_parser().parse_args(argv)
         if args.handler is not _cmd_limit_check:  # which logs nothing
             import logging

@@ -27,10 +27,11 @@ BASIC_SET = frozenset(GSM7_BASIC)
 EXTENSION_SET = frozenset(GSM7_EXTENSION)
 GSM_SET = BASIC_SET | EXTENSION_SET
 
-# The longest GSM-7 prefix of a text: the match ends at the first character
-# outside both tables, so a scan stops there.
+# The two prefix scans. A match of either ends at the first character outside
+# its class, so a scan stops there: _BASIC_PREFIX at the first character that is
+# not one septet, _GSM_PREFIX at the first one outside both tables.
+_BASIC_PREFIX = re.compile("[%s]*" % "".join(map(re.escape, sorted(BASIC_SET))))
 _GSM_PREFIX = re.compile("[%s]*" % "".join(map(re.escape, sorted(GSM_SET))))
-_EXTENSION_CHAR = re.compile("[%s]" % "".join(map(re.escape, GSM7_EXTENSION)))
 
 
 def is_gsm_text(text: str) -> bool:
@@ -44,7 +45,13 @@ def septet_length(text: str) -> int:
     Raises GsmNotRepresentableError on the first character outside both
     tables.
     """
-    end = _GSM_PREFIX.match(text).end()
+    # A text of basic characters costs one scan. Otherwise the GSM-7 scan goes
+    # on from the first other character, and only the text from there on can
+    # hold extension characters, each of which costs a second septet.
+    basic = _BASIC_PREFIX.match(text).end()
+    if basic == len(text):
+        return basic
+    end = _GSM_PREFIX.match(text, basic).end()
     if end < len(text):
         raise GsmNotRepresentableError(text[end])
-    return end + len(_EXTENSION_CHAR.findall(text))
+    return end + sum(map(text[basic:].count, GSM7_EXTENSION))

@@ -40,6 +40,8 @@ def nfc(text: str) -> str:
 
 def gbk_unit_length(text: str) -> int:
     """Units under the 1-per-ASCII / 2-per-other accounting."""
+    if text.isascii():  # O(1) on CPython: a flag of the string object
+        return len(text)
     return 2 * len(text) - len(text.encode("ascii", "ignore"))
 
 

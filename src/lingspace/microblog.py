@@ -375,8 +375,11 @@ def _read_stats(row: Mapping[str, object]) -> AccountStats:
     meta = _read_account(row)
     histogram: dict[int, int] = {}
     for pair in str(row["url_count_histogram"]).split():
-        count, freq = pair.split(":")
-        histogram[table_number(count, int)] = table_number(freq, int)
+        count_text, freq = pair.split(":")
+        count = table_number(count_text, int)
+        if count in histogram:
+            raise ValueError(f"url_count_histogram repeats url count {count}")
+        histogram[count] = table_number(freq, int)
     lengths = tuple(table_number(v, int) for v in str(row["per_post_lengths"]).split())
     n_posts = table_number(row["n_posts"], int)
     if not n_posts:  # analyze_posts keeps only accounts with posts
@@ -385,11 +388,20 @@ def _read_stats(row: Mapping[str, object]) -> AccountStats:
         raise ValueError(
             f"n_posts is {n_posts} but per_post_lengths holds {len(lengths)} values"
         )
+    counted = sum(histogram.values())
+    if counted != n_posts:
+        raise ValueError(f"n_posts is {n_posts} but url_count_histogram counts {counted} posts")
+    # The mean as written (four decimals) must be the mean of the lengths it
+    # summarises, which compute_ric rescales one by one.
+    mean, average = table_number(row["mean_chars_without_urls"]), statistics.fmean(lengths)
+    if f"{mean:.4f}" != f"{average:.4f}":
+        raise ValueError(f"mean_chars_without_urls is {mean:.4f} but per_post_lengths "
+                         f"average {average:.4f}")
     return AccountStats(
         meta=meta,
         n_posts=n_posts,
         mean_chars_with_urls=table_number(row["mean_chars_with_urls"]),
-        mean_chars_without_urls=table_number(row["mean_chars_without_urls"]),
+        mean_chars_without_urls=mean,
         per_post_lengths=lengths,
         url_count_histogram=histogram,
     )

@@ -207,7 +207,7 @@ CASES: list[Case] = [
          {"latin1.txt": "caf\xe9".encode("latin-1")}),
     Case("TestLimitCheck::test_text_and_file_are_mutually_exclusive",
          "limit check --platform twitter --text hi --file x", 2,
-         "usage: lingspace limit check ", prefix=True),
+         "error: lingspace limit check: argument --file: not allowed with argument --text"),
     # posts analyze
     Case("TestPostsAnalyze::test_unreadable_posts_file_is_a_data_error",
          "posts analyze --posts posts.jsonl --accounts accounts.csv --out stats.csv --quiet",
@@ -312,6 +312,21 @@ CASES: list[Case] = [
          "error: stats.csv:2: malformed stats row: "
          "n_posts is 0: a stats row needs at least one post",
          _table(STATS_HEADER, "usnews_tw,twitter,eng,news,0,0.0,0.0,,")),
+    # A row's counts and mean summarise its own per-post values; with no
+    # --out, nothing reaches stdout either.
+    *(Case(f"TestRic::test_stats_row_must_agree_with_its_per_post_values[{param}]",
+           RIC.replace(" --out ric.csv", ""), 1,
+           f"error: stats.csv:2: malformed stats row: {problem}",
+           {"stats.csv": _table(STATS_HEADER, row), "ratios.csv": RATIOS})
+      for param, row, problem in [
+          ("histogram-count", "a,weibo,eng,news,1,1.0,500.0,0:7 3:9,1",
+           "n_posts is 1 but url_count_histogram counts 16 posts"),
+          # a repeat would be read as its last count alone
+          ("histogram-repeat", "a,weibo,eng,news,1,1.0,1.0,0:1 0:1,1",
+           "url_count_histogram repeats url count 0"),
+          ("mean", "a,weibo,eng,news,1,1.0,500.0,0:1,1",
+           "mean_chars_without_urls is 500.0000 but per_post_lengths average 1.0000"),
+      ]),
     # posts analyze lists each account once
     _ric("test_repeated_stats_row_is_a_data_error", 1,
          "error: stats.csv:3: duplicate stats row a@weibo (eng)",
@@ -429,10 +444,14 @@ CASES: list[Case] = [
     # argument parsing: a flag's text goes through its setting's declaration
     # while the arguments are parsed, so nothing is read or written
     Case("TestParserContract::test_missing_subcommand_exits_two", (), 2,
-         "usage: lingspace ", prefix=True),
+         "error: lingspace: the following arguments are required: command"),
     Case("TestParserContract::test_unknown_platform_exits_two",
-         "limit check --platform myspace --text hi", 2, "usage: lingspace limit check ",
-         prefix=True),
+         "limit check --platform myspace --text hi", 2,
+         "error: lingspace limit check: argument --platform: invalid choice: 'myspace' "
+         "(choose from 'twitter', 'weibo', 'sms')"),
+    Case("TestParserContract::test_missing_required_flag_names_the_subcommand",
+         "ric --stats stats.csv --base eng", 2,
+         "error: lingspace ric: the following arguments are required: --ratios"),
     *(Case(f"TestParserContract::test_bad_flag_is_named_by_its_setting[{param}]",
            f"{argv} --quiet", 2, f"error: {error}")
       for param, argv, error in [

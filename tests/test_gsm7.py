@@ -8,7 +8,7 @@ hide behind a copy of itself.
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingspace import gsm7
@@ -125,8 +125,25 @@ def _septet_outcome(text):
         return ("not-gsm", exc.char)
 
 
+# The scan's branches: empty, basic only, an extension character after or
+# before the basic run, a non-GSM character after an extension one or after a
+# long basic run, and a backtick, the one printable ASCII character outside
+# both tables.
+_BRANCHES = ["", "ab€", "€ab", "ab€中", "ab{c}d中", "a\x60b", "a" * 300 + "中"]
+
+
+def _examples(*cases):
+    """One hypothesis @example per tuple of arguments."""
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
+
+
 @pytest.mark.deep
 @given(MIXED_TEXT)
+@_examples(*((text,) for text in _BRANCHES))
 def test_set_operations_match_the_per_character_reference(text):
     expected = _reference_septet_outcome(text)
     assert _septet_outcome(text) == expected
@@ -140,6 +157,7 @@ _ORACLE_TEXT = st.text(
 
 @pytest.mark.deep
 @given(_ORACLE_TEXT, MIXED_TEXT, _ORACLE_TEXT)
+@_examples(*(("", text, "") for text in _BRANCHES))
 def test_mixed_text_inside_gsm_text_matches_the_reference(left, middle, right):
     text = left + middle + right
     expected = _reference_septet_outcome(text)

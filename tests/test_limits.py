@@ -24,7 +24,7 @@ from lingspace.limits import (
     check_fit,
 )
 from lingspace.measures import SpaceMeasure
-from textgen import MIXED_TEXT
+from textgen import MIXED_TEXT, NON_GSM_LATIN
 
 # A GSM-basic char, a CJK char, and a char that is non-ASCII yet GBK-encodable.
 ASCII_CH = "a"
@@ -228,6 +228,32 @@ GSM_TEXT = st.lists(
 ).map("".join)
 
 
+# NFC-stable texts in the characters SMS encoding tells apart: GSM-7 basic and
+# extension characters, Latin letters outside GSM-7 and CJK. GSM7_SMS_TEXT
+# stays inside GSM-7; SMS_TEXT mixes all four, with long runs of each.
+_SMS_ALPHABETS = (gsm7.GSM7_BASIC, gsm7.GSM7_EXTENSION, NON_GSM_LATIN, "中文京人")
+GSM7_SMS_TEXT = st.text(st.sampled_from(gsm7.GSM7_BASIC + gsm7.GSM7_EXTENSION), max_size=200)
+SMS_TEXT = st.lists(
+    st.sampled_from(_SMS_ALPHABETS).flatmap(lambda chars: st.text(st.sampled_from(chars))),
+    max_size=8,
+).map("".join)
+
+
+def _per_character_sms(text):
+    """check_fit(text, SMS) as a plain tuple, from one loop over the text:
+    GSM-7 while every character is in a table, UCS-2 from the first that is
+    in neither."""
+    septets = 0
+    for ch in text:
+        if ch in gsm7.GSM7_BASIC:
+            septets += 1
+        elif ch in gsm7.GSM7_EXTENSION:
+            septets += 2
+        else:
+            return (len(text) <= 70, len(text), 70, "ucs2_chars", "ucs2")
+    return (septets <= 160, septets, 160, "gsm7_septets", "gsm7")
+
+
 @pytest.mark.deep
 class TestReferenceEquivalence:
     def test_fit_result_fields(self):
@@ -257,6 +283,13 @@ class TestReferenceEquivalence:
                 result = check_fit(padded, spec)
                 assert type(result) is FitResult
                 assert tuple(result) == expected_padded
+
+    @given(text=st.one_of(GSM7_SMS_TEXT, SMS_TEXT))
+    @example(text="a" * 300 + "中")
+    @example(text="€" + "a" * 158)
+    def test_sms_matches_the_per_character_reference(self, text):
+        assert unicodedata.is_normalized("NFC", text)
+        assert tuple(check_fit(text, SMS)) == _per_character_sms(text)
 
 
 # The limit types as the frozen dataclasses they once were, under the same

@@ -62,7 +62,10 @@ class TestGbkFallback:
         assert gbk_unit_length("\U0001f600") == 2
 
     @pytest.mark.deep
-    @given(MIXED_TEXT)
+    @given(st.one_of(MIXED_TEXT, st.text(st.characters(max_codepoint=0x7F))))
+    @example("\x7f")  # the last ASCII scalar
+    @example("\x60")
+    @example("")
     def test_matches_the_per_scalar_reference(self, text):
         assert gbk_unit_length(text) == _reference_gbk_unit_length(text)
 
