@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, LingspaceError, SubtitleParseError, UsageError
+from .errors import DataError, LingspaceError, UsageError
 from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .options import MIN_CHARS
@@ -230,8 +230,11 @@ def load_subtitle_directory(
     if not talk_names:
         raise DataError(f"no talk directories under {directory}")
     per_lang: dict[LanguageTag, list[tuple[str, str]]] = {lang: [] for lang in langs}
+    # Paths stay str, as ingest joins one per caption file. Each reads as its
+    # Path would: under the directory "." a file is "t/eng.srt".
+    root = "" if directory == Path(".") else os.path.join(directory, "")
     for talk_name in talk_names:
-        talk = directory / talk_name
+        talk = root + talk_name
         with os.scandir(talk) as entries:
             files = {entry.name for entry in entries if entry.is_file()}
         for lang in langs:
@@ -239,11 +242,11 @@ def load_subtitle_directory(
                 name = f"{lang}{suffix}"
                 if name not in files:
                     continue
-                path = talk / name
+                path = os.path.join(talk, name)
                 try:
                     transcript = parse_subtitle(read_text(path), fmt)
-                except SubtitleParseError as exc:
-                    exc.path = path
+                except DataError as exc:  # a bad caption or not UTF-8
+                    exc.path = Path(path)
                     raise
                 per_lang[lang].append((talk_name, transcript))
                 break

@@ -371,6 +371,15 @@ def _stats_cells(stats: AccountStats) -> tuple:
     )
 
 
+def _read_mean(row: Mapping[str, object], name: str) -> float:
+    """A mean cell, which emit_table writes with four decimals: one with more
+    would not be written back as read."""
+    value = table_number(row[name])
+    if float(f"{value:.4f}") != value:
+        raise ValueError(f"{name} {row[name]} has more than four decimals")
+    return value
+
+
 def _read_stats(row: Mapping[str, object]) -> AccountStats:
     meta = _read_account(row)
     histogram: dict[int, int] = {}
@@ -391,16 +400,23 @@ def _read_stats(row: Mapping[str, object]) -> AccountStats:
     counted = sum(histogram.values())
     if counted != n_posts:
         raise ValueError(f"n_posts is {n_posts} but url_count_histogram counts {counted} posts")
+    with_urls, mean = (_read_mean(row, name)
+                       for name in ("mean_chars_with_urls", "mean_chars_without_urls"))
     # The mean as written (four decimals) must be the mean of the lengths it
     # summarises, which compute_ric rescales one by one.
-    mean, average = table_number(row["mean_chars_without_urls"]), statistics.fmean(lengths)
+    average = statistics.fmean(lengths)
     if f"{mean:.4f}" != f"{average:.4f}":
         raise ValueError(f"mean_chars_without_urls is {mean:.4f} but per_post_lengths "
                          f"average {average:.4f}")
+    # Deleting a URL never lengthens a post: it starts with "h" and ends before
+    # whitespace, so no character composes across its ends.
+    if with_urls < mean:
+        raise ValueError(f"mean_chars_with_urls is {with_urls:.4f}, less than "
+                         f"mean_chars_without_urls {mean:.4f}")
     return AccountStats(
         meta=meta,
         n_posts=n_posts,
-        mean_chars_with_urls=table_number(row["mean_chars_with_urls"]),
+        mean_chars_with_urls=with_urls,
         mean_chars_without_urls=mean,
         per_post_lengths=lengths,
         url_count_histogram=histogram,
@@ -430,13 +446,24 @@ def _ric_cells(result: RicResult) -> tuple:
 def _read_ric(row: Mapping[str, object]) -> tuple[tuple[str, str, str], tuple, str]:
     """`(cell key, per-post RICs, base_lang)` of a RIC row: what a figure draws.
     Its ratio and mean, which no figure draws, are checked too."""
-    key = cell_key(_read_account(row))
-    table_number(row["ratio_used"])
-    table_number(row["mean_ric"])
+    meta, base_lang = _read_account(row), str(row["base_lang"])
+    ratio, mean = table_number(row["ratio_used"]), table_number(row["mean_ric"])
     values = tuple(table_number(v) for v in str(row["per_post_ric"]).split())
     if not values:  # compute_ric gets stats rows with at least one post
         raise ValueError("per_post_ric holds no values")
-    return key, values, str(row["base_lang"])
+    if meta.language == base_lang and ratio != 1:
+        raise ValueError(f"ratio_used is {ratio:.4f} but language and base_lang "
+                         f"are both {base_lang}")
+    # compute_ric divides the account's mean by the ratio, and `ric` reads
+    # that mean at four decimals (off by up to 5e-5). With mean_ric and each
+    # per-post value rounded to four, mean_ric is within 1e-4 + 5e-5 / ratio
+    # of the per-post mean, for the ratio before its own rounding: at least
+    # ratio_used - 5e-5. A smaller ratio_used bounds nothing. The values are
+    # averaged a share at a time, as their sum may pass the float range.
+    average, low = math.fsum(v / len(values) for v in values), ratio - 5e-5
+    if low > 0 and not math.isclose(mean, average, rel_tol=1e-9, abs_tol=1e-4 + 5e-5 / low):
+        raise ValueError(f"mean_ric is {mean:.4f} but per_post_ric average {average:.4f}")
+    return cell_key(meta), values, base_lang
 
 
 STATS_TABLE = Table(

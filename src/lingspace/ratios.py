@@ -9,6 +9,7 @@ weighs the same whatever its length.
 from __future__ import annotations
 
 import logging
+import math
 import statistics
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -46,7 +47,10 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
     data = sorted(float(v) for v in values)
     if not data:
         raise UsageError("cannot summarize an empty value list")
-    mean = statistics.fmean(data)
+    try:
+        mean = statistics.fmean(data)
+    except OverflowError:  # the sum passes the float range, the mean does not
+        mean = math.fsum(v / len(data) for v in data)
     median = statistics.median(data)
     if len(data) >= 2:
         q1, _, q3 = statistics.quantiles(data, n=4, method="inclusive")
@@ -55,10 +59,11 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
-    whisker_low = min(v for v in data if v >= lo_fence)
-    whisker_high = max(v for v in data if v <= hi_fence)
-    # A heavily skewed tail can leave no data between a fence and the box;
-    # the box edge then doubles as the whisker.
+    # A heavily skewed tail, or a box past the float range (whose fences are
+    # nan), can leave no data between a fence and the box; the box edge then
+    # doubles as the whisker.
+    whisker_low = min((v for v in data if v >= lo_fence), default=q1)
+    whisker_high = max((v for v in data if v <= hi_fence), default=q3)
     whisker_low = min(whisker_low, q1)
     whisker_high = max(whisker_high, q3)
     outliers = tuple(v for v in data if v < lo_fence or v > hi_fence)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from .errors import SubtitleParseError, UsageError
 from .tables import lf_text, parse_json, surrogate_problem
@@ -14,6 +15,8 @@ _TIMING_RE = re.compile(
     r"\s*-->\s*"
     r"(?:\d{1,3}:)?\d{1,2}:\d{2}[.,]\d{1,3}(?:\s+\S.*)?\s*$"
 )
+# A whitespace-only line, found in "\n" + text so the first line has an LF too.
+_BLANK_LINE_RE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 _TAG_RE = re.compile(r"<[^>]*>")
 _CUE_TAG_RE = re.compile(r"<(?:[^>\n]|\n(?!\n))*>")
 _DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
@@ -48,10 +51,10 @@ def _parse_block_cues(content: str, *, webvtt: bool) -> str:
     """The transcript of an SRT or WebVTT file, built from whole-text string
     operations. A block is a run of non-blank lines; a cue block is an
     optional id line, a timing line containing '-->', then the payload."""
-    lines = content.split("\n")
-    if any(map(str.isspace, lines)):
-        lines = ["" if line.isspace() else line for line in lines]
-    text = "\n".join(lines)
+    # Whitespace-only lines are blank.
+    if _BLANK_LINE_RE.search("\n" + content):
+        content = _BLANK_LINE_RE.sub("\n", "\n" + content)[1:]
+    text = content
     while "\n\n\n" in text:
         text = text.replace("\n\n\n", "\n\n")
     text = text.strip("\n")
@@ -75,7 +78,7 @@ def _parse_block_cues(content: str, *, webvtt: bool) -> str:
     # each line's verdict while most lines of a file share one shape.
     shapes = set("\n".join(timings).translate(_DIGITS_TO_ZERO).split("\n"))
     if timings and not all(map(_TIMING_RE.match, shapes)):
-        _raise_first_bad_timing(lines, heads, cues, timings)
+        _raise_first_bad_timing(content.split("\n"), heads, cues, timings)
 
     payloads = [
         "\n".join(h[1:]) if "-->" in h[0] else h[2] if len(h) == 3 else ""
@@ -134,8 +137,29 @@ def _parse_json_cues(content: str) -> str:
         items = doc
     if not isinstance(items, list):
         raise SubtitleParseError("caption container is not a list")
-    # A decoded cue keeps no source line, so cue errors name its index.
-    raws: list[str] = []
+    # One comprehension takes each cue's text; the join is its type check.
+    try:
+        raws = [item["content"] if "content" in item else item["text"] for item in items]
+        text = " ".join(raws)
+    except (KeyError, TypeError):
+        _raise_first_bad_cue(items)
+    if "<" in text:  # a tag ends within its cue
+        raws = [_TAG_RE.sub("", raw) if "<" in raw else raw for raw in raws]
+        text = " ".join(raws)
+    # Only a \u escape decodes to a lone surrogate.
+    if "\\u" in content:
+        for index, raw in enumerate(raws):
+            problem = surrogate_problem(raw)
+            if problem is not None:
+                raise SubtitleParseError(f"cue #{index} text {problem}")
+    # Line breaks and separators are whitespace to str.split().
+    return " ".join(text.split())
+
+
+def _raise_first_bad_cue(items: list) -> NoReturn:
+    """Raise the SubtitleParseError of the first cue that is not an object,
+    has no 'content' or 'text' field, or whose text is not a string. A
+    decoded cue keeps no source line, so the error names its index."""
     for index, item in enumerate(items):
         if not isinstance(item, dict):
             raise SubtitleParseError(f"cue #{index} is not an object")
@@ -147,12 +171,4 @@ def _parse_json_cues(content: str) -> str:
             raise SubtitleParseError(f"cue #{index} lacks a 'content' or 'text' field")
         if not isinstance(raw, str):
             raise SubtitleParseError(f"cue #{index} text is not a string")
-        raws.append(_TAG_RE.sub("", raw) if "<" in raw else raw)
-    # Only a \u escape decodes to a lone surrogate.
-    if "\\u" in content:
-        for index, raw in enumerate(raws):
-            problem = surrogate_problem(raw)
-            if problem is not None:
-                raise SubtitleParseError(f"cue #{index} text {problem}")
-    # Line breaks and separators are whitespace to str.split().
-    return " ".join(" ".join(raws).split())
+    raise AssertionError("every cue is an object with a string text")

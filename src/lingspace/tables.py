@@ -13,6 +13,10 @@ lines by that rule, which `lf_text` holds: `read_text` reads all three as LF,
 records on them. Parsers that take `str` apply `lf_text` and split on LF, so
 other Unicode line separators (U+000B, U+000C, U+001C-U+001E, U+0085, U+2028,
 U+2029) are characters inside a line.
+
+`read_utf8` reads a whole file by `os.open` and `os.read`, without a file
+object: talks ingest reads thousands of small caption files, and for one of
+them a file object costs about as much as the read.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
@@ -173,10 +178,21 @@ def lf_text(text: str) -> str:
     return text
 
 
-def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
+def read_utf8(path: str | Path, error: type[LingspaceError] = DataError) -> str:
     """The file's text with its line endings kept; undecodable bytes raise
-    `error` naming the file and its line by the `lf_text` rule."""
-    raw = path.read_bytes()
+    `error` naming the file and its line by the `lf_text` rule. An OSError
+    names the file as `Path.read_bytes` does."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _BLOCK):
+            chunks.append(chunk)
+    except OSError as exc:  # os.read of a directory names no file
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    raw = b"".join(chunks)
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -185,7 +201,7 @@ def read_utf8(path: Path, error: type[LingspaceError] = DataError) -> str:
         raise error(f"not UTF-8 ({exc.reason})", path, line) from exc
 
 
-def read_text(path: Path, error: type[LingspaceError] = DataError) -> str:
+def read_text(path: str | Path, error: type[LingspaceError] = DataError) -> str:
     """`read_utf8` with CR and CRLF line ends read as LF."""
     return lf_text(read_utf8(path, error))
 

@@ -201,6 +201,9 @@ CASES: list[Case] = [
     Case("TestLimitCheck::test_missing_file_is_an_io_error",
          "limit check --platform twitter --file absent.txt --quiet", 1,
          "error: [Errno 2] No such file or directory: 'absent.txt'"),
+    Case("TestLimitCheck::test_directory_is_an_io_error_naming_it",
+         "limit check --platform twitter --file talks --quiet", 1,
+         "error: [Errno 21] Is a directory: 'talks'", {"talks/eng.srt": "x"}),
     Case("TestLimitCheck::test_non_utf8_file_is_a_data_error_naming_the_file",
          "limit check --platform twitter --file latin1.txt --quiet", 1,
          "error: latin1.txt:1: not UTF-8 (unexpected end of data)",
@@ -326,6 +329,12 @@ CASES: list[Case] = [
            "url_count_histogram repeats url count 0"),
           ("mean", "a,weibo,eng,news,1,1.0,500.0,0:1,1",
            "mean_chars_without_urls is 500.0000 but per_post_lengths average 1.0000"),
+          # deleting URLs never lengthens a post
+          ("mean-with-urls", "a,weibo,eng,news,1,0.5,1.0,0:1,1",
+           "mean_chars_with_urls is 0.5000, less than mean_chars_without_urls 1.0000"),
+          # a mean is written with four decimals, so a fifth is not written back
+          ("mean-decimals", "a,weibo,eng,news,1,1.46875,1.0,0:1,1",
+           "mean_chars_with_urls 1.46875 has more than four decimals"),
       ]),
     # posts analyze lists each account once
     _ric("test_repeated_stats_row_is_a_data_error", 1,
@@ -363,7 +372,11 @@ CASES: list[Case] = [
     # 3 * 1.75e308 / 4, passes the largest float.
     _plot_ric("test_values_past_the_float_range_are_a_usage_error", 2,
               "error: figure has a coordinate or tick label nan, which is not a finite number",
-              _table(RIC_HEADER, "usnews_tw,twitter,eng,news,cmn_hans,3.21,1.5,1.75e308 0")),
+              _table(RIC_HEADER, "usnews_tw,twitter,eng,news,cmn_hans,3.21,8.75e307,1.75e308 0")),
+    # Each value, and their mean, is finite, but their sum is not.
+    _plot_ric("test_values_whose_sum_passes_the_float_range_are_a_usage_error", 2,
+              "error: figure has a coordinate or tick label nan, which is not a finite number",
+              _table(RIC_HEADER, "a,weibo,cmn_hans,news,cmn_hans,1.0,1.75e308,1.75e308 1.75e308")),
     *(_plot_ric(f"test_ric_value_out_of_range_is_a_data_error[{value}]", 1,
                 f"error: ric.csv:2: malformed RIC row: {value} is not a finite number >= 0",
                 _table(RIC_HEADER, f"usnews_tw,twitter,eng,news,cmn_hans,3.21,1.5,1.0 {value}"))
@@ -374,6 +387,15 @@ CASES: list[Case] = [
           ("ratio_used", RIC_ROW.replace("3.21", "abc"),
            "could not convert string to float: 'abc'"),
           ("mean_ric", RIC_ROW.replace(",1.5,", ",-5,"), "-5 is not a finite number >= 0"),
+      ]),
+    # A row's ratio and mean agree with its language and per-post values.
+    *(_plot_ric(f"test_ric_row_must_agree_with_its_per_post_values[{param}]", 1,
+                f"error: ric.csv:2: malformed RIC row: {problem}", _table(RIC_HEADER, row))
+      for param, row, problem in [
+          ("base-ratio", "usnews_tw,twitter,eng,news,eng,3.21,1.5,1.0 2.0",
+           "ratio_used is 3.2100 but language and base_lang are both eng"),
+          ("mean", RIC_ROW.replace(",1.5,", ",500,"),
+           "mean_ric is 500.0000 but per_post_ric average 1.5000"),
       ]),
     _plot_ric("test_ric_row_without_values_is_a_data_error", 1,
               "error: ric.csv:2: malformed RIC row: per_post_ric holds no values",
@@ -494,7 +516,7 @@ CASES: list[Case] = [
     Case("TestInstallSmoke::test_ric_figure_past_the_float_range",
          "plot box --ric huge_ric.csv --out huge_ric_box.svg", 2,
          "error: figure has a coordinate or tick label nan, which is not a finite number",
-         {"huge_ric.csv": _table(RIC_HEADER, "a,weibo,cmn_hans,news,cmn_hans,1.0,1.0,"
+         {"huge_ric.csv": _table(RIC_HEADER, "a,weibo,cmn_hans,news,cmn_hans,1.0,8.75e307,"
                                              "1.75e308 0")}),
     Case("TestInstallSmoke::test_pipeline_config_with_negative_min_posts",
          "pipeline run --config run.ini", 1,

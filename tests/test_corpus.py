@@ -6,6 +6,8 @@ import configparser
 import csv
 import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -25,7 +27,7 @@ from lingspace.errors import DataError, LingspaceError, UsageError
 from lingspace.measures import SpaceMeasure, count_units
 from lingspace.microblog import STATS_TABLE, load_accounts, load_posts
 from lingspace.pipeline import load_pipeline_config
-from lingspace.tables import lf_text, read_table
+from lingspace.tables import emit_table, lf_text, read_table
 
 from conftest import ALL_LANGS
 
@@ -300,6 +302,35 @@ class TestSubtitleDirectory:
         with pytest.raises(DataError, match=r"eng\.srt:1: expected a cue") as exc:
             load_subtitle_directory(tmp_path, ("eng",), min_chars=0)
         assert "-->" in str(exc.value)
+
+    # Ingest joins str paths; an error names its file as a Path would, so
+    # under the directory "." it is "t/eng.srt", not "./t/eng.srt".
+    @pytest.mark.parametrize(
+        "content, problem",
+        [(b"no timing here\n", "t/eng.srt:1: expected a cue timing line containing '-->'"),
+         (b"1\n\xff\n", "t/eng.srt:2: not UTF-8 (invalid start byte)")],
+        ids=["caption", "not-utf8"],
+    )
+    def test_errors_name_the_file_as_a_path(self, tmp_path, monkeypatch, content, problem):
+        (tmp_path / "t").mkdir()
+        (tmp_path / "t" / "eng.srt").write_bytes(content)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(DataError) as exc:
+            load_subtitle_directory(".", ("eng",), min_chars=0)
+        assert (str(exc.value), exc.value.path) == (problem, Path("t/eng.srt"))
+
+    def test_read_error_names_the_file_as_a_path(self, tmp_path, monkeypatch):
+        (tmp_path / "t").mkdir()
+        (tmp_path / "t" / "eng.srt").write_text("x", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("lingspace.corpus.read_text", unreadable)
+        with pytest.raises(PermissionError) as exc:
+            load_subtitle_directory(".", ("eng",), min_chars=0)
+        assert str(exc.value) == "[Errno 13] Permission denied: 't/eng.srt'"
 
     def test_negative_min_chars_rejected_before_any_caption_is_read(self, tmp_path):
         talk = tmp_path / "talk_0001"
@@ -593,6 +624,66 @@ def test_loaders_raise_only_lingspace_errors(tmp_path_factory, name, content):
         LOADERS[name](path)
     except LingspaceError as exc:
         _assert_located(exc, path, content)
+
+
+# A number cell: counts, floats as repr writes them, and texts no writer
+# emits (a fifth decimal, an exponent, a sign, padding).
+_NUMBER_CELL = st.one_of(
+    st.integers(0, 50).map(str),
+    st.floats(0, 100).map(repr),
+    st.sampled_from(["1.00005", "1e-5", "2.5", "0", "-0.0", "1e400", "nan", "01", " 3"]),
+)
+
+
+@st.composite
+def stats_rows(draw):
+    """A stats row that is mostly what `analyze_posts` writes: its histogram
+    counts its posts and its means summarise its lengths, at four decimals
+    or at others. Any cell may instead hold another cell."""
+    lengths = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    urls = draw(st.lists(st.integers(0, 3), min_size=len(lengths), max_size=len(lengths)))
+    mean = sum(lengths) / len(lengths)
+    written = st.sampled_from([f"{mean:.4f}", repr(mean), f"{mean:.6f}"])
+    row = {
+        "screen_name": draw(st.sampled_from(["a", " b ", "c"])),
+        "platform": draw(st.sampled_from(["twitter", "weibo"])),
+        "language": draw(st.sampled_from(["eng", " jpn"])),
+        "org_type": draw(st.sampled_from(["news", "embassy"])),
+        "n_posts": str(len(lengths)),
+        "mean_chars_with_urls": draw(
+            st.floats(-1, 5).map(lambda extra: f"{mean + extra:.4f}") | written),
+        "mean_chars_without_urls": draw(written),
+        "url_count_histogram": " ".join(
+            f"{count}:{posts}" for count, posts in sorted(Counter(urls).items())),
+        "per_post_lengths": " ".join(map(str, lengths)),
+    }
+    for name in draw(st.lists(st.sampled_from(STATS_TABLE.fields), max_size=2)):
+        row[name] = draw(_NUMBER_CELL | _CELL)
+    return row
+
+
+@pytest.mark.deep
+@given(rows=st.lists(stats_rows(), max_size=3), format=st.sampled_from(["csv", "json"]))
+@example(rows=[{"screen_name": "a", "platform": "twitter", "language": "eng",
+                "org_type": "news", "n_posts": "1", "mean_chars_with_urls": "1.46875",
+                "mean_chars_without_urls": "0.0000", "url_count_histogram": "0:1",
+                "per_post_lengths": "0"}], format="csv")
+def test_a_stats_table_read_is_written_back_as_read(tmp_path_factory, rows, format):
+    """`read_table` rejects a generated stats table with a DataError, or gives
+    values that `emit_table` writes back and `read_table` reads as equal."""
+    path = tmp_path_factory.getbasetemp() / f"stats.{format}"
+    if format == "csv":
+        path.write_bytes(_csv_bytes([STATS_TABLE.fields,
+                                     *([row[name] for name in STATS_TABLE.fields]
+                                       for row in rows)]))
+    else:
+        path.write_text(json.dumps(rows), encoding="utf-8")
+    try:
+        values = read_table(path, STATS_TABLE)
+    except DataError:
+        return
+    emit_table(STATS_TABLE, values, path, format)
+    assert read_table(path, STATS_TABLE) == values
 
 
 # Each config key with a value it accepts; a drawn config keeps most keys at

@@ -28,7 +28,7 @@ from lingspace.microblog import (
     _parse_timestamp,
     load_posts,
 )
-from lingspace.tables import read_table
+from lingspace.tables import emit_table, read_table
 from textgen import MIXED_TEXT
 
 pytestmark = pytest.mark.deep
@@ -484,6 +484,18 @@ class TestAccountLengthStats:
         stats = account_length_stats(posts, META, min_posts=0)
         assert stats.mean_chars_without_urls <= stats.mean_chars_with_urls
 
+    @given(st.lists(st.one_of(_POST_TEXT, _URL_EDGE_TEXT, st.sampled_from(
+        ["\u1100", "\u1161", "\u11a8", "\u0b47", "\u0b3e", "h", "\u0331", " ", "\u3000"]
+    )).map("".join), min_size=1, max_size=6))
+    @example(["\u1100http://x \u1161", "e http://x\u0301", "\u0b47http://a\u0b3e"])
+    def test_deleting_urls_never_lengthens_a_post(self, texts):
+        """What `_read_stats` checks of a stats row: the mean with URLs is no
+        less than the mean without, as each post's length is."""
+        stats = account_length_stats([_post(i, t) for i, t in enumerate(texts)], META, 0)
+        with_urls = [count_units(text, SpaceMeasure.CHARACTERS) for text in texts]
+        assert all(map(int.__ge__, with_urls, stats.per_post_lengths))
+        assert stats.mean_chars_with_urls >= stats.mean_chars_without_urls
+
     def test_negative_min_posts_is_a_usage_error(self):
         with pytest.raises(UsageError, match="min_posts must be >= 0"):
             account_length_stats([], AccountMeta("a", "twitter", "eng", "news"), -1)
@@ -712,6 +724,26 @@ class TestTables:
         result = RicResult(META, "cmn_hans", 1.0, 0.0, tuple(values))
         cell = RIC_TABLE.cells(result)[RIC_TABLE.fields.index("per_post_ric")]
         assert cell == " ".join(f"{v:.4f}" for v in values)
+
+    @given(st.lists(st.integers(0, 500), min_size=1, max_size=8), st.floats(1e-6, 1e6),
+           st.sampled_from(["csv", "json"]))
+    @example([1, 1, 2], 0.3, "csv")
+    def test_ric_of_a_read_stats_table_reads_back(self, tmp_path_factory, lengths, ratio,
+                                                  format):
+        """As `ric` makes it: a stats mean read at four decimals, over a ratio.
+        The mean_ric it writes is then up to 5e-5 / ratio further from the
+        mean of its per-post values than four-decimal rounding alone allows,
+        and the table still reads back."""
+        root = tmp_path_factory.getbasetemp()
+        mean = statistics.fmean(lengths)
+        stats = AccountStats(META, len(lengths), mean, mean, tuple(lengths), {0: len(lengths)})
+        emit_table(STATS_TABLE, [stats], root / f"stats.{format}", format)
+        (read,) = read_table(root / f"stats.{format}", STATS_TABLE)
+        result = compute_ric(read, {("eng", "cmn_hans"): ratio}, "cmn_hans")
+        emit_table(RIC_TABLE, [result], root / f"ric.{format}", format)
+        assert read_table(root / f"ric.{format}", RIC_TABLE) == [
+            (cell_key(META), tuple(round(v, 4) for v in result.per_post_ric), "cmn_hans")
+        ]
 
     def test_cell_key_groups_platform_language_org(self):
         assert cell_key(META) == ("twitter", "eng", "news")

@@ -62,6 +62,14 @@ class TestDescribe:
         assert stats.median == 3.0
         assert stats.n == 2
 
+    def test_values_whose_sum_passes_the_float_range(self):
+        """The mean is still theirs; the interpolated box passes the range,
+        and its nan fences leave the box edges as whiskers."""
+        stats = describe([1.75e308, 1.75e308])
+        assert stats.mean == 1.75e308
+        assert (stats.q1, stats.q3) == (stats.whisker_low, stats.whisker_high)
+        assert stats.outliers == ()
+
     def test_single_value_collapses_the_box(self):
         stats = describe([7.0])
         assert (stats.q1, stats.median, stats.q3) == (7.0, 7.0, 7.0)

@@ -5,7 +5,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingspace.errors import SubtitleParseError, UsageError
@@ -453,3 +453,85 @@ def test_parse_subtitle_raises_only_parse_errors(format, content):
         parse_subtitle(content, format)
     except SubtitleParseError:
         pass
+
+
+def _reference_json_transcript(content):
+    """The JSON cue parser before it took every cue's text in one
+    comprehension: a walk that checks each cue in turn."""
+    doc = json.loads(content)
+    items = doc
+    if isinstance(doc, dict):
+        for key in ("captions", "cues"):
+            if key in doc:
+                items = doc[key]
+                break
+        else:
+            raise SubtitleParseError(
+                "JSON captions need a top-level 'captions' or 'cues' list"
+            )
+    if not isinstance(items, list):
+        raise SubtitleParseError("caption container is not a list")
+    raws = []
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SubtitleParseError(f"cue #{index} is not an object")
+        for key in ("content", "text"):
+            if key in item:
+                raw = item[key]
+                break
+        else:
+            raise SubtitleParseError(f"cue #{index} lacks a 'content' or 'text' field")
+        if not isinstance(raw, str):
+            raise SubtitleParseError(f"cue #{index} text is not a string")
+        raws.append(_REFERENCE_TAG_RE.sub("", raw))
+    if "\\u" in content:
+        for index, raw in enumerate(raws):
+            if match := _SURROGATE_RE.search(raw):
+                raise SubtitleParseError(
+                    f"cue #{index} text holds lone surrogate U+{ord(match[0]):04X}"
+                )
+    return " ".join(" ".join(raws).split())
+
+
+# A cue text: mixed scalars (lone surrogates among them) and tag pieces, so
+# an unclosed tag in one cue may meet a '>' in the next.
+_CUE_TEXT = _TEXT | st.sampled_from(("content", "text", "<\ud800>", "a\ud800b"))
+_NOT_A_TEXT = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.sampled_from(("content", "text")), max_size=2),
+    st.dictionaries(st.sampled_from(("content", "text")), st.just("x"), max_size=1),
+)
+_CUE_FIELD = _mostly(_CUE_TEXT, _NOT_A_TEXT, 12)
+_START = {"start": st.integers(0, 9)}
+# Cue objects with content, text, both or neither.
+_CUE_OBJECT = _mostly(
+    st.fixed_dictionaries({"content": _CUE_FIELD}, optional={"text": _CUE_FIELD, **_START})
+    | st.fixed_dictionaries({"text": _CUE_FIELD}, optional=_START),
+    st.fixed_dictionaries({}, optional=_START),
+    12,
+)
+_CUES = st.lists(_mostly(_CUE_OBJECT, _NOT_A_TEXT | _CUE_TEXT, 16), max_size=5)
+_CONTAINER = _mostly(
+    st.one_of(
+        _CUES,
+        st.builds(lambda cues: {"captions": cues}, _CUES),
+        st.builds(lambda cues: {"cues": cues, "start": 0}, _CUES),
+    ),
+    st.one_of(
+        st.builds(lambda cues: {"cues": cues, "captions": "x"}, _CUES),
+        st.dictionaries(st.sampled_from(("other", "captions", "cues")), _NOT_A_TEXT,
+                        max_size=1),
+    ),
+)
+
+
+@given(doc=_CONTAINER, ascii=st.booleans())
+@example(doc=[{"content": "x <i"}, {"text": "y> z"}], ascii=False)
+@example(doc={"cues": [{"content": "<\ud800>", "text": 5}, {"start": 0}]}, ascii=True)
+@example(doc=[{"content": None, "text": "x"}, "content"], ascii=False)
+def test_json_parser_matches_the_cue_walk_reference(doc, ascii):
+    """The same transcript, or the same error, as the cue-by-cue walk; with
+    `ascii`, every non-ASCII scalar is a \\u escape."""
+    content = json.dumps(doc, ensure_ascii=ascii)
+    expected = _outcome(_reference_json_transcript, content)
+    assert _outcome(parse_subtitle, content, "json_captions") == expected

@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 import re
 import statistics
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -32,6 +34,7 @@ from lingspace.tables import (
     parse_json,
     read_json_lines,
     read_table,
+    read_utf8,
 )
 
 pytestmark = pytest.mark.deep
@@ -178,6 +181,37 @@ class TestSplitLines:
         assert lines == expected
 
 
+class TestReadUtf8:
+    """`read_utf8` reads a file with os calls, 64 KiB at a time."""
+
+    @pytest.mark.parametrize("size", [0, 65_535, 65_536, 65_537, 3 * 65_536 + 7])
+    def test_any_length_reads_back_byte_equal(self, tmp_path, size):
+        data = bytes(range(128)) * (size // 128) + bytes(range(size % 128))
+        path = tmp_path / "data.txt"
+        path.write_bytes(data)
+        assert read_utf8(path).encode() == read_utf8(str(path)).encode() == data
+
+    def test_a_character_across_two_reads_decodes(self, tmp_path):
+        text = "x" * 65_535 + "é\r\n" + "中" * 30_000
+        path = tmp_path / "text.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_utf8(path) == text
+
+    @pytest.mark.parametrize("name", ["absent.txt", "folder"])
+    def test_os_error_text_is_that_of_path_read_bytes(self, tmp_path, monkeypatch, name):
+        """A missing file, and a directory, which os.read rejects without
+        naming it, each give the OSError `Path.read_bytes` gives."""
+        (tmp_path / "folder").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for path in (name, Path(name), tmp_path / name):
+            with pytest.raises(OSError) as expected:
+                Path(path).read_bytes()
+            with pytest.raises(OSError) as exc:
+                read_utf8(path)
+            assert (type(exc.value), str(exc.value)) == (
+                type(expected.value), str(expected.value))
+
+
 def _reference_parse_json(text):
     try:
         return json.loads(text), None, 0
@@ -303,10 +337,13 @@ _RATIO = st.builds(
 )
 # A stats row holds at least one post and a RIC row one value, as
 # `analyze_posts` keeps only accounts with posts. A stats row's histogram
-# counts its posts, and its mean without URLs is that of its lengths.
+# counts its posts, its mean without URLs is that of its lengths, and its
+# mean with URLs is no less. A RIC row's ratio is 1 against its own language,
+# and its mean is that of its per-post values as written.
 _STATS = st.builds(
-    lambda meta, mean_with, posts: AccountStats(
-        meta, len(posts), mean_with, statistics.fmean(length for length, _ in posts),
+    lambda meta, extra, posts: AccountStats(
+        meta, len(posts), statistics.fmean(length for length, _ in posts) + extra,
+        statistics.fmean(length for length, _ in posts),
         tuple(length for length, _ in posts), dict(Counter(urls for _, urls in posts)),
     ),
     _META,
@@ -314,7 +351,11 @@ _STATS = st.builds(
     st.lists(st.tuples(_COUNT, st.integers(0, 3)), min_size=1, max_size=4),
 )
 _RIC = st.builds(
-    RicResult, _META, _TAG, _NUMBER, _NUMBER, st.lists(_NUMBER, min_size=1, max_size=4).map(tuple)
+    lambda meta, base, ratio, values: RicResult(
+        meta, base, 1.0 if meta.language == base else ratio,
+        math.fsum(round(v, 4) / len(values) for v in values), values,
+    ),
+    _META, _TAG, _NUMBER, st.lists(_NUMBER, min_size=1, max_size=4).map(tuple),
 )
 # Each table with what its declaration reads back from a result's row.
 _TABLES = st.one_of(
@@ -349,10 +390,17 @@ _TABLES = st.one_of(
     [AccountStats(AccountMeta("a\rb", "weibo", "jpn", "news"), 1, 0.0, 0.0, (0,), {0: 1})],
     lambda s: s,
 ))
+@example(case=(
+    RIC_TABLE,
+    [RicResult(AccountMeta("a", "weibo", "cmn_hans", "news"), "cmn_hans", 1.0, 1.75e308,
+               (1.75e308, 1.75e308))],
+    lambda r: (cell_key(r.meta), r.per_post_ric, r.base_lang),
+))
 def test_stage_tables_read_back_through_their_declarations(tmp_path_factory, case):
     """A result written by `emit_table`, as CSV and as JSON, reads back
     through its table's declaration as written, but for floats rounded to four
-    decimals. The example is a name holding a lone CR, which CSV must quote."""
+    decimals. The examples are a name holding a lone CR, which CSV must quote,
+    and RICs whose sum passes the float range."""
     table, results, read_back = case
     for format in TABLE_FORMAT.choices:
         path = tmp_path_factory.getbasetemp() / f"round_trip.{format}"
