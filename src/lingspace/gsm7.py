@@ -3,6 +3,12 @@
 Basic-table characters cost one septet; extension-table characters cost two
 (an escape septet plus the character). A text containing anything else cannot
 be encoded as GSM-7 at all.
+
+An ASCII text is checked as bytes. The ASCII characters of each table, taken
+from the table itself, form a byte string, and `bytes.translate` deletes them
+in one pass: what is left of the encoded text after the basic table's bytes
+are deleted is its extension characters and the characters of neither table,
+in text order. Other text goes through the two regex prefix scans.
 """
 
 from __future__ import annotations
@@ -34,8 +40,20 @@ _BASIC_PREFIX = re.compile("[%s]*" % "".join(map(re.escape, sorted(BASIC_SET))))
 _GSM_PREFIX = re.compile("[%s]*" % "".join(map(re.escape, sorted(GSM_SET))))
 
 
+def _ascii_bytes(chars: frozenset[str]) -> bytes:
+    return "".join(sorted(ch for ch in chars if ch.isascii())).encode("ascii")
+
+
+# The ASCII characters of each table, as the bytes to delete.
+_BASIC_ASCII = _ascii_bytes(BASIC_SET)
+_EXTENSION_ASCII = _ascii_bytes(EXTENSION_SET)
+_GSM_ASCII = _ascii_bytes(GSM_SET)
+
+
 def is_gsm_text(text: str) -> bool:
     """True if every character of the text is representable in GSM-7."""
+    if text.isascii():
+        return not text.encode("ascii").translate(None, _GSM_ASCII)
     return _GSM_PREFIX.fullmatch(text) is not None
 
 
@@ -45,6 +63,14 @@ def septet_length(text: str) -> int:
     Raises GsmNotRepresentableError on the first character outside both
     tables.
     """
+    if text.isascii():
+        # A byte left once the basic ones are deleted is an extension
+        # character, a second septet, unless it is in neither table.
+        rest = text.encode("ascii").translate(None, _BASIC_ASCII)
+        other = rest.translate(None, _EXTENSION_ASCII)
+        if other:
+            raise GsmNotRepresentableError(chr(other[0]))
+        return len(text) + len(rest)
     # A text of basic characters costs one scan. Otherwise the GSM-7 scan goes
     # on from the first other character, and only the text from there on can
     # hold extension characters, each of which costs a second septet.

@@ -13,7 +13,7 @@ import math
 import statistics
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,7 +88,16 @@ _ACCOUNT_FIELDS = ("screen_name", "platform", "language", "org_type")
 
 def _parse_timestamp(value: str) -> datetime:
     text = value.strip()
-    if text.endswith(("Z", "z")):
+    try:
+        separator = text[10]
+    except IndexError:  # a date alone; fromisoformat would read "2015W09x05" as 05:00
+        day = date.fromisoformat(text)
+        return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
+    # fromisoformat takes any character after the date as the separator, and
+    # would read "2015-03-01+05:00" as 05:00.
+    if separator not in "Tt ":
+        raise ValueError(f"no T, t or space after the date in {value!r}")
+    if text[-1] in "Zz":
         text = text[:-1] + "+00:00"
     parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
@@ -403,8 +412,11 @@ def _read_stats(row: Mapping[str, object]) -> AccountStats:
     with_urls, mean = (_read_mean(row, name)
                        for name in ("mean_chars_with_urls", "mean_chars_without_urls"))
     # The mean as written (four decimals) must be the mean of the lengths it
-    # summarises, which compute_ric rescales one by one.
-    average = statistics.fmean(lengths)
+    # summarises, which compute_ric rescales one by one, as floats.
+    try:
+        average = statistics.fmean(lengths)
+    except OverflowError:
+        raise ValueError("per_post_lengths sum past the float range") from None
     if f"{mean:.4f}" != f"{average:.4f}":
         raise ValueError(f"mean_chars_without_urls is {mean:.4f} but per_post_lengths "
                          f"average {average:.4f}")
@@ -446,7 +458,7 @@ def _ric_cells(result: RicResult) -> tuple:
 def _read_ric(row: Mapping[str, object]) -> tuple[tuple[str, str, str], tuple, str]:
     """`(cell key, per-post RICs, base_lang)` of a RIC row: what a figure draws.
     Its ratio and mean, which no figure draws, are checked too."""
-    meta, base_lang = _read_account(row), str(row["base_lang"])
+    meta, base_lang = _read_account(row), parse_language_tag(str(row["base_lang"]))
     ratio, mean = table_number(row["ratio_used"]), table_number(row["mean_ric"])
     values = tuple(table_number(v) for v in str(row["per_post_ric"]).split())
     if not values:  # compute_ric gets stats rows with at least one post

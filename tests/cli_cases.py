@@ -228,6 +228,14 @@ CASES: list[Case] = [
                                    ""]).encode("latin-1"),
             "accounts.csv": ACCOUNTS})
       for param, eol in EOLS.items()),
+    # fromisoformat takes any character after the date as the separator
+    *(Case(f"TestPostsAnalyze::test_date_joined_to_a_non_time_is_a_data_error[{param}]",
+           "posts analyze --posts posts.jsonl --accounts accounts.csv", 1,
+           f"error: posts.jsonl:2: unparseable created_at '{created_at}'",
+           {"posts.jsonl": json.dumps(POST) + "\n"
+                           + json.dumps({**POST, "id": "2", "created_at": created_at}) + "\n",
+            "accounts.csv": ACCOUNTS})
+      for param, created_at in [("offset", "2015-03-01+05:00"), ("letter", "2015-03-01x05:00")]),
     # an account with no posts at all: -1 would let it through to fmean([])
     Case("TestPostsAnalyze::test_negative_min_posts_is_a_usage_error",
          "posts analyze --posts posts.jsonl --accounts accounts.csv --min-posts -1", 2,
@@ -340,6 +348,14 @@ CASES: list[Case] = [
     _ric("test_repeated_stats_row_is_a_data_error", 1,
          "error: stats.csv:3: duplicate stats row a@weibo (eng)",
          _table(STATS_HEADER, *["a,weibo,eng,news,1,1.0,1.0,0:1,1"] * 2)),
+    # compute_ric rescales each length as a float
+    *(_ric(f"test_stats_lengths_past_the_float_range_are_a_data_error[{param}]", 1,
+           "error: stats.csv:2: malformed stats row: per_post_lengths sum past the float "
+           "range", _table(STATS_HEADER, row))
+      for param, row in [
+          ("one-length", f"a,weibo,eng,news,1,1.0,1.0,0:1,{10**400}"),
+          ("sum", f"a,weibo,eng,news,2,1e308,1e308,0:2,{10**308} {10**308}"),
+      ]),
     _ric("test_empty_stats_file_lacks_every_column", 1,
          f"error: stats.csv: missing columns: {STATS_HEADER.replace(',', ', ')}", ""),
     _ric("test_empty_ratios_file_lacks_every_column", 1,
@@ -397,6 +413,10 @@ CASES: list[Case] = [
           ("mean", RIC_ROW.replace(",1.5,", ",500,"),
            "mean_ric is 500.0000 but per_post_ric average 1.5000"),
       ]),
+    _plot_ric("test_unregistered_base_lang_is_a_data_error", 1,
+              "error: ric.csv:2: malformed RIC row: unknown language tag 'klingon' "
+              "(registered: cmn_hans, cmn_hant, eng, jpn)",
+              _table(RIC_HEADER, RIC_ROW.replace("cmn_hans", "klingon"))),
     _plot_ric("test_ric_row_without_values_is_a_data_error", 1,
               "error: ric.csv:2: malformed RIC row: per_post_ric holds no values",
               _table(RIC_HEADER, "usnews_tw,twitter,eng,news,cmn_hans,3.21,0,")),

@@ -127,9 +127,15 @@ def _septet_outcome(text):
 
 # The scan's branches: empty, basic only, an extension character after or
 # before the basic run, a non-GSM character after an extension one or after a
-# long basic run, and a backtick, the one printable ASCII character outside
-# both tables.
-_BRANCHES = ["", "ab€", "€ab", "ab€中", "ab{c}d中", "a\x60b", "a" * 300 + "中"]
+# long basic run. Then the byte path's: a backtick, the one printable ASCII
+# character outside both tables, a tab, the escape, DEL, a lone extension
+# character, and extension characters between basic ones.
+_BRANCHES = ["", "ab€", "€ab", "ab€中", "ab{c}d中", "a" * 300 + "中",
+             "a\x60b", "a\tb", "a\x1bb", "a\x7fb", "\f", "a{b}c"]
+# Every ASCII character, each in any place: the text the byte path checks.
+# Joined from runs, as MIXED_TEXT is, so that one_of draws it in about half
+# of the examples (a lone st.text drew it in under a third).
+_ASCII_TEXT = st.lists(st.text(alphabet=st.characters(max_codepoint=0x7F))).map("".join)
 
 
 def _examples(*cases):
@@ -142,7 +148,7 @@ def _examples(*cases):
 
 
 @pytest.mark.deep
-@given(MIXED_TEXT)
+@given(st.one_of(_ASCII_TEXT, MIXED_TEXT))
 @_examples(*((text,) for text in _BRANCHES))
 def test_set_operations_match_the_per_character_reference(text):
     expected = _reference_septet_outcome(text)
@@ -153,16 +159,29 @@ def test_set_operations_match_the_per_character_reference(text):
 _ORACLE_TEXT = st.text(
     alphabet=sorted(_ORACLE_BASIC.values()) + sorted(_ORACLE_EXTENSION.values())
 )
+_ASCII_ORACLE_TEXT = st.text(
+    alphabet=sorted(ch for ch in _REFERENCE_BASIC | _REFERENCE_EXTENSION if ch.isascii())
+)
 
 
 @pytest.mark.deep
-@given(_ORACLE_TEXT, MIXED_TEXT, _ORACLE_TEXT)
-@_examples(*(("", text, "") for text in _BRANCHES))
-def test_mixed_text_inside_gsm_text_matches_the_reference(left, middle, right):
-    text = left + middle + right
+@given(st.one_of(st.tuples(_ASCII_ORACLE_TEXT, _ASCII_TEXT, _ASCII_ORACLE_TEXT),
+                 st.tuples(_ORACLE_TEXT, MIXED_TEXT, _ORACLE_TEXT)))
+@_examples(*((("", text, ""),) for text in _BRANCHES))
+def test_mixed_text_inside_gsm_text_matches_the_reference(parts):
+    text = "".join(parts)
     expected = _reference_septet_outcome(text)
     assert _septet_outcome(text) == expected
     assert gsm7.is_gsm_text(text) == isinstance(expected, int)
+
+
+def test_each_ascii_character_gets_the_reference_outcome():
+    # Alone, an ASCII character takes the byte path; between "ab" and "€",
+    # the regex scans.
+    for text in [chr(cp) for cp in range(0x80)] + [f"ab{chr(cp)}€" for cp in range(0x80)]:
+        expected = _reference_septet_outcome(text)
+        assert _septet_outcome(text) == expected, repr(text)
+        assert gsm7.is_gsm_text(text) == isinstance(expected, int), repr(text)
 
 
 def test_every_code_point_is_classified_as_the_oracle_does():

@@ -119,6 +119,13 @@ class TestFitResults:
         assert check_fit("{" * 80, SMS).fits
         assert not check_fit("{" * 81, SMS).fits
 
+    def test_sms_ascii_text_with_a_tab_is_ucs2(self):
+        # A tab is ASCII but in neither GSM-7 table.
+        assert tuple(check_fit("a\tb", SMS)) == (True, 3, 70, "ucs2_chars", "ucs2")
+
+    def test_sms_ascii_braces_cost_two_septets_each(self):
+        assert tuple(check_fit("a{b}c", SMS)) == (True, 7, 160, "gsm7_septets", "gsm7")
+
     def test_fits_agrees_with_the_counts(self):
         for text in ("", "short", CJK_CH * 200, "a" * 300):
             for spec in PRESETS.values():

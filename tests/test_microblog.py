@@ -168,6 +168,8 @@ _ODD_FIELDS = dict.fromkeys(_GOOD_FIELDS, _ODD_VALUE) | {
         "0001-01-01T00:30:00+01:00",
         "9999-12-31T23:30:00-01:00",
         "2015-02-30T10:00:00Z",
+        "2015-03-01+05:00",
+        "2015-03-01x05:00",
         "last Tuesday",
     ]) | _ODD_VALUE,
 }
@@ -262,6 +264,23 @@ class TestLoadPosts:
         _write_jsonl(path, [_record(0, created_at="last Tuesday")])
         with pytest.raises(DataError, match="unparseable created_at"):
             load_posts(path)
+
+    @pytest.mark.parametrize("created_at, expected", [
+        ("2015-03-01T05:00:00Z", datetime(2015, 3, 1, 5, tzinfo=UTC)),
+        ("2015-03-01t05:00:00+00:00", datetime(2015, 3, 1, 5, tzinfo=UTC)),
+        ("2015-03-01 05:00:00+05:00", datetime(2015, 3, 1, 0, tzinfo=UTC)),
+        ("2015-03-01", datetime(2015, 3, 1, tzinfo=UTC)),
+    ])
+    def test_timestamp_forms(self, created_at, expected):
+        assert _parse_timestamp(created_at) == expected
+
+    # fromisoformat takes any character after the date as the separator
+    @pytest.mark.parametrize("created_at", [
+        "2015-03-01+05:00", "2015-03-01x05:00", "2015-03-01Z", "2015W09x05",
+    ])
+    def test_date_joined_to_a_non_time_is_rejected(self, created_at):
+        with pytest.raises(ValueError):
+            _parse_timestamp(created_at)
 
     def test_error_listing_truncates_after_twenty(self, tmp_path):
         path = tmp_path / "posts.jsonl"

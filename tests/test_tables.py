@@ -406,3 +406,20 @@ def test_stage_tables_read_back_through_their_declarations(tmp_path_factory, cas
         path = tmp_path_factory.getbasetemp() / f"round_trip.{format}"
         emit_table(table, results, path, format)
         assert read_table(path, table) == [read_back(result) for result in results]
+
+
+@given(_META, st.lists(_COUNT, max_size=3), st.integers(2**1024, 10**400),
+       st.lists(_COUNT, max_size=3))
+def test_stats_lengths_past_the_float_range_do_not_read_back(tmp_path_factory, meta,
+                                                              before, huge, after):
+    """The stats round trip with a per-post length that no float holds, which
+    `compute_ric` could not rescale: `emit_table` writes the row, and
+    `read_table` names it as malformed."""
+    lengths = (*before, huge, *after)
+    stats = AccountStats(meta, len(lengths), 1.0, 1.0, lengths, {0: len(lengths)})
+    for format in TABLE_FORMAT.choices:
+        path = tmp_path_factory.getbasetemp() / f"round_trip.{format}"
+        emit_table(STATS_TABLE, [stats], path, format)
+        with pytest.raises(DataError, match="malformed stats row: per_post_lengths sum "
+                                            "past the float range$"):
+            read_table(path, STATS_TABLE)
