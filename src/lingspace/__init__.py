@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 # Each defining module and the public names it exports.
 _EXPORTS = {
     "corpus": (
-        "AlignedUnit", "ExclusionReport", "ParallelCorpus", "build_parallel_corpus",
-        "load_corpus", "load_subtitle_directory", "load_udhr_directory",
-        "parse_udhr_language_file", "save_corpus",
+        "AlignedUnit", "ExclusionReport", "ParallelCorpus", "load_corpus",
+        "load_subtitle_directory", "load_udhr_directory", "save_corpus",
     ),
     "errors": (
         "DataError", "GsmNotRepresentableError", "LingspaceError",
@@ -32,8 +31,8 @@ _EXPORTS = {
         "parse_language_tag", "register_language",
     ),
     "limits": (
-        "PRESETS", "SMS", "TWITTER", "WEIBO", "CharLimit", "EncodedUnitLimit",
-        "FitResult", "LimitSpec", "SingleSms", "check_fit",
+        "PRESETS", "SMS", "CharLimit", "EncodedUnitLimit", "FitResult", "LimitSpec",
+        "SingleSms", "check_fit",
     ),
     "measures": (
         "SpaceMeasure", "count_units", "count_urls", "detect_language", "nfc",

@@ -2,14 +2,16 @@
 
 A corpus holds aligned units (paragraphs or talks) carrying the same content
 in several languages. Declaration-style plain-text documents align
-positionally by paragraph; subtitle corpora align by talk directory.
+positionally by paragraph; subtitle corpora align by talk directory. Each
+directory loader hands its units, as it reads them, to one alignment step
+that keeps the complete, long-enough units and counts the rest.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from .langtags import ENG, LanguageTag, parse_language_tag
 from .measures import SpaceMeasure, count_units
 from .options import MIN_CHARS
 from .subtitles import parse_subtitle
-from .tables import lf_text, read_json_lines, read_text, surrogate_problem
+from .tables import blocks, read_json_lines, read_text, surrogate_problem
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class AlignedUnit:
 class ParallelCorpus:
     """An ordered collection of aligned units, immutable once built.
 
-    Units from build_parallel_corpus carry every corpus language; a corpus
+    Units from the directory loaders carry every corpus language; a corpus
     read by load_corpus may hold partial units.
     """
 
@@ -85,91 +87,42 @@ class ExclusionReport:
     kept: int
 
 
-def parse_udhr_language_file(content: str, lang: LanguageTag) -> list[tuple[int, str]]:
-    """Split a declaration-style plain-text file into trimmed paragraphs.
-
-    A paragraph is a maximal run of non-blank lines; indices are consecutive
-    from 0. LF, CRLF and a lone CR end a line (`tables.lf_text`), and a
-    paragraph keeps its line breaks as LF. Any other line separator, such as
-    U+2028, is a character of its line and is kept as it is.
-    """
-    parse_language_tag(lang)
-    paragraphs: list[tuple[int, str]] = []
-    current: list[str] = []
-    for line in lf_text(content).split("\n"):
-        if line.strip():
-            current.append(line)
-        elif current:
-            paragraphs.append((len(paragraphs), "\n".join(current).strip()))
-            current = []
-    if current:
-        paragraphs.append((len(paragraphs), "\n".join(current).strip()))
-    return paragraphs
-
-
-def build_parallel_corpus(
-    per_language_units: Mapping[LanguageTag, Iterable[tuple[str, str]]],
+def _align(
+    units: Iterable[tuple[str, dict[LanguageTag, str]]],
+    langs: Sequence[LanguageTag],
     min_chars: int,
-    *,
-    name: str = "corpus",
-    provenance: str = "",
+    directory: Path,
+    provenance: str,
 ) -> tuple[ParallelCorpus, ExclusionReport]:
-    """Assemble aligned units from per-language (unit_id, text) lists.
+    """The corpus of `units`, (unit_id, {lang: text}) pairs in corpus order,
+    and a report of how many were dropped and why.
 
-    Unit order follows first appearance across the supplied languages. A
-    unit is kept when every language has a text for it (whitespace-only
-    texts count as absent) and its eng text has at least min_chars
-    characters; the length filter drops degenerate units such as music-only
-    talks. Returns the corpus plus a report of how many unit ids were
-    dropped and why.
+    A unit is kept when it has a non-blank text in every language and its
+    eng text has at least min_chars characters; the length filter drops
+    degenerate units such as music-only talks. The request is checked before
+    the first unit is read.
     """
     MIN_CHARS.parse(min_chars, "min_chars")
-    if len(per_language_units) < 2:
+    languages = tuple(dict.fromkeys(map(parse_language_tag, langs)))
+    if len(languages) < 2:
         raise UsageError("need at least two languages to build a parallel corpus")
-    by_lang: dict[LanguageTag, dict[str, str]] = {}
-    for lang, items in per_language_units.items():
-        parse_language_tag(lang)
-        table: dict[str, str] = {}
-        for unit_id, text in items:
-            unit_id = str(unit_id)
-            if unit_id in table:
-                raise DataError(f"duplicate unit_id {unit_id!r} in language {lang}")
-            table[unit_id] = text
-        by_lang[lang] = table
-    languages = tuple(by_lang)
-
-    if min_chars > 0 and ENG not in by_lang:
+    if min_chars > 0 and ENG not in languages:
         raise UsageError(
             f"reference language {ENG} is not among the supplied languages; "
             f"set min_chars=0"
         )
-
-    all_ids: dict[str, None] = {}
-    for lang in languages:
-        for unit_id in by_lang[lang]:
-            all_ids.setdefault(unit_id)
-
-    missing = too_short = 0
-    units: list[AlignedUnit] = []
-    for unit_id in all_ids:
-        texts = {
-            lang: by_lang[lang][unit_id]
-            for lang in languages
-            if unit_id in by_lang[lang] and by_lang[lang][unit_id].strip()
-        }
-        if len(texts) < len(languages):
+    total = missing = too_short = 0
+    kept: list[AlignedUnit] = []
+    for unit_id, texts in units:
+        total += 1
+        if len(texts) < len(languages) or not all(map(str.strip, texts.values())):
             missing += 1
-            continue
-        if min_chars > 0 and (
-            count_units(texts[ENG], SpaceMeasure.CHARACTERS) < min_chars
-        ):
+        elif min_chars > 0 and count_units(texts[ENG], SpaceMeasure.CHARACTERS) < min_chars:
             too_short += 1
-            continue
-        units.append(AlignedUnit(unit_id, texts))
-
-    corpus = ParallelCorpus(name, languages, tuple(units), provenance)
-    report = ExclusionReport(len(all_ids), missing, too_short, len(units))
-    return corpus, report
+        else:
+            kept.append(AlignedUnit(unit_id, texts))
+    corpus = ParallelCorpus(directory.name, languages, tuple(kept), provenance)
+    return corpus, ExclusionReport(total, missing, too_short, len(kept))
 
 
 def load_udhr_directory(
@@ -179,34 +132,35 @@ def load_udhr_directory(
 ) -> tuple[ParallelCorpus, ExclusionReport]:
     """Read `<dir>/<lang>.txt` files and align them paragraph by paragraph.
 
-    The files must agree on paragraph count; a mismatch is a data error
-    because positional alignment would silently pair unrelated paragraphs.
-    No paragraph is dropped for length unless min_chars is given.
+    A paragraph is a block of its file (`tables.blocks`) with the whitespace
+    around it trimmed; it keeps its line breaks as LF. The files must agree
+    on paragraph count; a mismatch is a data error because positional
+    alignment would silently pair unrelated paragraphs. No paragraph is
+    dropped for length unless min_chars is given.
     """
-    MIN_CHARS.parse(min_chars, "min_chars")
     directory = Path(directory)
-    per_lang: dict[LanguageTag, list[tuple[str, str]]] = {}
-    counts: dict[LanguageTag, int] = {}
+    return _align(_paragraph_units(directory, langs), langs, min_chars, directory,
+                  f"declaration-style directory {directory.name}")
+
+
+def _paragraph_units(
+    directory: Path, langs: Sequence[LanguageTag]
+) -> Iterator[tuple[str, dict[LanguageTag, str]]]:
+    paragraphs: dict[LanguageTag, list[str]] = {}
     for lang in langs:
         path = directory / f"{lang}.txt"
         if not path.is_file():
             raise DataError(f"missing translation file: {path}")
-        content = read_text(path)
-        paragraphs = parse_udhr_language_file(content, lang)
-        counts[lang] = len(paragraphs)
-        per_lang[lang] = [(str(index), text) for index, text in paragraphs]
-    if len(set(counts.values())) > 1:
-        detail = ", ".join(f"{lang}={n}" for lang, n in counts.items())
+        paragraphs[lang] = [block.strip() for block in blocks(read_text(path))]
+    if len({len(texts) for texts in paragraphs.values()}) > 1:
+        detail = ", ".join(f"{lang}={len(texts)}" for lang, texts in paragraphs.items())
         raise DataError(
             f"paragraph counts differ across languages ({detail}); "
-            f"positional alignment is impossible"
+            f"positional alignment is impossible",
+            directory,
         )
-    return build_parallel_corpus(
-        per_lang,
-        min_chars,
-        name=directory.name,
-        provenance=f"declaration-style directory {directory.name}",
-    )
+    for index, texts in enumerate(zip(*paragraphs.values())):
+        yield str(index), dict(zip(paragraphs, texts))
 
 
 _SUFFIX_FORMATS = {".srt": "srt", ".vtt": "webvtt", ".json": "json_captions"}
@@ -220,16 +174,22 @@ def load_subtitle_directory(
     """Read `<dir>/<talk_id>/<lang>.(srt|vtt|json)` trees into talk units.
 
     Talks are visited in sorted directory order; within a talk the first
-    caption file found per language (srt, then vtt, then json) wins. Talks
-    whose eng transcript is shorter than min_chars characters are dropped.
+    caption file found per language (srt, then vtt, then json) wins. A talk
+    with no caption file in any of langs is not a unit. Talks whose eng
+    transcript is shorter than min_chars characters are dropped.
     """
-    MIN_CHARS.parse(min_chars, "min_chars")
     directory = Path(directory)
+    return _align(_talk_units(directory, langs), langs, min_chars, directory,
+                  f"subtitle directory {directory.name}")
+
+
+def _talk_units(
+    directory: Path, langs: Sequence[LanguageTag]
+) -> Iterator[tuple[str, dict[LanguageTag, str]]]:
     with os.scandir(directory) as entries:
         talk_names = sorted(entry.name for entry in entries if entry.is_dir())
     if not talk_names:
         raise DataError(f"no talk directories under {directory}")
-    per_lang: dict[LanguageTag, list[tuple[str, str]]] = {lang: [] for lang in langs}
     # Paths stay str, as ingest joins one per caption file. Each reads as its
     # Path would: under the directory "." a file is "t/eng.srt".
     root = "" if directory == Path(".") else os.path.join(directory, "")
@@ -237,6 +197,7 @@ def load_subtitle_directory(
         talk = root + talk_name
         with os.scandir(talk) as entries:
             files = {entry.name for entry in entries if entry.is_file()}
+        texts: dict[LanguageTag, str] = {}
         for lang in langs:
             for suffix, fmt in _SUFFIX_FORMATS.items():
                 name = f"{lang}{suffix}"
@@ -244,18 +205,13 @@ def load_subtitle_directory(
                     continue
                 path = os.path.join(talk, name)
                 try:
-                    transcript = parse_subtitle(read_text(path), fmt)
+                    texts[lang] = parse_subtitle(read_text(path), fmt)
                 except DataError as exc:  # a bad caption or not UTF-8
                     exc.path = Path(path)
                     raise
-                per_lang[lang].append((talk_name, transcript))
                 break
-    return build_parallel_corpus(
-        per_lang,
-        min_chars,
-        name=directory.name,
-        provenance=f"subtitle directory {directory.name}",
-    )
+        if texts:
+            yield talk_name, texts
 
 
 def save_corpus(corpus: ParallelCorpus, path: str | Path) -> None:

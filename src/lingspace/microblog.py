@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import statistics
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,17 +87,20 @@ _REQUIRED_POST_FIELDS = ("id", "account", "platform", "text", "created_at")
 _ACCOUNT_FIELDS = ("screen_name", "platform", "language", "org_type")
 
 
+# YYYY-MM-DD[(T|t| )HH[:MM[:SS[.fff[fff]]]][Z|z|±HH:MM[:SS[.ffffff]]]]: what
+# every supported Python's fromisoformat reads the same way (3.11 reads more),
+# with only T, t or a space after the date, where it takes any character.
+_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[Tt ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:[Zz]|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+)
+
+
 def _parse_timestamp(value: str) -> datetime:
     text = value.strip()
-    try:
-        separator = text[10]
-    except IndexError:  # a date alone; fromisoformat would read "2015W09x05" as 05:00
-        day = date.fromisoformat(text)
-        return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
-    # fromisoformat takes any character after the date as the separator, and
-    # would read "2015-03-01+05:00" as 05:00.
-    if separator not in "Tt ":
-        raise ValueError(f"no T, t or space after the date in {value!r}")
+    if not _TIMESTAMP_RE.fullmatch(text):
+        raise ValueError(f"unsupported ISO 8601 form {value!r}")
     if text[-1] in "Zz":
         text = text[:-1] + "+00:00"
     parsed = datetime.fromisoformat(text)

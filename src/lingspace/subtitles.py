@@ -6,7 +6,7 @@ import re
 from typing import NoReturn
 
 from .errors import SubtitleParseError, UsageError
-from .tables import lf_text, parse_json, surrogate_problem
+from .tables import blocks, lf_text, parse_json, surrogate_problem
 
 SUBTITLE_FORMATS = ("srt", "webvtt", "json_captions")
 
@@ -15,8 +15,6 @@ _TIMING_RE = re.compile(
     r"\s*-->\s*"
     r"(?:\d{1,3}:)?\d{1,2}:\d{2}[.,]\d{1,3}(?:\s+\S.*)?\s*$"
 )
-# A whitespace-only line, found in "\n" + text so the first line has an LF too.
-_BLANK_LINE_RE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 _TAG_RE = re.compile(r"<[^>]*>")
 _CUE_TAG_RE = re.compile(r"<(?:[^>\n]|\n(?!\n))*>")
 _DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
@@ -49,17 +47,10 @@ def parse_subtitle(content: str, format: str) -> str:
 
 def _parse_block_cues(content: str, *, webvtt: bool) -> str:
     """The transcript of an SRT or WebVTT file, built from whole-text string
-    operations. A block is a run of non-blank lines; a cue block is an
-    optional id line, a timing line containing '-->', then the payload."""
-    # Whitespace-only lines are blank.
-    if _BLANK_LINE_RE.search("\n" + content):
-        content = _BLANK_LINE_RE.sub("\n", "\n" + content)[1:]
-    text = content
-    while "\n\n\n" in text:
-        text = text.replace("\n\n\n", "\n\n")
-    text = text.strip("\n")
+    operations. A cue block (`tables.blocks`) is an optional id line, a
+    timing line containing '-->', then the payload."""
     # Each block as [first line, second line, rest], as far as it has them.
-    heads = [block.split("\n", 2) for block in text.split("\n\n")] if text else []
+    heads = [block.split("\n", 2) for block in blocks(content)]
 
     cues = heads
     if webvtt:
@@ -104,7 +95,7 @@ def _raise_first_bad_timing(
     starts = [
         number
         for number, line in enumerate(lines, start=1)
-        if line and (number == 1 or not lines[number - 2])
+        if line.strip() and (number == 1 or not lines[number - 2].strip())
     ]
     start_of = {id(head): start for head, start in zip(heads, starts)}
     for head, timing in zip(cues, timings):

@@ -12,7 +12,9 @@ lines by that rule, which `lf_text` holds: `read_text` reads all three as LF,
 `read_utf8` keeps them for the CSV reader, and `read_json_lines` splits
 records on them. Parsers that take `str` apply `lf_text` and split on LF, so
 other Unicode line separators (U+000B, U+000C, U+001C-U+001E, U+0085, U+2028,
-U+2029) are characters inside a line.
+U+2029) are characters inside a line. `blocks` splits LF text into runs of
+non-blank lines, a line being blank when it is empty or whitespace only: the
+paragraphs of a declaration file and the cue blocks of a caption file.
 
 `read_utf8` reads a whole file by `os.open` and `os.read`, without a file
 object: talks ingest reads thousands of small caption files, and for one of
@@ -25,6 +27,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
@@ -176,6 +179,23 @@ def lf_text(text: str) -> str:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+# A whitespace-only line, found in "\n" + text so the first line has an LF too.
+_BLANK_LINE_RE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
+
+
+def blocks(text: str) -> list[str]:
+    """The blocks of LF text, each a maximal run of lines that are not blank,
+    joined by LF and kept as they are. A blank line is empty or whitespace
+    only; a declaration paragraph and a caption cue block are each a block.
+    Built from whole-text string operations, with no walk over the lines."""
+    if _BLANK_LINE_RE.search("\n" + text):
+        text = _BLANK_LINE_RE.sub("\n", "\n" + text)[1:]
+    while "\n\n\n" in text:
+        text = text.replace("\n\n\n", "\n\n")
+    text = text.strip("\n")
+    return text.split("\n\n") if text else []
 
 
 def read_utf8(path: str | Path, error: type[LingspaceError] = DataError) -> str:

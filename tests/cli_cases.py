@@ -164,6 +164,24 @@ CASES: list[Case] = [
            {"talks/t1/eng.json": content}, prefix=True)
       for param, content in [("deep-nesting", "[" * 200_000),
                              ("huge-integer", '[{"text": ' + "9" * 5000 + "}]")]),
+    *(Case(f"TestCorpusIngest::test_one_language_is_a_usage_error[{fmt}]",
+           f"corpus ingest --format {fmt} --input {input} --langs eng --out out.jsonl "
+           "--quiet", 2, "error: need at least two languages to build a parallel corpus",
+           files)
+      for fmt, input, files in [("udhr", "{fixtures}/udhr", {}),
+                                ("ted", "talks", {"talks/t1/eng.srt": "\n".join(CUES)})]),
+    *(Case(f"TestCorpusIngest::test_length_filter_without_eng_is_a_usage_error[{fmt}]",
+           f"corpus ingest --format {fmt} --input {input} --langs jpn,cmn_hans "
+           "--min-chars 5 --out out.jsonl --quiet", 2,
+           "error: reference language eng is not among the supplied languages; "
+           "set min_chars=0", files)
+      for fmt, input, files in [("udhr", "{fixtures}/udhr", {}),
+                                ("ted", "talks", {"talks/t1/jpn.srt": "\n".join(CUES)})]),
+    Case("TestCorpusIngest::test_paragraph_count_mismatch_is_a_data_error",
+         "corpus ingest --format udhr --input in --langs eng,jpn --out out.jsonl --quiet", 1,
+         "error: in: paragraph counts differ across languages (eng=2, jpn=1); "
+         "positional alignment is impossible",
+         {"in/eng.txt": "A\n\nB\n", "in/jpn.txt": "あ\n"}),
     Case("TestCorpusIngest::test_json_cue_error_names_the_file_and_the_cue", TED, 1,
          "error: talks/t1/eng.json: cue #1 text is not a string",
          {"talks/t1/eng.json": '[{"content": "ok"},\n {"content": 5}]'}),
@@ -235,7 +253,8 @@ CASES: list[Case] = [
            {"posts.jsonl": json.dumps(POST) + "\n"
                            + json.dumps({**POST, "id": "2", "created_at": created_at}) + "\n",
             "accounts.csv": ACCOUNTS})
-      for param, created_at in [("offset", "2015-03-01+05:00"), ("letter", "2015-03-01x05:00")]),
+      for param, created_at in [("offset", "2015-03-01+05:00"), ("letter", "2015-03-01x05:00"),
+                                ("week", "2015-W09-1T05:00")]),
     # an account with no posts at all: -1 would let it through to fmean([])
     Case("TestPostsAnalyze::test_negative_min_posts_is_a_usage_error",
          "posts analyze --posts posts.jsonl --accounts accounts.csv --min-posts -1", 2,

@@ -5,6 +5,7 @@ content."""
 import configparser
 import csv
 import io
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -16,18 +17,16 @@ from hypothesis import strategies as st
 from lingspace.corpus import (
     AlignedUnit,
     ParallelCorpus,
-    build_parallel_corpus,
     load_corpus,
     load_subtitle_directory,
     load_udhr_directory,
-    parse_udhr_language_file,
     save_corpus,
 )
 from lingspace.errors import DataError, LingspaceError, UsageError
 from lingspace.measures import SpaceMeasure, count_units
 from lingspace.microblog import STATS_TABLE, load_accounts, load_posts
 from lingspace.pipeline import load_pipeline_config
-from lingspace.tables import emit_table, lf_text, read_table
+from lingspace.tables import blocks, emit_table, lf_text, read_table
 
 from conftest import ALL_LANGS
 
@@ -68,41 +67,54 @@ JSON_LINE = st.one_of(
 ).map(lambda value: json.dumps(value, ensure_ascii=False))
 
 
+def _paragraphs(directory, content):
+    """(unit_id, eng text) of each unit load_udhr_directory aligns when
+    `content` is both the eng and the jpn file."""
+    for lang in ("eng", "jpn"):
+        (directory / f"{lang}.txt").write_bytes(content.encode("utf-8"))
+    corpus, _ = load_udhr_directory(directory, ("eng", "jpn"))
+    return [(unit.unit_id, unit.texts["eng"]) for unit in corpus.units]
+
+
 class TestParagraphSplitting:
-    def test_blank_line_splitting(self):
-        assert parse_udhr_language_file("A\n\nB\n\n\nC", "eng") == [
-            (0, "A"),
-            (1, "B"),
-            (2, "C"),
-        ]
+    def test_blank_line_splitting(self, tmp_path):
+        assert _paragraphs(tmp_path, "A\n\nB\n\n\nC") == [("0", "A"), ("1", "B"), ("2", "C")]
 
-    def test_intra_paragraph_newline_preserved(self):
-        assert parse_udhr_language_file("A\nB\n\nC", "eng") == [(0, "A\nB"), (1, "C")]
+    def test_intra_paragraph_newline_preserved(self, tmp_path):
+        assert _paragraphs(tmp_path, "A\nB\n\nC") == [("0", "A\nB"), ("1", "C")]
 
-    def test_empty_input(self):
-        assert parse_udhr_language_file("", "eng") == []
+    def test_empty_input(self, tmp_path):
+        assert _paragraphs(tmp_path, "") == []
 
-    def test_whitespace_only_lines_separate_paragraphs(self):
-        assert parse_udhr_language_file("A\n \t \nB", "eng") == [(0, "A"), (1, "B")]
+    def test_whitespace_only_lines_separate_paragraphs(self, tmp_path):
+        assert _paragraphs(tmp_path, "A\n \t \nB") == [("0", "A"), ("1", "B")]
 
-    def test_unknown_language_rejected(self):
+    def test_unknown_language_rejected(self, tmp_path):
+        (tmp_path / "eng.txt").write_text("A", encoding="utf-8")
+        (tmp_path / "nope.txt").write_text("A", encoding="utf-8")
         with pytest.raises(UsageError, match="unknown language tag"):
-            parse_udhr_language_file("A", "nope")
+            load_udhr_directory(tmp_path, ("eng", "nope"))
 
-    def test_other_line_separators_are_counted_characters(self):
+    def test_other_line_separators_are_counted_characters(self, tmp_path):
         # Only LF, CRLF and CR end a line: U+2028, U+0085 and a vertical tab
         # stay in the paragraph, and its measures count them.
         content = "A\u2028B\x85C\vD"
-        assert parse_udhr_language_file(content, "eng") == [(0, content)]
+        assert _paragraphs(tmp_path, content) == [("0", content)]
         assert count_units(content, SpaceMeasure.UTF8_BYTES) == 10
         assert count_units(content, SpaceMeasure.GBK_UNITS) == 9
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
-    def test_crlf_and_cr_text_splits_like_lf(self, end):
+    def test_crlf_and_cr_text_splits_like_lf(self, tmp_path, end):
         content = "A\nB\n\n \nC\n"
-        expected = [(0, "A\nB"), (1, "C")]
-        assert parse_udhr_language_file(content, "eng") == expected
-        assert parse_udhr_language_file(content.replace("\n", end), "eng") == expected
+        expected = [("0", "A\nB"), ("1", "C")]
+        assert _paragraphs(tmp_path, content) == expected
+        assert _paragraphs(tmp_path, content.replace("\n", end)) == expected
+
+    def test_blocks_keep_their_lines_as_they_are(self):
+        # Trimming is the declaration loader's; a caption block keeps the
+        # spaces a WebVTT header or NOTE test looks past.
+        assert blocks(" A \n\tB\n\u2028\n\n C\n") == [" A \n\tB", " C"]
+        assert blocks("\n \n") == []
 
 
 class TestUnitAndCorpusInvariants:
@@ -137,86 +149,123 @@ class TestUnitAndCorpusInvariants:
         assert len(corpus) == 1
 
 
-def _units(pairs):
-    return [(unit_id, text) for unit_id, text in pairs]
+def _write_talks(root, talks):
+    """A caption tree at `root`: `talks` maps each talk to {lang: text},
+    each text one JSON cue."""
+    for talk, texts in talks.items():
+        (root / talk).mkdir()
+        for lang, text in texts.items():
+            (root / talk / f"{lang}.json").write_text(json.dumps([{"text": text}]),
+                                                      encoding="utf-8")
+    return root
+
+
+_LOADERS = [load_udhr_directory, load_subtitle_directory]
+
+
+def _counts(report):
+    return report.total_ids, report.missing_language, report.too_short, report.kept
 
 
 class TestBuildParallelCorpus:
-    def test_needs_two_languages(self):
-        with pytest.raises(UsageError, match="at least two languages"):
-            build_parallel_corpus({"eng": _units([("1", "a")])}, min_chars=0)
+    """The alignment rules both directory loaders share. The request is
+    checked before any file is read, so a directory that is not there
+    cannot get in first."""
 
-    def test_duplicate_unit_id_within_language(self):
-        data = {
-            "eng": _units([("1", "a"), ("1", "b")]),
-            "jpn": _units([("1", "x")]),
-        }
-        with pytest.raises(DataError, match="duplicate unit_id '1' in language eng"):
-            build_parallel_corpus(data, min_chars=0)
+    def test_needs_two_languages(self, tmp_path):
+        for load, langs in itertools.product(_LOADERS, [("eng",), ("eng", "eng")]):
+            with pytest.raises(UsageError, match="at least two languages"):
+                load(tmp_path / "nowhere", langs, 0)
 
-    def test_partial_units_dropped_and_counted(self):
-        data = {
-            "eng": _units([("1", "one"), ("2", "two")]),
-            "jpn": _units([("1", "一")]),
-        }
-        corpus, report = build_parallel_corpus(data, min_chars=0)
+    def test_partial_units_dropped_and_counted(self, tmp_path):
+        _write_talks(tmp_path, {"1": {"eng": "one", "jpn": "一"}, "2": {"eng": "two"},
+                                "3": {"cmn_hans": "三"}})
+        corpus, report = load_subtitle_directory(tmp_path, ("eng", "jpn"), min_chars=0)
         assert [u.unit_id for u in corpus.units] == ["1"]
-        assert (
-            report.total_ids,
-            report.missing_language,
-            report.too_short,
-            report.kept,
-        ) == (2, 1, 0, 1)
+        # A talk with no caption in a requested language is not a unit.
+        assert _counts(report) == (2, 1, 0, 1)
 
-    def test_whitespace_text_counts_as_absent(self):
-        data = {
-            "eng": _units([("1", "   ")]),
-            "jpn": _units([("1", "一")]),
-        }
-        corpus, report = build_parallel_corpus(data, min_chars=0)
+    def test_whitespace_text_counts_as_absent(self, tmp_path):
+        _write_talks(tmp_path, {"1": {"eng": "   ", "jpn": "一"}})
+        corpus, report = load_subtitle_directory(tmp_path, ("eng", "jpn"), min_chars=0)
         assert report.missing_language == 1
         assert not corpus.units
 
-    def test_min_length_filter_measures_reference_language(self):
-        data = {
-            "eng": _units([("long", "x" * 30), ("short", "x" * 29)]),
-            "jpn": _units([("long", "一"), ("short", "一")]),
-        }
-        corpus, report = build_parallel_corpus(data, min_chars=30)
-        assert [u.unit_id for u in corpus.units] == ["long"]
-        assert report.too_short == 1
+    def test_min_length_filter_measures_reference_language(self, tmp_path):
+        (tmp_path / "eng.txt").write_text("x" * 30 + "\n\n" + "x" * 29, encoding="utf-8")
+        (tmp_path / "jpn.txt").write_text("一\n\n一", encoding="utf-8")
+        corpus, report = load_udhr_directory(tmp_path, ("jpn", "eng"), min_chars=30)
+        assert [u.unit_id for u in corpus.units] == ["0"]
+        assert _counts(report) == (2, 0, 1, 1)
 
-    def test_missing_reference_language_is_a_usage_error(self):
-        data = {
-            "jpn": _units([("1", "一")]),
-            "cmn_hans": _units([("1", "二")]),
-        }
-        with pytest.raises(UsageError, match="reference language eng"):
-            build_parallel_corpus(data, min_chars=10)
+    def test_missing_reference_language_is_a_usage_error(self, tmp_path):
+        for load in _LOADERS:
+            with pytest.raises(UsageError, match="reference language eng"):
+                load(tmp_path / "nowhere", ("jpn", "cmn_hans"), 10)
 
-    def test_unit_order_follows_first_appearance(self):
-        data = {
-            "eng": _units([("b", "bee"), ("a", "ay"), ("c", "see")]),
-            "jpn": _units([("a", "あ"), ("c", "う"), ("b", "い")]),
-        }
-        corpus, _ = build_parallel_corpus(data, min_chars=0)
-        assert [u.unit_id for u in corpus.units] == ["b", "a", "c"]
+    def test_unit_order_follows_first_appearance(self, tmp_path):
+        # Talks are read, and so kept, in sorted directory order.
+        _write_talks(tmp_path, {talk: {"eng": "hi", "jpn": "やあ"}
+                                for talk in ["b", "a", "c", "9", "10"]})
+        corpus, _ = load_subtitle_directory(tmp_path, ("eng", "jpn"), min_chars=0)
+        assert [u.unit_id for u in corpus.units] == ["10", "9", "a", "b", "c"]
 
-    def test_raising_min_length_never_keeps_more(self):
-        data = {
-            "eng": _units([(str(i), "x" * (10 * i)) for i in range(1, 8)]),
-            "jpn": _units([(str(i), "一" * i) for i in range(1, 8)]),
-        }
+    def test_raising_min_length_never_keeps_more(self, tmp_path):
+        _write_talks(tmp_path, {str(i): {"eng": "x" * (10 * i), "jpn": "一" * i}
+                                for i in range(1, 8)})
         kept = [
-            build_parallel_corpus(data, min_chars=threshold)[1].kept
+            load_subtitle_directory(tmp_path, ("eng", "jpn"), threshold)[1].kept
             for threshold in (0, 15, 35, 55, 75, 1000)
         ]
         assert kept == sorted(kept, reverse=True)
 
-    def test_negative_min_length_rejected(self):
-        data = {"eng": _units([("1", "one")]), "jpn": _units([("1", "一")])}
-        with pytest.raises(UsageError, match="min_chars must be >= 0"):
-            build_parallel_corpus(data, min_chars=-1)
+    def test_negative_min_length_rejected(self, tmp_path):
+        for load in _LOADERS:
+            with pytest.raises(UsageError, match="min_chars must be >= 0"):
+                load(tmp_path / "nowhere", ("eng", "jpn"), -1)
+
+
+_TALK_LANGS = ("eng", "jpn", "cmn_hans")
+
+
+@pytest.mark.deep
+@given(
+    talks=st.lists(
+        st.tuples(
+            st.frozensets(st.sampled_from(_TALK_LANGS + ("cmn_hant",))),
+            st.booleans(),  # one transcript blank
+            st.integers(-3, 3),  # eng length less min_chars
+        ),
+        min_size=1, max_size=8,
+    ),
+    min_chars=st.integers(0, 4),
+)
+def test_caption_tree_report_matches_its_design(tmp_path_factory, talks, min_chars):
+    """Each talk of a generated caption tree lands where its design puts it:
+    no requested caption, missing a language, too short, or kept."""
+    root = tmp_path_factory.mktemp("talks")
+    tree, design = {}, Counter()
+    for index, (langs, blank, delta) in enumerate(talks):
+        eng_length = max(1, min_chars + delta)
+        texts = {lang: "x" * eng_length if lang == "eng" else "一" for lang in langs}
+        if blank and texts:
+            texts[min(texts)] = " "
+        tree[f"t{index}"] = texts
+        requested = set(texts) & set(_TALK_LANGS)
+        if not requested:
+            continue
+        design["total"] += 1
+        if requested != set(_TALK_LANGS) or (blank and min(texts) in requested):
+            design["missing"] += 1
+        elif eng_length < min_chars:
+            design["short"] += 1
+        else:
+            design["kept"] += 1
+    _write_talks(root, tree)
+    _, report = load_subtitle_directory(root, _TALK_LANGS, min_chars)
+    assert _counts(report) == (design["total"], design["missing"], design["short"],
+                               design["kept"])
+    assert report.total_ids == report.missing_language + report.too_short + report.kept
 
 
 class TestUdhrDirectory:
@@ -246,6 +295,7 @@ class TestUdhrDirectory:
             load_udhr_directory(tmp_path, ("eng", "jpn"))
         assert "eng=2" in str(exc.value)
         assert "jpn=1" in str(exc.value)
+        assert exc.value.path == tmp_path
 
     def test_undecodable_bytes_are_a_data_error(self, tmp_path):
         (tmp_path / "eng.txt").write_bytes(b"ok\xff\xfe")
@@ -300,7 +350,7 @@ class TestSubtitleDirectory:
         talk.mkdir()
         talk.joinpath("eng.srt").write_text("no timing here\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"eng\.srt:1: expected a cue") as exc:
-            load_subtitle_directory(tmp_path, ("eng",), min_chars=0)
+            load_subtitle_directory(tmp_path, ("eng", "jpn"), min_chars=0)
         assert "-->" in str(exc.value)
 
     # Ingest joins str paths; an error names its file as a Path would, so
@@ -316,7 +366,7 @@ class TestSubtitleDirectory:
         (tmp_path / "t" / "eng.srt").write_bytes(content)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(DataError) as exc:
-            load_subtitle_directory(".", ("eng",), min_chars=0)
+            load_subtitle_directory(".", ("eng", "jpn"), min_chars=0)
         assert (str(exc.value), exc.value.path) == (problem, Path("t/eng.srt"))
 
     def test_read_error_names_the_file_as_a_path(self, tmp_path, monkeypatch):
@@ -329,7 +379,7 @@ class TestSubtitleDirectory:
 
         monkeypatch.setattr("lingspace.corpus.read_text", unreadable)
         with pytest.raises(PermissionError) as exc:
-            load_subtitle_directory(".", ("eng",), min_chars=0)
+            load_subtitle_directory(".", ("eng", "jpn"), min_chars=0)
         assert str(exc.value) == "[Errno 13] Permission denied: 't/eng.srt'"
 
     def test_negative_min_chars_rejected_before_any_caption_is_read(self, tmp_path):

@@ -270,6 +270,10 @@ class TestLoadPosts:
         ("2015-03-01t05:00:00+00:00", datetime(2015, 3, 1, 5, tzinfo=UTC)),
         ("2015-03-01 05:00:00+05:00", datetime(2015, 3, 1, 0, tzinfo=UTC)),
         ("2015-03-01", datetime(2015, 3, 1, tzinfo=UTC)),
+        ("2015-03-01T05", datetime(2015, 3, 1, 5, tzinfo=UTC)),
+        ("2015-03-01T05:30:00.250z", datetime(2015, 3, 1, 5, 30, 0, 250000, tzinfo=UTC)),
+        ("2015-03-01T05:00-01:30:15.000001",
+         datetime(2015, 3, 1, 6, 30, 15, 1, tzinfo=UTC)),
     ])
     def test_timestamp_forms(self, created_at, expected):
         assert _parse_timestamp(created_at) == expected
@@ -277,6 +281,12 @@ class TestLoadPosts:
     # fromisoformat takes any character after the date as the separator
     @pytest.mark.parametrize("created_at", [
         "2015-03-01+05:00", "2015-03-01x05:00", "2015-03-01Z", "2015W09x05",
+        # Forms only a newer fromisoformat reads: basic and week dates, a time
+        # without colons, a basic or hour-only offset, other fraction lengths
+        # and a decimal comma.
+        "20150301", "2015-W09-1", "2015-W09-1T05:00", "2015-03-01T0500",
+        "2015-03-01T05:00+0500", "2015-03-01T05:00+05", "2015-03-01T05:00:00.1Z",
+        "2015-03-01T05:00:00,123Z",
     ])
     def test_date_joined_to_a_non_time_is_rejected(self, created_at):
         with pytest.raises(ValueError):

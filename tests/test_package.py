@@ -19,18 +19,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The package's `__all__`: every public name, whichever module defines it.
 EAGER_ALL = [
     "AccountMeta", "AccountStats", "AlignedUnit", "BoxplotSeries", "CMN_HANS",
-    "CMN_HANT", "CharLimit", "DataError", "DescriptiveStats", "ENG",
-    "EncodedUnitLimit", "ExclusionReport", "FitResult", "GsmNotRepresentableError",
-    "JPN", "LanguageTag", "LimitSpec", "LingspaceError", "ParallelCorpus", "Post",
-    "PRESETS", "RatioStats", "RicResult", "SMS", "SingleSms", "SpaceMeasure",
-    "SubtitleParseError", "TWITTER", "UsageError", "WEIBO", "account_length_stats",
-    "aggregate_ratios", "assign_posts", "build_parallel_corpus", "cell_key",
-    "check_fit", "compute_ric", "count_units", "count_urls", "describe",
-    "detect_language", "emit_table", "load_accounts", "load_corpus", "load_posts",
+    "CMN_HANT", "CharLimit", "DataError", "DescriptiveStats", "ENG", "EncodedUnitLimit",
+    "ExclusionReport", "FitResult", "GsmNotRepresentableError", "JPN", "LanguageTag",
+    "LimitSpec", "LingspaceError", "ParallelCorpus", "Post", "PRESETS", "RatioStats",
+    "RicResult", "SMS", "SingleSms", "SpaceMeasure", "SubtitleParseError", "UsageError",
+    "account_length_stats", "aggregate_ratios", "assign_posts", "cell_key", "check_fit",
+    "compute_ric", "count_units", "count_urls", "describe", "detect_language",
+    "emit_table", "load_accounts", "load_corpus", "load_posts",
     "load_subtitle_directory", "load_udhr_directory", "nfc", "parse_language_list",
-    "parse_language_tag", "parse_subtitle", "parse_udhr_language_file",
-    "read_table", "register_language", "render_boxplot", "run_pipeline",
-    "save_corpus", "strip_urls", "unit_ratio",
+    "parse_language_tag", "parse_subtitle", "read_table", "register_language",
+    "render_boxplot", "run_pipeline", "save_corpus", "strip_urls", "unit_ratio",
 ]
 
 
