@@ -8,11 +8,16 @@ An ASCII text is checked as bytes. The ASCII characters of each table, taken
 from the table itself, form a byte string, and `bytes.translate` deletes them
 in one pass: what is left of the encoded text after the basic table's bytes
 are deleted is its extension characters and the characters of neither table,
-in text order. Other text goes through the two regex prefix scans.
+in text order.
+
+Other text is counted by one C charmap encode, which gives each basic
+character a byte below 128 and each extension character one of 128 or more;
+whether it is GSM-7 at all is one regex scan of the whole text.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 
 from .errors import GsmNotRepresentableError
@@ -33,11 +38,19 @@ BASIC_SET = frozenset(GSM7_BASIC)
 EXTENSION_SET = frozenset(GSM7_EXTENSION)
 GSM_SET = BASIC_SET | EXTENSION_SET
 
-# The two prefix scans. A match of either ends at the first character outside
-# its class, so a scan stops there: _BASIC_PREFIX at the first character that is
-# not one septet, _GSM_PREFIX at the first one outside both tables.
-_BASIC_PREFIX = re.compile("[%s]*" % "".join(map(re.escape, sorted(BASIC_SET))))
+# A match ends at the first character outside both tables, so the scan stops
+# there.
 _GSM_PREFIX = re.compile("[%s]*" % "".join(map(re.escape, sorted(GSM_SET))))
+
+# The charmap: byte 0 is NUL, which is in neither table; bytes 1-127 are the
+# basic characters and bytes 128-137 the extension ones; U+FFFE fills the
+# rest, and charmap_build leaves it unmapped. The table must start with NUL,
+# or charmap_build returns a dict, which encodes many times slower than the
+# EncodingMap it returns here.
+_TABLE = "\0" + GSM7_BASIC + GSM7_EXTENSION
+_MAP = codecs.charmap_build(_TABLE + "\ufffe" * (256 - len(_TABLE)))
+_charmap_encode = codecs.charmap_encode
+_EXTENSION_BYTES = bytes(range(1 + len(GSM7_BASIC), len(_TABLE)))
 
 
 def _ascii_bytes(chars: frozenset[str]) -> bytes:
@@ -71,13 +84,16 @@ def septet_length(text: str) -> int:
         if other:
             raise GsmNotRepresentableError(chr(other[0]))
         return len(text) + len(rest)
-    # A text of basic characters costs one scan. Otherwise the GSM-7 scan goes
-    # on from the first other character, and only the text from there on can
-    # hold extension characters, each of which costs a second septet.
-    basic = _BASIC_PREFIX.match(text).end()
-    if basic == len(text):
-        return basic
-    end = _GSM_PREFIX.match(text, basic).end()
-    if end < len(text):
-        raise GsmNotRepresentableError(text[end])
-    return end + sum(map(text[basic:].count, GSM7_EXTENSION))
+    # One byte per character. The encode stops at the first character outside
+    # the charmap, but a NUL before it is the first outside both tables.
+    try:
+        encoded = _charmap_encode(text, "strict", _MAP)[0]
+    except UnicodeEncodeError as exc:
+        nul = text.find("\0", 0, exc.start)
+        raise GsmNotRepresentableError(text[exc.start if nul < 0 else nul]) from None
+    if encoded.find(0) >= 0:
+        raise GsmNotRepresentableError("\0")
+    if encoded.isascii():
+        return len(encoded)
+    # Each extension byte counts twice.
+    return 2 * len(encoded) - len(encoded.translate(None, _EXTENSION_BYTES))

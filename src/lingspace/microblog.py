@@ -89,11 +89,12 @@ _ACCOUNT_FIELDS = ("screen_name", "platform", "language", "org_type")
 
 # YYYY-MM-DD[(T|t| )HH[:MM[:SS[.fff[fff]]]][Z|z|±HH:MM[:SS[.ffffff]]]]: what
 # every supported Python's fromisoformat reads the same way (3.11 reads more),
-# with only T, t or a space after the date, where it takes any character.
+# with only T, t or a space after the date, where it takes any character, and
+# offset minutes and seconds of 00-59, which it does not range-check.
 _TIMESTAMP_RE = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
     r"(?:[Tt ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
-    r"(?:[Zz]|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+    r"(?:[Zz]|[+-][0-9]{2}:[0-5][0-9](?::[0-5][0-9](?:\.[0-9]{6})?)?)?)?"
 )
 
 
@@ -459,9 +460,10 @@ def _ric_cells(result: RicResult) -> tuple:
     )
 
 
-def _read_ric(row: Mapping[str, object]) -> tuple[tuple[str, str, str], tuple, str]:
-    """`(cell key, per-post RICs, base_lang)` of a RIC row: what a figure draws.
-    Its ratio and mean, which no figure draws, are checked too."""
+def _read_ric(row: Mapping[str, object]) -> tuple[AccountMeta, tuple, str]:
+    """`(account, per-post RICs, base_lang)` of a RIC row: what a figure draws,
+    by the account's cell key. Its ratio and mean, which no figure draws, are
+    checked too."""
     meta, base_lang = _read_account(row), parse_language_tag(str(row["base_lang"]))
     ratio, mean = table_number(row["ratio_used"]), table_number(row["mean_ric"])
     values = tuple(table_number(v) for v in str(row["per_post_ric"]).split())
@@ -479,7 +481,11 @@ def _read_ric(row: Mapping[str, object]) -> tuple[tuple[str, str, str], tuple, s
     average, low = math.fsum(v / len(values) for v in values), ratio - 5e-5
     if low > 0 and not math.isclose(mean, average, rel_tol=1e-9, abs_tol=1e-4 + 5e-5 / low):
         raise ValueError(f"mean_ric is {mean:.4f} but per_post_ric average {average:.4f}")
-    return cell_key(meta), values, base_lang
+    return meta, values, base_lang
+
+
+def _account_label(meta: AccountMeta) -> str:
+    return f"{meta.screen_name}@{meta.platform} ({meta.language})"
 
 
 STATS_TABLE = Table(
@@ -488,7 +494,7 @@ STATS_TABLE = Table(
      "url_count_histogram", "per_post_lengths"),
     _stats_cells,
     _read_stats,
-    unique=lambda s: f"{s.meta.screen_name}@{s.meta.platform} ({s.meta.language})",
+    unique=lambda stats: _account_label(stats.meta),
 )
 
 RIC_TABLE = Table(
@@ -496,4 +502,5 @@ RIC_TABLE = Table(
     (*_ACCOUNT_FIELDS, "base_lang", "ratio_used", "mean_ric", "per_post_ric"),
     _ric_cells,
     _read_ric,
+    unique=lambda ric: _account_label(ric[0]),
 )

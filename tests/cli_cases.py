@@ -254,7 +254,8 @@ CASES: list[Case] = [
                            + json.dumps({**POST, "id": "2", "created_at": created_at}) + "\n",
             "accounts.csv": ACCOUNTS})
       for param, created_at in [("offset", "2015-03-01+05:00"), ("letter", "2015-03-01x05:00"),
-                                ("week", "2015-W09-1T05:00")]),
+                                ("week", "2015-W09-1T05:00"),
+                                ("offset-minutes", "2015-03-01T05:00+05:99")]),
     # an account with no posts at all: -1 would let it through to fmean([])
     Case("TestPostsAnalyze::test_negative_min_posts_is_a_usage_error",
          "posts analyze --posts posts.jsonl --accounts accounts.csv --min-posts -1", 2,
@@ -400,6 +401,10 @@ CASES: list[Case] = [
               "error: ric.json: JSON table row #0 holds lone surrogate U+D800",
               json.dumps(_json_rows(RIC_HEADER, RIC_ROW.replace("twitter", "twit\ud800"))),
               "ric.json"),
+    # ric writes each account once
+    _plot_ric("test_repeated_ric_row_is_a_data_error", 1,
+              "error: ric.csv:3: duplicate RIC row a@weibo (eng)",
+              _table(RIC_HEADER, *["a,weibo,eng,news,eng,1.0,1.0,1.0"] * 2)),
     _plot_ric("test_malformed_ric_row_is_a_data_error", 1,
               "error: ric.csv:2: malformed RIC row: could not convert string to float: 'abc'",
               _table(RIC_HEADER, "usnews_tw,twitter,eng,news,cmn_hans,3.21,1.5,1.0 abc")),

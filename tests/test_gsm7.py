@@ -106,7 +106,8 @@ _REFERENCE_EXTENSION = set(_ORACLE_EXTENSION.values())
 
 
 def _reference_septet_outcome(text):
-    """The per-character loop the regex scan must agree with."""
+    """The per-character loop the byte path, the charmap encode and the
+    regex scan must agree with."""
     total = 0
     for ch in text:
         if ch in _REFERENCE_BASIC:
@@ -125,11 +126,11 @@ def _septet_outcome(text):
         return ("not-gsm", exc.char)
 
 
-# The scan's branches: empty, basic only, an extension character after or
-# before the basic run, a non-GSM character after an extension one or after a
-# long basic run. Then the byte path's: a backtick, the one printable ASCII
-# character outside both tables, a tab, the escape, DEL, a lone extension
-# character, and extension characters between basic ones.
+# The charmap path's branches: empty, basic only, an extension character
+# after or before the basic run, a non-GSM character after an extension one or
+# after a long basic run. Then the byte path's: a backtick, the one printable
+# ASCII character outside both tables, a tab, the escape, DEL, a lone
+# extension character, and extension characters between basic ones.
 _BRANCHES = ["", "ab€", "€ab", "ab€中", "ab{c}d中", "a" * 300 + "中",
              "a\x60b", "a\tb", "a\x1bb", "a\x7fb", "\f", "a{b}c"]
 # Every ASCII character, each in any place: the text the byte path checks.
@@ -177,7 +178,7 @@ def test_mixed_text_inside_gsm_text_matches_the_reference(parts):
 
 def test_each_ascii_character_gets_the_reference_outcome():
     # Alone, an ASCII character takes the byte path; between "ab" and "€",
-    # the regex scans.
+    # the charmap encode and the regex scan.
     for text in [chr(cp) for cp in range(0x80)] + [f"ab{chr(cp)}€" for cp in range(0x80)]:
         expected = _reference_septet_outcome(text)
         assert _septet_outcome(text) == expected, repr(text)
@@ -187,3 +188,34 @@ def test_each_ascii_character_gets_the_reference_outcome():
 def test_every_code_point_is_classified_as_the_oracle_does():
     gsm = [chr(cp) for cp in range(sys.maxunicode + 1) if gsm7.is_gsm_text(chr(cp))]
     assert sorted(gsm) == sorted(_REFERENCE_BASIC | _REFERENCE_EXTENSION)
+
+
+def test_charmap_is_an_encoding_map():
+    # For a table that does not start with NUL, charmap_build returns a dict,
+    # which encodes many times slower.
+    assert type(gsm7._MAP).__name__ == "EncodingMap"
+
+
+def _check_code_point(cp):
+    """The code point alone, after a non-ASCII basic character, before an
+    extension one, and after a NUL: a NUL is in the charmap but in neither
+    table, so it, not a later unmapped character, is the one named."""
+    ch = chr(cp)
+    for text in (ch, "é" + ch, ch + "€", "é\0" + ch):
+        expected = _reference_septet_outcome(text)
+        assert _septet_outcome(text) == expected, repr(text)
+        assert gsm7.is_gsm_text(text) == isinstance(expected, int), repr(text)
+
+
+def test_each_bmp_code_point_gets_the_reference_outcome():
+    for cp in range(0x10000):
+        _check_code_point(cp)
+
+
+# All 1.1 million code points would take about 20 s, so past the BMP they are
+# drawn; the examples are the planes' ends and the charmap's U+FFFE padding.
+@pytest.mark.deep
+@given(st.integers(0, sys.maxunicode))
+@_examples((0,), (0xFFFE,), (0xFFFF,), (0x10000,), (sys.maxunicode,))
+def test_any_code_point_gets_the_reference_outcome(cp):
+    _check_code_point(cp)

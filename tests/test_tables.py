@@ -23,7 +23,6 @@ from lingspace.microblog import (
     AccountMeta,
     AccountStats,
     RicResult,
-    cell_key,
 )
 from lingspace.ratios import RATIOS_TABLE, DescriptiveStats, RatioStats
 from lingspace.options import TABLE_FORMAT
@@ -376,10 +375,9 @@ _TABLES = st.one_of(
     ),
     st.tuples(
         st.just(RIC_TABLE),
-        st.lists(_RIC, max_size=3),
-        st.just(lambda r: (
-            cell_key(r.meta), tuple(round(v, 4) for v in r.per_post_ric), r.base_lang
-        )),
+        st.lists(_RIC, max_size=3, unique_by=lambda r: (
+            r.meta.screen_name, r.meta.platform, r.meta.language)),
+        st.just(lambda r: (r.meta, tuple(round(v, 4) for v in r.per_post_ric), r.base_lang)),
     ),
 )
 
@@ -394,7 +392,7 @@ _TABLES = st.one_of(
     RIC_TABLE,
     [RicResult(AccountMeta("a", "weibo", "cmn_hans", "news"), "cmn_hans", 1.0, 1.75e308,
                (1.75e308, 1.75e308))],
-    lambda r: (cell_key(r.meta), r.per_post_ric, r.base_lang),
+    lambda r: (r.meta, r.per_post_ric, r.base_lang),
 ))
 def test_stage_tables_read_back_through_their_declarations(tmp_path_factory, case):
     """A result written by `emit_table`, as CSV and as JSON, reads back
