@@ -15,6 +15,7 @@ import statistics
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -163,18 +164,19 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
 
     posts: list[Post] = []
     bad: list[tuple[int, str]] = []
-    seen: set[tuple[str, str]] = set()
+    # One id set per platform: no key tuple per post for the collector to track.
+    seen: dict[str, set[str]] = {platform: set() for platform in PLATFORMS}
     for lineno, record, problem in records:
         if problem is None:
             post, problem = _validate_record(record)
         if problem is not None:
             bad.append((lineno, problem))
             continue
-        key = (post.platform, post.post_id)
-        if key in seen:
+        ids = seen[post.platform]
+        if post.post_id in ids:
             bad.append((lineno, f"duplicate post id {record['id']!r}"))
             continue
-        seen.add(key)
+        ids.add(post.post_id)
         posts.append(post)
     if bad:
         (lineno, problem), *rest = bad
@@ -214,12 +216,15 @@ def account_length_stats(
     empty after URL stripping stay in with length 0.
     """
     MIN_POSTS.parse(min_posts, "min_posts")
-    for post in posts:
-        if post.account != meta.screen_name or post.platform != meta.platform:
-            raise UsageError(
-                f"post {post.post_id!r} belongs to {post.account}@{post.platform}, "
-                f"not {meta.screen_name}@{meta.platform}"
-            )
+    # Two C passes check ownership; the walk only names the first foreign post.
+    if not (set(map(attrgetter("account"), posts)) <= {meta.screen_name}
+            and set(map(attrgetter("platform"), posts)) <= {meta.platform}):
+        for post in posts:
+            if post.account != meta.screen_name or post.platform != meta.platform:
+                raise UsageError(
+                    f"post {post.post_id!r} belongs to {post.account}@{post.platform}, "
+                    f"not {meta.screen_name}@{meta.platform}"
+                )
     if len(posts) <= min_posts:
         return None
     with_urls: list[int] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
     the most extreme data points within 1.5 IQR of the box; points beyond
     the fences are outliers, listed in ascending order.
     """
-    data = sorted(float(v) for v in values)
+    data = sorted(map(float, values))
     if not data:
         raise UsageError("cannot summarize an empty value list")
     try:
@@ -57,16 +58,21 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
     else:
         q1 = q3 = data[0]
     iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    # A heavily skewed tail, or a box past the float range (whose fences are
-    # nan), can leave no data between a fence and the box; the box edge then
-    # doubles as the whisker.
-    whisker_low = min((v for v in data if v >= lo_fence), default=q1)
-    whisker_high = max((v for v in data if v <= hi_fence), default=q3)
-    whisker_low = min(whisker_low, q1)
-    whisker_high = max(whisker_high, q3)
-    outliers = tuple(v for v in data if v < lo_fence or v > hi_fence)
+    if iqr != iqr:  # a box past the float range has nan fences
+        whisker_low, whisker_high, outliers = q1, q3, ()
+    else:
+        # In the sorted data, the values below the low fence end at `lo` and
+        # those above the high fence start at `hi`. A heavily skewed tail can
+        # leave no data between a fence and the box; the box edge then
+        # doubles as the whisker. Rounding can put q1 an ulp above q3, and
+        # the fences then cross (lo > hi): every value is an outlier.
+        lo = bisect_left(data, q1 - 1.5 * iqr)
+        hi = bisect_right(data, q3 + 1.5 * iqr)
+        whisker_low = min(data[lo], q1) if lo < len(data) else q1
+        # The first of equal values, as max() over the data returned it:
+        # 0.0 before -0.0 stays 0.0.
+        whisker_high = max(data[bisect_left(data, data[hi - 1])], q3) if hi else q3
+        outliers = tuple(data[:lo] + data[max(lo, hi):])
     return DescriptiveStats(
         len(data), mean, median, q1, q3, whisker_low, whisker_high, outliers
     )

@@ -10,11 +10,12 @@ four decimals. Both are byte-stable for identical input.
 Every input file ends a line at LF, at CRLF and at a lone CR, and numbers
 lines by that rule, which `lf_text` holds: `read_text` reads all three as LF,
 `read_utf8` keeps them for the CSV reader, and `read_json_lines` splits
-records on them. Parsers that take `str` apply `lf_text` and split on LF, so
-other Unicode line separators (U+000B, U+000C, U+001C-U+001E, U+0085, U+2028,
-U+2029) are characters inside a line. `blocks` splits LF text into runs of
-non-blank lines, a line being blank when it is empty or whitespace only: the
-paragraphs of a declaration file and the cue blocks of a caption file.
+records on them, decoding each block of lines once. Parsers that take `str`
+apply `lf_text` and split on LF, so other Unicode line separators (U+000B,
+U+000C, U+001C-U+001E, U+0085, U+2028, U+2029) are characters inside a line.
+`blocks` splits LF text into runs of non-blank lines, a line being blank when
+it is empty or whitespace only: the paragraphs of a declaration file and the
+cue blocks of a caption file.
 
 `read_utf8` reads a whole file by `os.open` and `os.read`, without a file
 object: talks ingest reads thousands of small caption files, and for one of
@@ -35,18 +36,6 @@ from typing import Any, BinaryIO, NamedTuple
 
 from .errors import DataError, LingspaceError
 from .options import TABLE_FORMAT
-
-
-def _csv_value(value: object) -> object:
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return value
-
-
-def _json_value(value: object) -> object:
-    if isinstance(value, float):
-        return float(f"{value:.4f}")
-    return value
 
 
 def emit_table(
@@ -73,15 +62,13 @@ def emit_table(
         quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(fields)
         for cells in rows:
-            cells = [_csv_value(cell) for cell in cells]
+            cells = [f"{c:.4f}" if isinstance(c, float) else c for c in cells]
             cr = any("\r" in cell for cell in cells if isinstance(cell, str))
             (quoted if cr else writer).writerow(cells)
         text = buffer.getvalue()
     else:
-        payload = [
-            {name: _json_value(cell) for name, cell in zip(fields, cells)}
-            for cells in rows
-        ]
+        payload = [{name: float(f"{c:.4f}") if isinstance(c, float) else c
+                    for name, c in zip(fields, cells)} for cells in rows]
         text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if destination is None:
         sys.stdout.write(text)
@@ -89,16 +76,15 @@ def emit_table(
         Path(destination).write_text(text, encoding="utf-8", newline="")
 
 
-# JSON Lines files are read a block at a time; a longer line grows the
-# next read to its own size, so a line costs time linear in its length.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # the bytes of one read of an input file
 
 
-def _split_lines(fh: BinaryIO, size: int = _BLOCK) -> Iterator[bytes]:
-    """The lines of a binary file without their line ends, read `size` bytes
-    at a time. LF, CRLF and a lone CR each end a line."""
-    pending = b""
-    after_cr = False
+def _line_blocks(fh: BinaryIO, size: int = _BLOCK) -> Iterator[bytes]:
+    """Whole lines of a binary file in runs that end at an LF, read `size`
+    bytes at a time; a longer line grows the next read to its own size, so it
+    costs time linear in its length. LF, CRLF and a lone CR each end a line
+    and come as LF; a last line without a line end gets one."""
+    pending, after_cr = b"", False
     while block := fh.read(max(size, len(pending))):
         if after_cr and block[:1] == b"\n":
             block = block[1:]  # the LF of a CRLF split between two reads
@@ -106,45 +92,59 @@ def _split_lines(fh: BinaryIO, size: int = _BLOCK) -> Iterator[bytes]:
         data = pending + block
         if b"\r" in data:
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lines = data.split(b"\n")
-        pending = lines.pop()
-        yield from lines
+        cut = data.rfind(b"\n") + 1
+        pending = data[cut:]
+        if cut:
+            yield data[:cut]
     if pending:
-        yield pending
+        yield pending + b"\n"
 
 
 def read_json_lines(
     path: str | Path,
 ) -> Iterator[tuple[int, dict[str, object] | None, str | None]]:
     """(line number, object, problem) for each non-blank line of a JSON Lines
-    file, read a block at a time. LF, CRLF and a lone CR each end a line, so
-    a raw CR between the tokens of one record splits it in two. A line that
-    is not UTF-8, not JSON or not a JSON object comes with None and the
-    problem instead of raising, so callers can name its line."""
+    file, read and decoded a block at a time. LF, CRLF and a lone CR each end
+    a line, so a raw CR between the tokens of one record splits it in two. A
+    line that is not UTF-8, not JSON or not a JSON object comes with None and
+    the problem instead of raising, so callers can name its line."""
+    lineno = 0
     with Path(path).open("rb") as fh:
-        for lineno, raw in enumerate(_split_lines(fh), start=1):
+        for block in _line_blocks(fh):
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                yield lineno, None, f"not UTF-8 ({exc.reason})"
-                continue
+                text = block.decode("utf-8")
+            except UnicodeDecodeError:
+                text = ""  # each line is decoded alone, to name the bad one
             # The decoder's C scanner, which parse_json reaches through four
-            # Python frames, takes a line that is one object and nothing else;
-            # any other line goes to parse_json, which names its problem.
-            try:
-                record, end = _scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                record = end = None
-            if end == len(line) and type(record) is dict:
-                yield lineno, record, None
-                continue
-            record, problem, _ = parse_json(line)
-            if type(record) is dict:
-                yield lineno, record, None
-            elif problem is None:
-                yield lineno, None, "record is not an object"
-            elif line.strip():  # a blank line is skipped, not reported
-                yield lineno, None, f"invalid JSON ({problem})"
+            # Python frames, takes a line that is one object ending at its LF.
+            # A scan may read on past the LF (JSON allows one between tokens),
+            # so after any other line but a blank one, the rest goes to parse_json.
+            pos = 0
+            while (lf := text.find("\n", pos)) >= 0:
+                try:
+                    record, end = _scan(text, pos)
+                except (StopIteration, ValueError, RecursionError):
+                    record = end = None
+                if end == lf and type(record) is dict:
+                    yield lineno + 1, record, None
+                elif text[pos:lf].strip():  # a blank line is skipped
+                    break
+                lineno += 1
+                pos = lf + 1
+            for raw in (text[pos:].encode() if pos else block).split(b"\n")[:-1]:
+                lineno += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    yield lineno, None, f"not UTF-8 ({exc.reason})"
+                    continue
+                record, problem, _ = parse_json(line)
+                if type(record) is dict:
+                    yield lineno, record, None
+                elif problem is None:
+                    yield lineno, None, "record is not an object"
+                elif line.strip():  # a blank line is skipped, not reported
+                    yield lineno, None, f"invalid JSON ({problem})"
 
 
 def surrogate_problem(text: str) -> str | None:

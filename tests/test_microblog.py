@@ -506,6 +506,19 @@ class TestAccountLengthStats:
         with pytest.raises(UsageError, match="belongs to other@twitter"):
             account_length_stats([foreign], META, min_posts=0)
 
+    @pytest.mark.parametrize("owner", [("other", "twitter"), ("acc", "weibo")],
+                             ids=["account", "platform"])
+    def test_first_foreign_post_is_named(self, owner):
+        """Among posts of the account, the first of two foreign ones is
+        named, also when only their platform differs."""
+        account, platform = owner
+        posts = [_post(0, "a"), _post(1, "b", account, platform), _post(2, "c"),
+                 _post(3, "d", account, platform), _post(4, "e")]
+        expected = f"post '1' belongs to {account}@{platform}, not acc@twitter"
+        with pytest.raises(UsageError) as exc:
+            account_length_stats(posts, META, min_posts=0)
+        assert str(exc.value) == expected
+
     @given(st.lists(st.integers(min_value=0, max_value=280), min_size=1, max_size=60))
     def test_stripped_mean_never_exceeds_raw_mean(self, lengths):
         posts = [

@@ -99,6 +99,14 @@ class TestDescribe:
     @given(value_lists)
     # q3 cancels to about -4.8e4, where half an ulp of the inputs is 6e-8
     @example([314944762.06202435, -945025948.0])
+    # q1 0, q3 4: -6 and 10 lie exactly on the fences, -7 and 11 beyond them
+    @example([11.0, -6.0, 0.0, 4.0, 0.0, -7.0, 4.0, 0.0, 10.0, 4.0])
+    @example([3.0] * 5)  # all values equal: a box, fences and whiskers of width 0
+    # A box edge overflows to -inf or inf, so the fences are -inf and inf, not nan
+    @example([-1e308, -1e308, 1.0, 1.0])
+    @example([-1.0, -1.0, 1e308, 1e308])
+    # Rounding puts q1 one ulp above q3: the fences cross and both are outliers
+    @example([30.274463837314222, 30.274463837314226])
     def test_matches_the_independent_oracle(self, values):
         # rel covers last-ulp differences in interpolation order at large
         # magnitudes; abs covers values straddling zero.
@@ -110,6 +118,15 @@ class TestDescribe:
         assert stats.whisker_low == close(wlo)
         assert stats.whisker_high == close(whi)
         assert stats.outliers == close(outliers)
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0]])
+    def test_whiskers_keep_the_first_of_equal_zeros(self, values):
+        """Sorting keeps 0.0 and -0.0 in input order, and a whisker is the
+        first of them, as min() and max() over the sorted data give it."""
+        data = sorted(values)
+        stats = describe(values)
+        assert repr(stats.whisker_low) == repr(min(min(data), stats.q1))
+        assert repr(stats.whisker_high) == repr(max(max(data), stats.q3))
 
     @given(value_lists)
     def test_boxplot_shape_invariants(self, values):

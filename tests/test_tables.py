@@ -7,12 +7,15 @@ import re
 import statistics
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lingspace import tables
 from lingspace.errors import DataError, UsageError
 from lingspace.measures import SpaceMeasure
 from lingspace.microblog import (
@@ -28,7 +31,7 @@ from lingspace.ratios import RATIOS_TABLE, DescriptiveStats, RatioStats
 from lingspace.options import TABLE_FORMAT
 from lingspace.tables import (
     Table,
-    _split_lines,
+    _line_blocks,
     emit_table,
     parse_json,
     read_json_lines,
@@ -173,7 +176,10 @@ class TestSplitLines:
     @example(b"\r\r\n\n\r", 1)
     @example(b"x" * 40 + b"\r", 2)  # a line longer than many reads
     def test_lf_crlf_and_cr_each_end_one_line(self, data, size):
-        lines = list(_split_lines(io.BytesIO(data), size))
+        blocks = list(_line_blocks(io.BytesIO(data), size))
+        assert all(block.endswith(b"\n") for block in blocks)
+        lines = b"".join(blocks).split(b"\n")
+        lines.pop()  # the text after the last LF, which is empty
         expected = re.split(rb"\r\n|\r|\n", data)
         if expected[-1] == b"":  # the text after the last line end
             expected.pop()
@@ -300,16 +306,60 @@ _JSONL_FILE = st.lists(
 ).map(lambda lines: b"".join(b"".join(line) for line in lines))
 
 
-@given(_JSONL_FILE, st.booleans())
-@example(b'{"a": 1}\r\n {"b": 2}\n{"c": 3} \r[1]\n\n"s"\nnull', True)
-@example(b'{"a": 1}{"b": 2}\n{"a": 1} x\n\xef\xbb\xbf{}\n', False)
-def test_json_lines_match_parse_json_on_every_line(tmp_path_factory, data, final_end):
+@given(_JSONL_FILE, st.booleans(), st.integers(1, 9))
+@example(b'{"a": 1}\r\n {"b": 2}\n{"c": 3} \r[1]\n\n"s"\nnull', True, 1)
+@example(b'{"a": 1}{"b": 2}\n{"a": 1} x\n\xef\xbb\xbf{}\n', False, 4)
+# JSON allows an LF between tokens, but each line here is invalid on its own.
+@example(b'{"a":\n1}\n{"b": 2}\n', True, 9)
+# Blank lines, one of U+3000 only, between records: skipped, not parsed.
+@example('{"a": 1}\n\n \u3000\n{"b": 2}\n'.encode(), True, 9)
+# One bad line in the middle of a block, whose other lines are records.
+@example(b'{"a": 1}\n{"b": "caf\xe9"}\n{"c": 3}\n\n{"d": 4}', False, 9)
+@example('{"a": "中"}\r\n{"b": 2}\r'.encode(), True, 2)  # a character across reads
+def test_json_lines_match_parse_json_on_every_line(
+    tmp_path_factory, data, final_end, size
+):
     """The C-scanner fast path gives every line the record or problem that
-    `parse_json` gives it. repr compares NaN, which equals nothing."""
+    `parse_json` gives it, whether the lines fall in one 64 KiB read or
+    across reads of 1-9 bytes. repr compares NaN, which equals nothing."""
     path = tmp_path_factory.getbasetemp() / "lines.jsonl"
     path.write_bytes(data if final_end else data.rstrip(b"\r\n"))
-    expected = _reference_read_json_lines(path.read_bytes())
-    assert repr(list(read_json_lines(path))) == repr(expected)
+    expected = repr(_reference_read_json_lines(path.read_bytes()))
+    assert repr(list(read_json_lines(path))) == expected
+    with mock.patch.object(tables, "_line_blocks", partial(_line_blocks, size=size)):
+        assert repr(list(read_json_lines(path))) == expected
+
+
+def test_json_lines_scan_each_block_about_once(tmp_path, monkeypatch):
+    """A line that opens an array reads on into the lines after it, so a scan
+    from every line of a block could read the block once per line; once a scan
+    does not end at its line's LF, the reader parses the rest of the block a
+    line at a time."""
+    data = (b"[1,\n" + b"2,\n" * 9) * 2_000 + b'{"a": 1}\n'
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(data)
+    read = []
+
+    def scan(text, pos):
+        try:
+            record, end = tables_scan(text, pos)
+        except StopIteration as exc:
+            read.append(exc.value - pos)
+            raise
+        except json.JSONDecodeError as exc:
+            read.append(exc.pos - pos)
+            raise
+        except (ValueError, RecursionError):
+            read.append(len(text) - pos)
+            raise
+        read.append(end - pos)
+        return record, end
+
+    tables_scan = tables._scan
+    monkeypatch.setattr(tables, "_scan", scan)
+    triples = list(read_json_lines(path))
+    assert triples[-1] == (20_001, {"a": 1}, None)
+    assert sum(read) <= 2 * len(data)
 
 
 _TAG = st.sampled_from(["eng", "jpn", "cmn_hans", "cmn_hant"])
