@@ -310,22 +310,13 @@ def assign_posts(
     for meta in accounts:
         by_account.setdefault((meta.screen_name, meta.platform), []).append(meta)
     assigned: dict[AccountMeta, list[Post]] = {meta: [] for meta in accounts}
-    # A single-language account's posts go straight to its list.
-    single = {
-        key: assigned[metas[0]] for key, metas in by_account.items() if len(metas) == 1
-    }
     unknown = unattributable = 0
     for post in posts:
-        key = (post.account, post.platform)
-        target = single.get(key)
-        if target is not None:
-            target.append(post)
-            continue
-        metas = by_account.get(key)
+        metas = by_account.get((post.account, post.platform))
         if metas is None:
             unknown += 1
             continue
-        meta = _route_by_language(post, metas)
+        meta = metas[0] if len(metas) == 1 else _route_by_language(post, metas)
         if meta is None:
             unattributable += 1
             continue
@@ -445,23 +436,13 @@ def _read_stats(row: Mapping[str, object]) -> AccountStats:
     )
 
 
-def _ric_text(values: Sequence[float]) -> str:
-    """The per-post RICs as a cell: each value with four decimals. An account
-    repeats few distinct values, so each is formatted once; 0.0 and -0.0 share
-    a key but not a text, so a zero is formatted where it stands."""
-    texts = dict.fromkeys(values)
-    for value in texts:
-        texts[value] = f"{value:.4f}"
-    return " ".join([texts[v] if v else f"{v:.4f}" for v in values])
-
-
 def _ric_cells(result: RicResult) -> tuple:
     return (
         *_account_cells(result.meta),
         result.base_lang,
         result.ratio_used,
         result.mean_ric,
-        _ric_text(result.per_post_ric),
+        " ".join([f"{v:.4f}" for v in result.per_post_ric]),
     )
 
 

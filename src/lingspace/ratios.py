@@ -39,15 +39,19 @@ class DescriptiveStats:
 
 
 def describe(values: Sequence[float]) -> DescriptiveStats:
-    """Summary statistics for a non-empty sequence of reals.
+    """Summary statistics for a non-empty sequence of finite reals.
 
     Quartiles interpolate linearly between order statistics. Whiskers reach
     the most extreme data points within 1.5 IQR of the box; points beyond
     the fences are outliers, listed in ascending order.
     """
-    data = sorted(map(float, values))
+    data = list(map(float, values))
     if not data:
         raise UsageError("cannot summarize an empty value list")
+    if not all(map(math.isfinite, data)):  # NaN does not sort; inf has no box
+        index, value = next((i, v) for i, v in enumerate(data) if not math.isfinite(v))
+        raise UsageError(f"cannot summarize non-finite value #{index} ({value})")
+    data.sort()
     try:
         mean = statistics.fmean(data)
     except OverflowError:  # the sum passes the float range, the mean does not

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from typing import NoReturn
 
 from .errors import SubtitleParseError, UsageError
 from .tables import blocks, lf_text, parse_json, surrogate_problem
@@ -128,12 +127,21 @@ def _parse_json_cues(content: str) -> str:
         items = doc
     if not isinstance(items, list):
         raise SubtitleParseError("caption container is not a list")
-    # One comprehension takes each cue's text; the join is its type check.
-    try:
-        raws = [item["content"] if "content" in item else item["text"] for item in items]
-        text = " ".join(raws)
-    except (KeyError, TypeError):
-        _raise_first_bad_cue(items)
+    # A decoded cue keeps no source line, so an error names the cue's index.
+    raws = []
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SubtitleParseError(f"cue #{index} is not an object")
+        if "content" in item:
+            raw = item["content"]
+        elif "text" in item:
+            raw = item["text"]
+        else:
+            raise SubtitleParseError(f"cue #{index} lacks a 'content' or 'text' field")
+        if not isinstance(raw, str):
+            raise SubtitleParseError(f"cue #{index} text is not a string")
+        raws.append(raw)
+    text = " ".join(raws)
     if "<" in text:  # a tag ends within its cue
         raws = [_TAG_RE.sub("", raw) if "<" in raw else raw for raw in raws]
         text = " ".join(raws)
@@ -145,21 +153,3 @@ def _parse_json_cues(content: str) -> str:
                 raise SubtitleParseError(f"cue #{index} text {problem}")
     # Line breaks and separators are whitespace to str.split().
     return " ".join(text.split())
-
-
-def _raise_first_bad_cue(items: list) -> NoReturn:
-    """Raise the SubtitleParseError of the first cue that is not an object,
-    has no 'content' or 'text' field, or whose text is not a string. A
-    decoded cue keeps no source line, so the error names its index."""
-    for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise SubtitleParseError(f"cue #{index} is not an object")
-        for key in ("content", "text"):
-            if key in item:
-                raw = item[key]
-                break
-        else:
-            raise SubtitleParseError(f"cue #{index} lacks a 'content' or 'text' field")
-        if not isinstance(raw, str):
-            raise SubtitleParseError(f"cue #{index} text is not a string")
-    raise AssertionError("every cue is an object with a string text")

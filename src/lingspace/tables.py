@@ -190,8 +190,7 @@ def blocks(text: str) -> list[str]:
     joined by LF and kept as they are. A blank line is empty or whitespace
     only; a declaration paragraph and a caption cue block are each a block.
     Built from whole-text string operations, with no walk over the lines."""
-    if _BLANK_LINE_RE.search("\n" + text):
-        text = _BLANK_LINE_RE.sub("\n", "\n" + text)[1:]
+    text = _BLANK_LINE_RE.sub("\n", "\n" + text)[1:]
     while "\n\n\n" in text:
         text = text.replace("\n\n\n", "\n\n")
     text = text.strip("\n")

@@ -663,6 +663,14 @@ class TestAssignPosts:
         assigned, dropped = assign_posts(posts, [META])
         assert dropped == 1
 
+    def test_single_language_account_keeps_posts_of_any_script(self):
+        # Script detection would drop both: Han text is not English, and
+        # emoji alone have no script.
+        posts = [_post(0, "領事通知"), _post(1, "🎉🎉")]
+        assigned, dropped = assign_posts(posts, [META])
+        assert dropped == 0
+        assert [p.post_id for p in assigned[META]] == ["0", "1"]
+
     def test_bilingual_account_routes_by_script(self):
         eng_meta = AccountMeta("dual", "twitter", "eng", "embassy")
         jpn_meta = AccountMeta("dual", "twitter", "jpn", "embassy")

@@ -8,6 +8,7 @@ evaluates, so rounding alone cannot set them apart.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -55,6 +56,22 @@ class TestDescribe:
     def test_empty_input_rejected(self):
         with pytest.raises(UsageError, match="empty"):
             describe([])
+
+    @pytest.mark.parametrize(
+        ("values", "named"),
+        [
+            ([math.nan, 10.0, 1e308, 2.0, 2.0], "#0 (nan)"),
+            ([1.0, math.inf], "#1 (inf)"),
+            ([2.0, 3.0, -math.inf], "#2 (-inf)"),
+            ([math.inf, -math.inf], "#0 (inf)"),
+        ],
+        ids=["nan", "inf", "-inf", "both-infinities"],
+    )
+    def test_first_non_finite_value_rejected(self, values, named):
+        # NaN does not sort, so its quartiles and whiskers would be arbitrary;
+        # an infinity gives an infinite box, or, with its opposite, no mean.
+        with pytest.raises(UsageError, match=f"non-finite value {re.escape(named)}$"):
+            describe(values)
 
     def test_two_values(self):
         stats = describe([2.0, 4.0])

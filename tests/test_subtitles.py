@@ -456,8 +456,8 @@ def test_parse_subtitle_raises_only_parse_errors(format, content):
 
 
 def _reference_json_transcript(content):
-    """The JSON cue parser before it took every cue's text in one
-    comprehension: a walk that checks each cue in turn."""
+    """A walk that checks each cue and strips its tags in turn, then looks
+    for lone surrogates: every type error comes before a surrogate error."""
     doc = json.loads(content)
     items = doc
     if isinstance(doc, dict):
@@ -529,6 +529,11 @@ _CONTAINER = _mostly(
 @example(doc=[{"content": "x <i"}, {"text": "y> z"}], ascii=False)
 @example(doc={"cues": [{"content": "<\ud800>", "text": 5}, {"start": 0}]}, ascii=True)
 @example(doc=[{"content": None, "text": "x"}, "content"], ascii=False)
+# A surrogate in cue 0 and a non-object cue 1: the type error wins.
+@example(doc=[{"content": "a\ud800"}, 5], ascii=True)
+@example(doc=[{"text": 3}, {"content": "<b>x</b>"}], ascii=False)
+# Content wins over a text that is not a string.
+@example(doc={"cues": [{"content": "x", "text": 5}]}, ascii=False)
 def test_json_parser_matches_the_cue_walk_reference(doc, ascii):
     """The same transcript, or the same error, as the cue-by-cue walk; with
     `ascii`, every non-ASCII scalar is a \\u escape."""
