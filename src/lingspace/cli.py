@@ -232,7 +232,7 @@ def _cmd_limit_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_box(args: argparse.Namespace) -> int:
-    from .microblog import RIC_TABLE, cell_key
+    from .microblog import RIC_TABLE
     from .pipeline import check_rescale_lang, plot_ratios, plot_ric
 
     if (args.corpus is None) == (args.ric is None):
@@ -255,8 +255,7 @@ def _cmd_plot_box(args: argparse.Namespace) -> int:
     rows = read_table(args.ric, RIC_TABLE)
     if not rows:
         raise UsageError("no RIC rows to plot", args.ric)
-    cells = [(cell_key(meta), values) for meta, values, _ in rows]
-    plot_ric(cells, "/".join(sorted({base for *_, base in rows})), args.out, args.title)
+    plot_ric(rows, args.out, args.title)
     return 0
 
 

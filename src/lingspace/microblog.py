@@ -446,10 +446,9 @@ def _ric_cells(result: RicResult) -> tuple:
     )
 
 
-def _read_ric(row: Mapping[str, object]) -> tuple[AccountMeta, tuple, str]:
-    """`(account, per-post RICs, base_lang)` of a RIC row: what a figure draws,
-    by the account's cell key. Its ratio and mean, which no figure draws, are
-    checked too."""
+def _read_ric(row: Mapping[str, object]) -> RicResult:
+    """The RicResult of a RIC row, its ratio and mean checked against its
+    language, base and per-post values."""
     meta, base_lang = _read_account(row), parse_language_tag(str(row["base_lang"]))
     ratio, mean = table_number(row["ratio_used"]), table_number(row["mean_ric"])
     values = tuple(table_number(v) for v in str(row["per_post_ric"]).split())
@@ -467,7 +466,7 @@ def _read_ric(row: Mapping[str, object]) -> tuple[AccountMeta, tuple, str]:
     average, low = math.fsum(v / len(values) for v in values), ratio - 5e-5
     if low > 0 and not math.isclose(mean, average, rel_tol=1e-9, abs_tol=1e-4 + 5e-5 / low):
         raise ValueError(f"mean_ric is {mean:.4f} but per_post_ric average {average:.4f}")
-    return meta, values, base_lang
+    return RicResult(meta, base_lang, ratio, mean, values)
 
 
 def _account_label(meta: AccountMeta) -> str:
@@ -488,5 +487,5 @@ RIC_TABLE = Table(
     (*_ACCOUNT_FIELDS, "base_lang", "ratio_used", "mean_ric", "per_post_ric"),
     _ric_cells,
     _read_ric,
-    unique=lambda ric: _account_label(ric[0]),
+    unique=lambda ric: _account_label(ric.meta),
 )

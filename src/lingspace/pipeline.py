@@ -28,7 +28,7 @@ from __future__ import annotations
 import configparser
 import logging
 import sys
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import make_dataclass
 from pathlib import Path
 
@@ -49,6 +49,7 @@ from .microblog import (
     RIC_TABLE,
     STATS_TABLE,
     AccountStats,
+    RicResult,
     account_length_stats,
     assign_posts,
     cell_key,
@@ -212,16 +213,15 @@ def plot_ratios(
 
 
 def plot_ric(
-    cells: Iterable[tuple[tuple[str, str, str], Iterable[float]]],
-    base_note: str,
-    out: str | Path,
-    title: str | None = None,
+    results: Sequence[RicResult], out: str | Path, title: str | None = None
 ) -> None:
     """One box per (platform, language, org_type) cell, in sorted order,
-    over the per-post RIC values of every account in the cell."""
+    over the per-post RIC values of every account in the cell; the title and
+    axis name the results' base languages, joined by /."""
     grouped: dict[tuple[str, str, str], list[float]] = {}
-    for key, values in cells:
-        grouped.setdefault(key, []).extend(values)
+    for result in results:
+        grouped.setdefault(cell_key(result.meta), []).extend(result.per_post_ric)
+    base_note = "/".join(sorted({result.base_lang for result in results}))
     render_boxplot(
         [
             BoxplotSeries("/".join(key), describe(values))
@@ -278,11 +278,7 @@ def run_pipeline(config_path: str | Path) -> int:
             cfg.rescale_limit,
         )
         if ric_results:
-            plot_ric(
-                ((cell_key(r.meta), r.per_post_ric) for r in ric_results),
-                cfg.ric_base,
-                out / "ric_box.svg",
-            )
+            plot_ric(ric_results, out / "ric_box.svg")
     except (LingspaceError, OSError, configparser.Error) as exc:
         print(f"pipeline failed at stage '{stage}': {exc}", file=sys.stderr)
         return 1

@@ -112,31 +112,25 @@ def read_json_lines(
     with Path(path).open("rb") as fh:
         for block in _line_blocks(fh):
             try:
-                text = block.decode("utf-8")
+                lines = block.decode("utf-8").split("\n")
             except UnicodeDecodeError:
-                text = ""  # each line is decoded alone, to name the bad one
-            # The decoder's C scanner, which parse_json reaches through four
-            # Python frames, takes a line that is one object ending at its LF.
-            # A scan may read on past the LF (JSON allows one between tokens),
-            # so after any other line but a blank one, the rest goes to parse_json.
-            pos = 0
-            while (lf := text.find("\n", pos)) >= 0:
+                lines = block.split(b"\n")  # each line is decoded alone, to name the bad one
+            for line in lines[:-1]:
+                lineno += 1
+                if type(line) is bytes:
+                    try:
+                        line = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        yield lineno, None, f"not UTF-8 ({exc.reason})"
+                        continue
+                # The decoder's C scanner, which parse_json reaches through
+                # four Python frames, takes a line that is one object.
                 try:
-                    record, end = _scan(text, pos)
+                    record, end = _scan(line, 0)
                 except (StopIteration, ValueError, RecursionError):
                     record = end = None
-                if end == lf and type(record) is dict:
-                    yield lineno + 1, record, None
-                elif text[pos:lf].strip():  # a blank line is skipped
-                    break
-                lineno += 1
-                pos = lf + 1
-            for raw in (text[pos:].encode() if pos else block).split(b"\n")[:-1]:
-                lineno += 1
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    yield lineno, None, f"not UTF-8 ({exc.reason})"
+                if end == len(line) and type(record) is dict:
+                    yield lineno, record, None
                     continue
                 record, problem, _ = parse_json(line)
                 if type(record) is dict:

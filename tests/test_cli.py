@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 from cli_cases import CASES, RATIOS, run_case, subprocess_invoker
 from lingspace.cli import main
 from lingspace.corpus import load_corpus
-from lingspace.microblog import RIC_TABLE, STATS_TABLE
+from lingspace.microblog import RIC_TABLE, STATS_TABLE, AccountMeta, RicResult
 from lingspace.options import MEASURE, POSTS_FORMAT, TABLE_FORMAT
 from lingspace.ratios import RATIOS_TABLE
-from lingspace.tables import read_table
+from lingspace.tables import emit_table, read_table
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -530,6 +530,26 @@ class TestPlotBox:
             "weibo/cmn_hans/embassy",
             "weibo/cmn_hans/news",
         ]
+
+    @pytest.mark.parametrize(("title", "expected"), [
+        (None, "Relative information content (base cmn_hans/eng)"),
+        ("Two bases", "Two bases"),
+    ])
+    def test_ric_figure_names_the_bases_of_its_rows(self, tmp_path, title, expected):
+        """The title and value axis name each base language of the table's
+        rows, joined by /; --title replaces the title alone."""
+        ric, svg = tmp_path / "ric.csv", tmp_path / "ric.svg"
+        emit_table(RIC_TABLE, [
+            RicResult(AccountMeta("a", "weibo", "cmn_hans", "news"), "cmn_hans", 1.0,
+                      2.0, (1.0, 3.0)),
+            RicResult(AccountMeta("b", "twitter", "eng", "news"), "eng", 1.0, 4.0, (4.0,)),
+        ], ric, "csv")
+        argv = ["plot", "box", "--ric", str(ric), "--out", str(svg), "--quiet"]
+        assert main([*argv, *(["--title", title] if title else [])]) == 0
+        texts = list(ET.parse(svg).getroot().iter(SVG + "text"))
+        (shown,) = [e.text for e in texts if e.get("class") == "title"]
+        (axis,) = [e.text for e in texts if "rotate(-90" in e.get("transform", "")]
+        assert (shown, axis) == (expected, "cmn_hans/eng-equivalent characters")
 
     def test_tables_past_the_csv_field_limit_chain(self, ratios_for_ric, tmp_path):
         """An account with 20,000 posts writes stats and RIC cells longer than

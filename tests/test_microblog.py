@@ -4,6 +4,7 @@ import json
 import math
 import statistics
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -762,15 +763,20 @@ class TestTables:
         assert len(cells) == len(RIC_TABLE.fields)
         row = dict(zip(RIC_TABLE.fields, cells))
         assert row["per_post_ric"] == "3.1153 6.2305"
-        assert RIC_TABLE.read(row) == (META, (3.1153, 6.2305), "cmn_hans")
+        written = {k: f"{v:.4f}" if isinstance(v, float) else v for k, v in row.items()}
+        assert RIC_TABLE.read(written) == replace(
+            result, ratio_used=round(result.ratio_used, 4),
+            mean_ric=round(result.mean_ric, 4),
+            per_post_ric=(3.1153, 6.2305),
+        )
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 1 / 3, 2.00005, 1e-5, -1e-5])
                     | st.floats(), max_size=12))
     @example([0.0, -0.0, 0.0, -0.0, 1.5, 1.5])
     @example([-0.0, 0.0])
     def test_ric_cell_formats_every_value_as_it_stands(self, values):
-        """Each distinct value is formatted once; repeats and both signed
-        zeros still read as `f"{v:.4f}"` of each value in turn."""
+        """Each value is written as `f"{v:.4f}"` in turn, repeats and both
+        signed zeros included."""
         result = RicResult(META, "cmn_hans", 1.0, 0.0, tuple(values))
         cell = RIC_TABLE.cells(result)[RIC_TABLE.fields.index("per_post_ric")]
         assert cell == " ".join(f"{v:.4f}" for v in values)
@@ -791,9 +797,11 @@ class TestTables:
         (read,) = read_table(root / f"stats.{format}", STATS_TABLE)
         result = compute_ric(read, {("eng", "cmn_hans"): ratio}, "cmn_hans")
         emit_table(RIC_TABLE, [result], root / f"ric.{format}", format)
-        assert read_table(root / f"ric.{format}", RIC_TABLE) == [
-            (META, tuple(round(v, 4) for v in result.per_post_ric), "cmn_hans")
-        ]
+        assert read_table(root / f"ric.{format}", RIC_TABLE) == [replace(
+            result, ratio_used=round(result.ratio_used, 4),
+            mean_ric=round(result.mean_ric, 4),
+            per_post_ric=tuple(round(v, 4) for v in result.per_post_ric),
+        )]
 
     def test_cell_key_groups_platform_language_org(self):
         assert cell_key(META) == ("twitter", "eng", "news")

@@ -106,6 +106,11 @@ class TestSuccessfulRun:
             81 / eng_ratio, abs=2e-4
         )
 
+    def test_ric_figure_names_the_ric_base(self, pipeline_run):
+        svg = (pipeline_run / "ric_box.svg").read_text(encoding="utf-8")
+        assert ">Relative information content (base cmn_hans)</text>" in svg
+        assert ">cmn_hans-equivalent characters</text>" in svg
+
     def test_rerun_is_byte_identical(self, pipeline_run, udhr_dir, post_dump):
         before = {
             name: (pipeline_run / name).read_bytes() for name in OUTPUT_NAMES
